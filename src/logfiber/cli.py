@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import flatness, links, monodromy, morse
+from .analysis import Analysis
 from .complexes import (
     NAMED_COMPLEXES,
     SquareComplex,
@@ -27,6 +28,7 @@ from .errors import InputError
 from .words import Word
 
 END_CONVENTION = "g+ is the end (arrival) direction of g, g- its start"
+LOOP_CONVENTION = "loop = upper boundary path from the square's min corner; " + END_CONVENTION
 
 SCHEMAS = {
     "complex": {"generators", "squares", "provenance"},
@@ -60,7 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ----------------------------------------------------------------------
-# report builders (dict + text, shared by subcommands and `analyze`)
+# report builders (dict + text, shared by subcommands and `analyze`); those
+# `analyze` calls read its `Analysis` and build a fresh one when given none
 
 
 def _read_complex(path: str) -> SquareComplex:
@@ -98,23 +101,21 @@ def complex_text(c: SquareComplex) -> str:
     return "\n".join(lines)
 
 
-def link_report(c: SquareComplex) -> dict:
-    link = links.build_link(c)
-    report = links.largeness(link)
-    poison = links.poison_corners(c, link)
+def link_report(c: SquareComplex, analysis: Analysis | None = None) -> dict:
+    a = analysis or Analysis(c)
     return {
-        "vertices": len(link.vertices),
-        "edges": len(link.edges),
-        "girth": report.girth,
-        "is_large": report.is_large,
-        "violations": report.violations,
+        "vertices": len(a.link.vertices),
+        "edges": len(a.link.edges),
+        "girth": a.largeness.girth,
+        "is_large": a.largeness.is_large,
+        "violations": a.largeness.violations,
         "poison": [
             {
                 "square": e.square,
                 "corner": e.corner,
                 "endpoints": [links.format_end(v) for v in e.pair],
             }
-            for e in poison
+            for e in a.poison
         ],
         "convention": END_CONVENTION,
     }
@@ -128,7 +129,11 @@ def link_text(data: dict) -> str:
     ]
     for v in data["violations"]:
         lines.append(f"  violation: {v['kind']} at corners {v['corners']} ({', '.join(v['vertices'])})")
-    lines.append(f"poison corners: {len(data['poison'])}")
+    return "\n".join(lines + [poison_text(data)])
+
+
+def poison_text(data: dict) -> str:
+    lines = [f"poison corners: {len(data['poison'])}"]
     for p in data["poison"]:
         lines.append(
             f"  square {p['square']} corner {p['corner']}"
@@ -138,8 +143,8 @@ def link_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def flat_report(c: SquareComplex, max_radius: int) -> dict:
-    verdict = flatness.hyperbolicity_verdict(c, max_radius)
+def flat_report(c: SquareComplex, max_radius: int, analysis: Analysis | None = None) -> dict:
+    verdict = flatness.hyperbolicity_verdict(c, max_radius, analysis)
     witness = None
     if verdict.witness is not None:
         witness = [
@@ -171,21 +176,23 @@ def flat_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def morse_report(c: SquareComplex, ws: morse.WeightSystem) -> dict:
-    basis = morse.weight_lattice(c)
+def morse_report(c: SquareComplex, ws: morse.WeightSystem,
+                 analysis: Analysis | None = None) -> dict:
+    a = analysis or Analysis(c)
     data: dict = {
-        "lattice_rank": len(basis),
-        "basis": [dict(b) for b in basis],
+        "lattice_rank": len(a.lattice),
+        "basis": [dict(b) for b in a.lattice],
     }
-    report = morse.check_admissible(c, ws)
+    weights = a.morse_data(ws)
+    report = weights.admissibility
     data["admissible"] = report.admissible
     data["problems"] = report.problems
     if not report.admissible:
         data.update({"asc": None, "desc": None, "fiber": None, "chi": None, "rank": None,
                      "rank_blocked_by": "inadmissible weight system"})
         return data
-    asc, desc = morse.directional_links(c, ws)
-    fiber = morse.fiber_graph(c, ws)
+    asc, desc = weights.links
+    fiber = weights.fiber
     for side, name in ((asc, "asc"), (desc, "desc")):
         data[name] = {
             "vertices": len(side.vertices),
@@ -246,11 +253,11 @@ def morse_text(data: dict, weights_shown: str) -> str:
 
 
 def fiberings_report(c: SquareComplex, bound: int) -> dict:
-    basis = morse.weight_lattice(c)
+    a = Analysis(c)
     return {
-        "lattice_rank": len(basis),
-        "basis": [dict(b) for b in basis],
-        "table": morse.fibering_scan(c, bound),
+        "lattice_rank": len(a.lattice),
+        "basis": [dict(b) for b in a.lattice],
+        "table": morse.fibering_scan(c, bound, a),
     }
 
 
@@ -273,8 +280,8 @@ def fiberings_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def verdict_report(c: SquareComplex) -> dict:
-    data = morse.infinite_fibering_verdict(c)
+def verdict_report(c: SquareComplex, analysis: Analysis | None = None) -> dict:
+    data = morse.infinite_fibering_verdict(c, analysis)
     out = {
         "lattice_rank": data["lattice_rank"],
         "infinite_fibering": "YES" if data["infinite_fibering"] else "NO",
@@ -294,19 +301,25 @@ def verdict_text(data: dict) -> str:
     return line
 
 
-def monodromy_report(c: SquareComplex, ws: morse.WeightSystem, conjugator: str) -> dict:
-    ctx = monodromy.MonodromyContext(c, ws)
-    auto = monodromy.conjugation_automorphism(Word.parse(conjugator), c, ws, context=ctx)
+def basis_report(ctx: monodromy.MonodromyContext) -> dict:
     return {
         "basis": [
             {"square": loop.square, "name": loop.name, "rep": str(loop.rep)}
             for loop in ctx.basis
         ],
         "naming_map": {loop.name: loop.square for loop in ctx.basis},
+    }
+
+
+def monodromy_report(c: SquareComplex, ws: morse.WeightSystem, conjugator: str) -> dict:
+    ctx = monodromy.MonodromyContext(c, ws)
+    auto = monodromy.conjugation_automorphism(Word.parse(conjugator), c, ws, context=ctx)
+    return {
+        **basis_report(ctx),
         "images": {name: str(word) for name, word in auto.images.items()},
         "conjugator": str(auto.conjugator),
         "tag": auto.tag,
-        "convention": "loop = upper boundary path from the square's min corner; " + END_CONVENTION,
+        "convention": LOOP_CONVENTION,
     }
 
 
@@ -405,22 +418,22 @@ def cmd_add_square(args) -> int:
     return 0
 
 
-def _write_dot(args, c: SquareComplex) -> None:
+def _write_dot(args, a: Analysis) -> None:
     if not getattr(args, "dot", None):
         return
-    link = links.build_link(c)
+    c = a.complex
     highlight_edges: set[tuple[int, int]] = set()
     highlight_vertices: set = set()
     if args.highlight == "poison":
-        highlight_edges = {(e.square, e.corner) for e in links.poison_corners(c, link)}
+        highlight_edges = {(e.square, e.corner) for e in a.poison}
     elif args.highlight in ("asc", "desc"):
         ws = _weights_for(c, getattr(args, "weights", None))
-        asc, desc = morse.directional_links(c, ws)
+        asc, desc = a.morse_data(ws).links
         side = asc if args.highlight == "asc" else desc
         highlight_edges = {(e.square, e.corner) for e in side.edges}
         highlight_vertices = set(side.vertices)
     distinct = {sq.index for sq in c.squares if sq.origin == "added"}
-    text = links.export_dot(link, highlight_vertices, highlight_edges, distinct)
+    text = links.export_dot(a.link, highlight_vertices, highlight_edges, distinct)
     try:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -429,9 +442,9 @@ def _write_dot(args, c: SquareComplex) -> None:
 
 
 def cmd_link(args) -> int:
-    c = _read_complex(args.file)
-    data = link_report(c)
-    _write_dot(args, c)
+    a = Analysis(_read_complex(args.file))
+    data = link_report(a.complex, a)
+    _write_dot(args, a)
     return _emit(args, link_text(data), data)
 
 
@@ -447,8 +460,7 @@ def cmd_check(args) -> int:
     if args.what == "poison":
         data = link_report(c)
         keep = {k: data[k] for k in ("poison", "convention")}
-        text = link_text(data).split("poison corners:", 1)[1]
-        return _emit(args, "poison corners:" + text, keep)
+        return _emit(args, poison_text(keep), keep)
     data = flat_report(c, args.radius)
     return _emit(args, flat_text(data), data)
 
@@ -496,37 +508,30 @@ def cmd_reducible(args) -> int:
 
 def cmd_analyze(args) -> int:
     c = _read_complex(args.file)
+    a = Analysis(c)
     ws = _weights_for(c, args.weights)
     shown = " ".join(f"{g}={ws[g]}" for g in c.generators)
     data: dict = {"complex": complex_report(c)}
     texts = [complex_text(c)]
 
-    data["link"] = link_report(c)
+    data["link"] = link_report(c, a)
     texts.append(link_text(data["link"]))
 
-    data["flat"] = flat_report(c, args.radius)
+    data["flat"] = flat_report(c, args.radius, a)
     texts.append(flat_text(data["flat"]))
 
-    data["morse"] = morse_report(c, ws)
+    data["morse"] = morse_report(c, ws, a)
     texts.append(morse_text(data["morse"], shown))
 
-    data["fibering"] = verdict_report(c)
+    data["fibering"] = verdict_report(c, a)
     texts.append(verdict_text(data["fibering"]))
 
     section = data["morse"]
     unit = all(abs(w) == 1 for w in ws.values())
     if (section["admissible"] and unit and section["asc"] and section["asc"]["is_tree"]
             and section["desc"]["is_tree"] and section["fiber"]["connected"]):
-        ctx = monodromy.MonodromyContext(c, ws)
-        data["monodromy"] = {
-            "basis": [
-                {"square": loop.square, "name": loop.name, "rep": str(loop.rep)}
-                for loop in ctx.basis
-            ],
-            "naming_map": {loop.name: loop.square for loop in ctx.basis},
-            "convention": "loop = upper boundary path from the square's min corner; "
-                          + END_CONVENTION,
-        }
+        ctx = monodromy.MonodromyContext(c, ws, a)
+        data["monodromy"] = {**basis_report(ctx), "convention": LOOP_CONVENTION}
         names = " ".join(loop.name for loop in ctx.basis)
         texts.append(f"fiber-loop basis: {names}")
     else:
@@ -535,7 +540,7 @@ def cmd_analyze(args) -> int:
         data["monodromy"] = {"skipped": reason}
         texts.append(f"monodromy basis: skipped ({reason})")
 
-    _write_dot(args, c)
+    _write_dot(args, a)
     return _emit(args, "\n\n".join(texts), data)
 
 

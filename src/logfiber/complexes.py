@@ -110,7 +110,9 @@ def log_square(label: str, src: str, dst: str) -> Word:
     return Word([(label, 1), (dst, 1), (label, -1), (src, -1)])
 
 
-def _log_shape(vertices: list[str], edges: list[tuple[str, str, str]]) -> str:
+def union_find(vertices, pairs) -> tuple[dict, bool]:
+    """Join the two ends of every pair.  Returns each vertex's component
+    root and whether no pair closed a cycle (the pairs form a forest)."""
     parent = {v: v for v in vertices}
 
     def find(v):
@@ -119,15 +121,20 @@ def _log_shape(vertices: list[str], edges: list[tuple[str, str, str]]) -> str:
             v = parent[v]
         return v
 
-    cyclic = False
-    for _, u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            cyclic = True
+    acyclic = True
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            acyclic = False
         else:
-            parent[ru] = rv
-    components = len({find(v) for v in vertices})
-    if cyclic:
+            parent[ra] = rb
+    return {v: find(v) for v in vertices}, acyclic
+
+
+def _log_shape(vertices: list[str], edges: list[tuple[str, str, str]]) -> str:
+    root, acyclic = union_find(vertices, ((u, v) for _, u, v in edges))
+    components = len(set(root.values()))
+    if not acyclic:
         return "graph with cycles"
     if components == 1:
         return "tree"

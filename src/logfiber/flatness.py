@@ -26,20 +26,11 @@ a genuine length-four circuit in the link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
+from .analysis import Analysis
 from .complexes import SquareComplex
 from .errors import InputError
-from .links import (
-    CornerEdge,
-    LinkGraph,
-    arrival_end,
-    build_link,
-    departure_end,
-    largeness,
-    poison_corners,
-    square_corners,
-)
+from .links import CornerEdge, LinkGraph, arrival_end, departure_end, square_corners
 from .words import Letter, inverse_letter
 
 
@@ -89,8 +80,7 @@ def square_tiles(square) -> list[Tile]:
 
 def eligible_squares(c: SquareComplex, link: LinkGraph | None = None) -> list[int]:
     """Squares with no poison corner: the only candidates for a flat plane."""
-    poisoned = {e.square for e in poison_corners(c, link)}
-    return [sq.index for sq in c.squares if sq.index not in poisoned]
+    return Analysis(c, link).eligible
 
 
 def disk_cells(radius: int) -> list[tuple[int, int]]:
@@ -156,33 +146,37 @@ class _DiskSearch:
         return True
 
     def run(self, seed_square: int) -> dict | None:
-        order = sorted(self.tiles_by_square)
+        """Depth-first placement over the cells in order, with an explicit
+        stack: ``tried[i]`` counts the candidates already tried at cell i."""
         seed_tile = self.tiles_by_square[seed_square][0]
         assert seed_tile.rot == 0 and not seed_tile.refl
-
-        def backtrack(i: int) -> bool:
-            if i == len(self.cells):
-                return True
-            cell = self.cells[i]
-            if cell == (0, 0):
-                candidates: Iterable[Tile] = (seed_tile,)
-            else:
-                candidates = (t for s in order for t in self.tiles_by_square[s])
-            for tile in candidates:
-                if self._fits(cell, tile):
-                    self.placement[cell] = tile
-                    if backtrack(i + 1):
-                        return True
-                    del self.placement[cell]
-            return False
-
+        every_tile = [t for s in sorted(self.tiles_by_square) for t in self.tiles_by_square[s]]
+        cells = self.cells
+        tried = [0] * len(cells)
         self.placement.clear()
-        if backtrack(0):
-            return {cell: (t.square, t.rot, t.refl) for cell, t in self.placement.items()}
-        return None
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            candidates = (seed_tile,) if cell == (0, 0) else every_tile
+            k = tried[i]
+            while k < len(candidates) and not self._fits(cell, candidates[k]):
+                k += 1
+            if k < len(candidates):
+                self.placement[cell] = candidates[k]
+                tried[i] = k + 1
+                i += 1
+                continue
+            tried[i] = 0
+            i -= 1
+            if i < 0:
+                return None
+            del self.placement[cells[i]]
+        return {cell: (t.square, t.rot, t.refl) for cell, t in self.placement.items()}
 
 
-def search_flat_disk(c: SquareComplex, radius: int) -> DiskWitness | None:
+def search_flat_disk(
+    c: SquareComplex, radius: int, analysis: Analysis | None = None
+) -> DiskWitness | None:
     """Exhaustively try to tile the radius-R disk with eligible squares.
 
     Seeds every eligible square at the origin with rotation 0 and no
@@ -193,8 +187,7 @@ def search_flat_disk(c: SquareComplex, radius: int) -> DiskWitness | None:
     """
     if radius < 1:
         raise InputError(f"disk radius must be >= 1, got {radius}")
-    link = build_link(c)
-    eligible = eligible_squares(c, link)
+    eligible = (analysis or Analysis(c)).eligible
     if not eligible:
         return None
     tiles_by_square = {i: square_tiles(c.squares[i]) for i in eligible}
@@ -269,7 +262,9 @@ class Verdict:
     details: str = ""
 
 
-def hyperbolicity_verdict(c: SquareComplex, max_radius: int = 3) -> Verdict:
+def hyperbolicity_verdict(
+    c: SquareComplex, max_radius: int = 3, analysis: Analysis | None = None
+) -> Verdict:
     """Certify hyperbolicity of the fundamental group.
 
     NotNPC when the link is not large; HyperbolicCertA when every square has
@@ -277,18 +272,18 @@ def hyperbolicity_verdict(c: SquareComplex, max_radius: int = 3) -> Verdict:
     admits no development; otherwise Inconclusive with the largest-radius
     witness (bounded search cannot prove a plane exists).
     """
-    link = build_link(c)
-    report = largeness(link)
+    analysis = analysis or Analysis(c)
+    report = analysis.largeness
     if not report.is_large:
         kinds = sorted({v["kind"] for v in report.violations})
         return Verdict("NotNPC", details=f"link is not large: {', '.join(kinds)}")
-    eligible = eligible_squares(c, link)
+    eligible = analysis.eligible
     if not eligible:
         return Verdict("HyperbolicCertA", eligible=[],
                        details="every square contains a poison corner")
     witness = None
     for radius in range(1, max_radius + 1):
-        witness = search_flat_disk(c, radius)
+        witness = search_flat_disk(c, radius, analysis)
         if witness is None:
             return Verdict("HyperbolicCertB", radius=radius, eligible=eligible,
                            details=f"no flat disk of radius {radius}")

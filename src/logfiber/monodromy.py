@@ -35,15 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import Analysis
 from .complexes import SquareComplex
 from .errors import InputError
 from .links import End, arrival_end, departure_end
-from .morse import (
-    WeightSystem,
-    directional_links,
-    fiber_graph,
-    require_admissible,
-)
+from .morse import WeightSystem
 from .words import Letter, Word, generator_stem, inverse_letter, signed_weight
 
 _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
@@ -70,21 +66,16 @@ def _conjugator_of(boundary: Word) -> str | None:
 class MonodromyContext:
     """Shared data for rewriting over one complex and unit weight system."""
 
-    def __init__(self, c: SquareComplex, ws: WeightSystem):
-        heights = require_admissible(c, ws)
+    def __init__(self, c: SquareComplex, ws: WeightSystem, analysis: Analysis | None = None):
+        data = (analysis or Analysis(c)).morse_data(ws)
+        heights = data.heights
         bad = sorted(g for g in c.generators if abs(ws[g]) != 1)
         if bad:
             raise InputError(
                 f"monodromy needs all weights +-1 (rank-only mode otherwise); got {bad}"
             )
-        asc, desc = directional_links(c, ws)
-        if not asc.is_tree:
-            raise InputError(f"ascending link is not a tree ({asc.components} components)")
-        if not desc.is_tree:
-            raise InputError(f"descending link is not a tree ({desc.components} components)")
-        fiber = fiber_graph(c, ws)
-        if not fiber.connected:
-            raise InputError(f"fiber is disconnected ({fiber.components} components)")
+        data.require_fibration()
+        asc, desc = data.links
         self.complex = c
         self.weights = dict(ws)
 

@@ -17,22 +17,37 @@ From an admissible weight system we read off:
 * the kernel rank 1 - chi(fiber) when both links are trees and the fiber
   is connected.
 
-The integer lattice of zero-sum weight systems is computed exactly (Smith
-diagonalization over the integers, then Hermite reduction of the basis).
+`MorseData` holds these for one weight system, each computed once.
+
+The integer lattice of zero-sum weight systems is computed exactly.  A LOG
+square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square whose
+boundary row has exactly one +1 and one -1 entry is contracted by
+union-find first; the Smith diagonalization over the integers then runs on
+the remaining rows, summed over the contracted classes, and the expanded
+kernel is Hermite-reduced to the same canonical basis the full matrix
+gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .complexes import Square, SquareComplex
+from .complexes import Square, SquareComplex, union_find
 from .errors import InputError
 from .links import CornerEdge, End, square_corners
 from .words import generator_stem, signed_weight
 
+if TYPE_CHECKING:
+    from .analysis import Analysis
+
 WeightSystem = dict[str, int]
+
+# `fibering_scan` refuses lattices with more coordinate vectors than this
+MAX_SCAN_VECTORS = 100_000
 
 
 def parse_weight_spec(spec: str, c: SquareComplex) -> WeightSystem:
@@ -129,11 +144,7 @@ def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
 
 
 def require_admissible(c: SquareComplex, ws: WeightSystem) -> list[CornerHeights]:
-    report = check_admissible(c, ws)
-    if not report.admissible:
-        raise InputError("inadmissible weight system: " + "; ".join(report.problems))
-    assert report.heights is not None
-    return report.heights
+    return MorseData(c, ws).heights
 
 
 @dataclass
@@ -146,35 +157,24 @@ class DirectionalLink:
 
 
 def _graph_stats(vertices: list[End], edges: list[CornerEdge]) -> tuple[bool, int]:
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    acyclic = True
-    for e in edges:
-        a, b = e.ends
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            acyclic = False
-        else:
-            parent[ra] = rb
-    components = len({find(v) for v in vertices})
+    root, acyclic = union_find(vertices, (e.ends for e in edges))
+    components = len(set(root.values()))
     return (acyclic and components == 1), components
 
 
-def directional_links(c: SquareComplex, ws: WeightSystem) -> tuple[DirectionalLink, DirectionalLink]:
+def directional_links(
+    c: SquareComplex, ws: WeightSystem, heights: list[CornerHeights] | None = None
+) -> tuple[DirectionalLink, DirectionalLink]:
     """Ascending and descending links of the vertex.
 
     A direction-end ascends when moving into it increases the Morse height:
     (g, start) for positive weight, (g, end) for negative.  Each square
     contributes its min-corner edge to the ascending link and its max-corner
-    edge to the descending link.
+    edge to the descending link.  ``heights`` skips the admissibility check
+    when the caller already holds the corner heights of ``ws``.
     """
-    heights = require_admissible(c, ws)
+    if heights is None:
+        heights = require_admissible(c, ws)
     asc_vertices = [(g, "-") if ws[g] > 0 else (g, "+") for g in c.generators]
     desc_vertices = [(g, "+") if ws[g] > 0 else (g, "-") for g in c.generators]
     asc_edges, desc_edges = [], []
@@ -182,10 +182,11 @@ def directional_links(c: SquareComplex, ws: WeightSystem) -> tuple[DirectionalLi
         corners = square_corners(sq)
         asc_edges.append(corners[h.min_corner])
         desc_edges.append(corners[h.max_corner])
+    asc_set, desc_set = set(asc_vertices), set(desc_vertices)
     for e in asc_edges:
-        assert set(e.ends) <= set(asc_vertices), e
+        assert set(e.ends) <= asc_set, e
     for e in desc_edges:
-        assert set(e.ends) <= set(desc_vertices), e
+        assert set(e.ends) <= desc_set, e
     asc_tree, asc_comp = _graph_stats(asc_vertices, asc_edges)
     desc_tree, desc_comp = _graph_stats(desc_vertices, desc_edges)
     return (
@@ -230,11 +231,14 @@ def _point_on_path(path, level: int) -> FiberVertex:
     return (g, i)
 
 
-def fiber_graph(c: SquareComplex, ws: WeightSystem) -> FiberGraph:
+def fiber_graph(
+    c: SquareComplex, ws: WeightSystem, heights: list[CornerHeights] | None = None
+) -> FiberGraph:
     """The preimage of the base point: one vertex per subdivision point of
     the edges plus the vertex itself, and one arc per integer level strictly
     between each square's min and max corner heights."""
-    heights = require_admissible(c, ws)
+    if heights is None:
+        heights = require_admissible(c, ws)
     vertices: list[FiberVertex] = [BASE_VERTEX]
     for g in c.generators:
         for i in range(1, abs(ws[g])):
@@ -254,21 +258,47 @@ def fiber_graph(c: SquareComplex, ws: WeightSystem) -> FiberGraph:
         for level in range(h.heights[m] + 1, h.heights[h.max_corner]):
             edges.append((_point_on_path(up, level), _point_on_path(down, level), sq.index, level))
 
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v, _, _ in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    components = len({find(v) for v in vertices})
+    root, _ = union_find(vertices, ((u, v) for u, v, _, _ in edges))
+    components = len(set(root.values()))
     chi = len(vertices) - len(edges)
     return FiberGraph(vertices, edges, chi, components == 1, components)
+
+
+class MorseData:
+    """Admissibility, corner heights, directional links and fiber graph of
+    one weight system, each computed once on first use."""
+
+    def __init__(self, c: SquareComplex, ws: WeightSystem):
+        self.complex = c
+        self.weights = dict(ws)
+        self.admissibility = check_admissible(c, ws)
+
+    @property
+    def heights(self) -> list[CornerHeights]:
+        report = self.admissibility
+        if not report.admissible:
+            raise InputError("inadmissible weight system: " + "; ".join(report.problems))
+        assert report.heights is not None
+        return report.heights
+
+    @cached_property
+    def links(self) -> tuple[DirectionalLink, DirectionalLink]:
+        return directional_links(self.complex, self.weights, self.heights)
+
+    @cached_property
+    def fiber(self) -> FiberGraph:
+        return fiber_graph(self.complex, self.weights, self.heights)
+
+    def require_fibration(self) -> None:
+        """Raise InputError naming the first failed condition for a kernel
+        rank: tree ascending and descending links and a connected fiber."""
+        asc, desc = self.links
+        if not asc.is_tree:
+            raise InputError(f"ascending link is not a tree ({asc.components} components)")
+        if not desc.is_tree:
+            raise InputError(f"descending link is not a tree ({desc.components} components)")
+        if not self.fiber.connected:
+            raise InputError(f"fiber is disconnected ({self.fiber.components} components)")
 
 
 def kernel_rank(c: SquareComplex, ws: WeightSystem) -> int:
@@ -278,17 +308,9 @@ def kernel_rank(c: SquareComplex, ws: WeightSystem) -> int:
     links are trees and whose fiber is connected; failures name the broken
     condition.
     """
-    heights = require_admissible(c, ws)
-    del heights
-    asc, desc = directional_links(c, ws)
-    if not asc.is_tree:
-        raise InputError(f"ascending link is not a tree ({asc.components} components)")
-    if not desc.is_tree:
-        raise InputError(f"descending link is not a tree ({desc.components} components)")
-    fiber = fiber_graph(c, ws)
-    if not fiber.connected:
-        raise InputError(f"fiber is disconnected ({fiber.components} components)")
-    return 1 - fiber.chi
+    data = MorseData(c, ws)
+    data.require_fibration()
+    return 1 - data.fiber.chi
 
 
 # ----------------------------------------------------------------------
@@ -382,30 +404,50 @@ def _hermite_rows(rows: list[list[int]], n: int) -> list[list[int]]:
 
 def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
     """Basis of the lattice of integer weight systems with zero sum on every
-    square boundary (zero weights allowed here; admissibility is separate)."""
-    index = {g: i for i, g in enumerate(c.generators)}
-    rows = []
+    square boundary (zero weights allowed here; admissibility is separate).
+    Rows ``e_u - e_v`` are contracted first, as the module docstring says."""
+    pairs, rows = [], []
     for sq in c.squares:
-        row = [0] * len(c.generators)
+        row: dict[str, int] = {}
         for g, s in sq.boundary:
-            row[index[g]] += s
-        rows.append(row)
-    if not rows:
-        rows = [[0] * len(c.generators)]
-    basis = _kernel_basis_int(rows, len(c.generators))
-    return [{g: vec[index[g]] for g in c.generators} for vec in basis]
+            row[g] = row.get(g, 0) + s
+        support = {g: k for g, k in row.items() if k}
+        if sorted(support.values()) == [-1, 1]:
+            pairs.append(tuple(support))
+        elif support:
+            rows.append(support)
+    root, _ = union_find(c.generators, pairs)
+    column = {r: j for j, r in enumerate(dict.fromkeys(root.values()))}
+    contracted = []
+    for support in rows:
+        vec = [0] * len(column)
+        for g, k in support.items():
+            vec[column[root[g]]] += k
+        contracted.append(vec)
+    kernel = _kernel_basis_int(contracted, len(column))
+    expanded = [[vec[column[root[g]]] for g in c.generators] for vec in kernel]
+    basis = _hermite_rows(expanded, len(c.generators))
+    return [dict(zip(c.generators, vec)) for vec in basis]
 
 
 def _combine_basis(basis: list[WeightSystem], coords: tuple[int, ...], c: SquareComplex) -> WeightSystem:
     return {g: sum(k * b[g] for k, b in zip(coords, basis)) for g in c.generators}
 
 
-def fibering_scan(c: SquareComplex, bound: int) -> list[dict]:
+def fibering_scan(c: SquareComplex, bound: int, analysis: Analysis | None = None) -> list[dict]:
     """One row per lattice vector with coordinates in [-bound, bound]
-    (zero-weight vectors excluded), in lexicographic coordinate order."""
+    (zero-weight vectors excluded), in lexicographic coordinate order.
+
+    Refuses scans of more than `MAX_SCAN_VECTORS` coordinate vectors."""
     if bound < 1:
         raise InputError("scan bound must be >= 1")
-    basis = weight_lattice(c)
+    basis = analysis.lattice if analysis is not None else weight_lattice(c)
+    vectors = (2 * bound + 1) ** len(basis)
+    if vectors > MAX_SCAN_VECTORS:
+        raise InputError(
+            f"scan of {vectors} vectors ((2*{bound}+1)^{len(basis)}) exceeds the limit of"
+            f" {MAX_SCAN_VECTORS}; lower the bound"
+        )
     rows = []
     for coords in product(range(-bound, bound + 1), repeat=len(basis)):
         if all(k == 0 for k in coords):
@@ -414,16 +456,16 @@ def fibering_scan(c: SquareComplex, bound: int) -> list[dict]:
         if any(w == 0 for w in ws.values()):
             continue
         row: dict = {"coords": list(coords), "weights": dict(ws)}
-        report = check_admissible(c, ws)
-        row["admissible"] = report.admissible
+        data = MorseData(c, ws)
+        row["admissible"] = data.admissibility.admissible
         row["primitive"] = gcd(*coords) == 1
-        if not report.admissible:
+        if not row["admissible"]:
             row.update({"asc_tree": None, "desc_tree": None, "chi": None,
                         "components": None, "rank": None})
             rows.append(row)
             continue
-        asc, desc = directional_links(c, ws)
-        fiber = fiber_graph(c, ws)
+        asc, desc = data.links
+        fiber = data.fiber
         row["asc_tree"] = asc.is_tree
         row["desc_tree"] = desc.is_tree
         row["chi"] = fiber.chi  # direct count from the explicit fiber graph
@@ -441,7 +483,7 @@ def fibering_scan(c: SquareComplex, bound: int) -> list[dict]:
     return rows
 
 
-def infinite_fibering_verdict(c: SquareComplex) -> dict:
+def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None) -> dict:
     """Does the complex fiber in infinitely many ways?
 
     YES when the weight lattice has rank >= 2 and some sign pattern
@@ -449,7 +491,7 @@ def infinite_fibering_verdict(c: SquareComplex) -> dict:
     are trees.  Tree-ness depends only on the signs, so one representative
     per orthant decides the whole orthant.
     """
-    basis = weight_lattice(c)
+    basis = analysis.lattice if analysis is not None else weight_lattice(c)
     rank = len(basis)
     out: dict = {"lattice_rank": rank, "infinite_fibering": False, "orthant": None}
     if rank < 2:
@@ -473,9 +515,13 @@ def infinite_fibering_verdict(c: SquareComplex) -> dict:
                 break
         if representative is None:
             continue
-        if not check_admissible(c, representative).admissible:
+        if analysis is not None:
+            data = analysis.morse_data(representative)
+        else:
+            data = MorseData(c, representative)
+        if not data.admissibility.admissible:
             continue
-        asc, desc = directional_links(c, representative)
+        asc, desc = data.links
         if asc.is_tree and desc.is_tree:
             out["infinite_fibering"] = True
             out["orthant"] = ["+" if s > 0 else "-" for s in signs]

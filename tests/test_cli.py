@@ -243,3 +243,57 @@ def test_exit_code_two_on_internal_violation(monkeypatch, capsys, g1_file):
     monkeypatch.setattr(cli.links, "build_link", boom)
     assert main(["link", g1_file]) == 2
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_fiberings_refuses_huge_scans(capsys, g1_file):
+    # (2 * 100000 + 1)^2 coordinate vectors on g1's rank-2 lattice
+    assert main(["fiberings", g1_file, "--bound", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert "40000400001 vectors" in err and "internal" not in err
+
+
+def test_check_flat_large_radius_on_torus(capsys, torus_file):
+    from logfiber import build_named, validate_witness
+    from logfiber.flatness import DiskWitness
+
+    data = run_json(capsys, ["check", "flat", torus_file, "--radius", "25"])
+    assert data["verdict"] == "Inconclusive" and data["radius"] == 25
+    placement = {(cell["x"], cell["y"]): (cell["square"], cell["rot"], cell["refl"])
+                 for cell in data["witness"]}
+    assert validate_witness(build_named("torus"), DiskWitness(25, placement)) == []
+
+
+def count_calls(monkeypatch, module_name, name):
+    """Wrap a function in every logfiber module that holds it; returns the
+    list its calls are appended to."""
+    import importlib
+    import sys
+
+    target = getattr(importlib.import_module(f"logfiber.{module_name}"), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return target(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key == "logfiber" or key.startswith("logfiber."):
+            for attr, value in list(vars(module).items()):
+                if value is target:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("complex_argv", [["named", "g2"], ["lot", "--k", "32"]])
+def test_analyze_builds_each_piece_once(tmp_path, capsys, monkeypatch, complex_argv):
+    assert main(["build", *complex_argv]) == 0
+    path = tmp_path / "c.log"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    counted = {
+        name: count_calls(monkeypatch, module, name)
+        for module, name in (("links", "build_link"), ("links", "largeness"),
+                             ("links", "poison_corners"), ("morse", "weight_lattice"))
+    }
+    assert main(["analyze", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)

@@ -1,6 +1,9 @@
 """Link analysis against brute-force cycle oracles."""
 
+import random
 from collections import Counter
+
+import pytest
 
 from logfiber import (
     add_square,
@@ -131,6 +134,23 @@ def test_poison_matches_brute_force_oracle(lot_a, gf, g2, g1, torus):
         assert {(e.square, e.corner) for e in poison_corners(c, link)} == expected
 
 
+def test_poison_matches_brute_force_on_random_complexes():
+    # repeated letters give loops, bigons and parallel edges in the link
+    rng = random.Random(4)
+    for _ in range(200):
+        gens = "abcde"[: rng.randint(2, 5)]
+        squares = []
+        while len(squares) < rng.randint(1, 5):
+            letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(4)]
+            if all(letters[i - 1] != (g, -s) for i, (g, s) in enumerate(letters)):
+                squares.append(" ".join(g + ("^-1" if s < 0 else "") for g, s in letters))
+        c = squares_complex(" ".join(gens), squares)
+        link = build_link(c)
+        hits, _ = closed_four_walk_edges(link)
+        expected = {(e.square, e.corner) for i, e in enumerate(link.edges) if i not in hits}
+        assert {(e.square, e.corner) for e in poison_corners(c, link)} == expected, squares
+
+
 def test_large_links_have_honest_four_cycles(lot_a, gf, g2, g1, mixed):
     # in a large link every length-4 circuit visits 4 distinct vertices
     for c in (lot_a, gf, g2, g1, mixed):
@@ -192,10 +212,61 @@ def test_g1_new_edges_lie_on_no_short_cycle(g1):
             assert cycle is None or cycle >= 5
 
 
+def squares_complex(generators, squares):
+    return parse_spec(f"generators {generators}\n" + "".join(f"square {s}\n" for s in squares))
+
+
+# girth 5 to 8 and an acyclic link: no 4-cycle, so largeness falls back to BFS
+LONG_GIRTH = {
+    5: squares_complex("a b c d", ["a^-1 a^-1 b c^-1", "d^-1 a c^-1 d^-1"]),
+    6: squares_complex("a b c d", ["d c d b^-1", "b d a a"]),
+    7: squares_complex("a b c d e f", ["a^-1 b a^-1 c^-1", "c f e^-1 d^-1", "e^-1 a^-1 d^-1 c^-1"]),
+    8: squares_complex("a b c d", ["a^-1 d^-1 b^-1 b^-1", "c d^-1 a c"]),
+    None: squares_complex("a b c d", ["c d^-1 d^-1 b"]),
+}
+
+
 def test_girth_matches_brute_force(lot_a, gf, g2, torus):
     for c in (lot_a, gf, g2, torus):
         link = build_link(c)
         assert largeness(link).girth == brute_girth(link)
+    for girth, c in LONG_GIRTH.items():
+        link = build_link(c)
+        assert largeness(link).girth == brute_girth(link, cap=10) == girth
+        if girth is not None:
+            assert min(shortest_cycle_through(link, i) or 99 for i in range(len(link.edges))) == girth
+
+
+def test_girth_matches_brute_force_on_random_logs():
+    # links without loops or bigons, so both triangle checks and the 4-cycle
+    # shortcut get exercised (LONG_GIRTH covers the BFS fallback)
+    rng = random.Random(2008)
+    seen = Counter()
+    while sum(seen.values()) < 60:
+        n = rng.randint(4, 7)
+        gens = [f"a{i}" for i in range(n)]
+        lines = ["generators " + " ".join(gens)]
+        for _ in range(rng.choice((n - 1, n))):
+            label = rng.choice(gens)
+            frm, to = rng.sample([g for g in gens if g != label], 2)
+            lines.append(f"edge label={label} from={frm} to={to}")
+        link = build_link(parse_spec("\n".join(lines) + "\n"))
+        expected = brute_girth(link, cap=2 * n + 1)
+        if expected in (1, 2):
+            continue
+        assert largeness(link).girth == expected
+        seen[expected] += 1
+    assert seen[3] and seen[4]
+
+
+@pytest.mark.xfail(strict=True, reason="_triangles misses triangles whose second edge"
+                   " meets the first at its stored start; kept while the bench report"
+                   " hashes depend on it")
+def test_triangle_found_in_either_edge_order():
+    c = squares_complex("a b c d e f", ["f^-1 d^-1 a f^-1", "a b a^-1 b^-1", "f d^-1 f c"])
+    report = largeness(build_link(c))
+    assert report.girth == 3
+    assert not report.is_large
 
 
 def test_export_dot(g2):

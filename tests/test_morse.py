@@ -318,3 +318,53 @@ def test_family_ranks():
     for k in range(4, 9):
         c = build_lot_family(k)
         assert kernel_rank(c, unit_weights(c)) == k
+
+
+def dense_square_rows(c):
+    index = {g: i for i, g in enumerate(c.generators)}
+    rows = []
+    for sq in c.squares:
+        row = [0] * len(c.generators)
+        for g, s in sq.boundary:
+            row[index[g]] += s
+        rows.append(row)
+    return rows
+
+
+def test_contracted_lattice_matches_dense_smith_form():
+    # LOG squares (graph rows e_v - e_u), relator squares, zero rows,
+    # coefficient-2 rows, and sometimes no graph rows at all
+    from logfiber import parse_spec
+
+    rng = random.Random(20081015)
+    for trial in range(120):
+        gens = [f"g{i}" for i in range(rng.randint(2, 9))]
+        squares = []
+        for _ in range(rng.randint(0, 8)):
+            x, u, v, w = (rng.choice(gens) for _ in range(4))
+            kind = rng.randrange(5) if trial % 4 else rng.randrange(1, 5)
+            if kind == 0 and len({x, u, v}) == 3:
+                squares.append(f"{x} {v} {x}^-1 {u}^-1")
+            elif kind == 1 and len({x, u, v, w}) == 4:
+                squares.append(f"{x} {u} {v}^-1 {w}^-1")
+            elif kind == 2 and x != u:
+                squares.append(f"{x} {u} {x}^-1 {u}^-1")
+            elif kind == 3 and len({x, u, v}) == 3:
+                squares.append(f"{x} {x} {u}^-1 {v}^-1")
+            elif kind == 4 and x != u:
+                squares.append(f"{x} {u} {x} {u}")
+        c = parse_spec("generators " + " ".join(gens) + "\n"
+                       + "".join(f"square {s}\n" for s in squares))
+        n = len(gens)
+        expected = _hermite_rows(_kernel_basis_int(dense_square_rows(c), n), n)
+        assert [[b[g] for g in gens] for b in weight_lattice(c)] == expected, squares
+
+
+def test_contracted_lattice_on_lot_and_wedge():
+    from logfiber import combine
+
+    for c in (build_lot_family(40),
+              combine(build_lot_family(9, "a"), build_lot_family(7, "b"), "a0 b2 a1^-1 b0^-1")):
+        n = len(c.generators)
+        expected = _hermite_rows(_kernel_basis_int(dense_square_rows(c), n), n)
+        assert [[b[g] for g in c.generators] for b in weight_lattice(c)] == expected
