@@ -10,6 +10,7 @@ outside them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -640,10 +641,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every `main` call in a process uses: building one costs
+    milliseconds, it has no inputs, and parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

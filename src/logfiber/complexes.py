@@ -45,6 +45,9 @@ class SquareComplex:
     generators: list[str]
     squares: list[Square] = field(default_factory=list)
     provenance: list[str] = field(default_factory=list)
+    # what `append_square` checks against, kept up to date by it
+    _generators: set[str] = field(init=False, repr=False)
+    _boundaries: set[Word] = field(init=False, repr=False)
 
     def __post_init__(self):
         seen = set()
@@ -53,6 +56,8 @@ class SquareComplex:
             if g in seen:
                 raise InputError(f"duplicate generator {g!r}")
             seen.add(g)
+        self._generators = seen
+        self._boundaries = {sq.boundary for sq in self.squares}
 
     def __eq__(self, other) -> bool:
         # provenance is a build trail, not part of the presentation
@@ -74,9 +79,10 @@ class SquareComplex:
         return out
 
     def append_square(self, boundary: Word, origin: str = "") -> Square:
-        check_boundary(boundary, self.generator_set())
-        if any(sq.boundary == boundary for sq in self.squares):
+        check_boundary(boundary, self._generators)
+        if boundary in self._boundaries:
             self.provenance.append(f"duplicate square: {boundary}")
+        self._boundaries.add(boundary)
         sq = Square(len(self.squares), boundary, origin)
         self.squares.append(sq)
         return sq

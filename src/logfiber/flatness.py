@@ -21,6 +21,17 @@ Two placed cells agree when shared sides carry equal canonical labels, and
 every interior grid vertex (all four incident cells in the disk) must see
 four pairwise distinct link directions around it, so its four corners form
 a genuine length-four circuit in the link.
+
+The search places cells in disk order (taxicab distance, then x, then y)
+by backtracking over tables compiled once per search, in the manner of
+Bitner and Reingold's precomputed constraints: each cell's earlier
+neighbours and the interior vertices it completes, each tile's side labels
+and direction-ends as small ints, and the tiles that carry given labels on
+given sides, in candidate order.  The radius-r disk is a prefix of the
+radius-R cell order and the checks at a prefix cell do not depend on R, so
+one search at the largest radius finds every smaller radius's first
+witness the first time it has placed that prefix; `hyperbolicity_verdict`
+runs that one search per seed square.
 """
 
 from __future__ import annotations
@@ -83,6 +94,24 @@ def eligible_squares(c: SquareComplex, link: LinkGraph | None = None) -> list[in
     return Analysis(c, link).eligible
 
 
+# Flat searches refuse larger radii: the radius-R disk has `disk_size(R)` cells.
+MAX_DISK_RADIUS = 100
+
+
+def disk_size(radius: int) -> int:
+    return 2 * radius * radius + 2 * radius + 1
+
+
+def _check_radius(radius: int) -> None:
+    if radius < 1:
+        raise InputError(f"disk radius must be >= 1, got {radius}")
+    if radius > MAX_DISK_RADIUS:
+        raise InputError(
+            f"disk radius {radius} ({disk_size(radius)} cells) exceeds the limit of radius"
+            f" {MAX_DISK_RADIUS} ({disk_size(MAX_DISK_RADIUS)} cells)"
+        )
+
+
 def disk_cells(radius: int) -> list[tuple[int, int]]:
     cells = [
         (x, y)
@@ -121,57 +150,122 @@ def _vertex_directions(tiles_at) -> tuple | None:
 
 
 class _DiskSearch:
-    def __init__(self, c: SquareComplex, tiles_by_square: dict[int, list[Tile]], radius: int):
+    """Depth-first placement over the cells of the radius-R disk in order,
+    with every constraint compiled into tables once per search.
+
+    Tiles are numbered in candidate order (eligible squares ascending, the
+    eight placements of each in `square_tiles` order) and carry their side
+    labels and vertex direction-ends as small ints.  Cell i's plan holds
+    the earlier neighbours whose shared side it must match, as (cell,
+    neighbour's side), keyed into a table of the tiles with those labels on
+    those sides, in candidate order; and each interior vertex it completes
+    (all four cells in the disk, i the last of them) as the direction-ends
+    the earlier cells supply plus the ones cell i's tile adds.  Every cell
+    but the origin has an earlier neighbour, so its candidates are one
+    table lookup filtered by the vertices: the same tiles, in the same
+    order, that a tile-by-tile fit check would accept.  A cell's plan is
+    compiled when the search first reaches it, so a search that dies near
+    the origin costs little at any radius.
+    """
+
+    def __init__(self, c: SquareComplex, eligible: list[int], radius: int):
         self.cells = disk_cells(radius)
-        self.cell_set = set(self.cells)
-        self.placement: dict[tuple[int, int], Tile] = {}
-        self.tiles_by_square = tiles_by_square
-        self.radius = radius
+        self.tiles = [t for s in sorted(eligible) for t in square_tiles(c.squares[s])]
+        self.seed_tile = {t.square: k for k, t in enumerate(self.tiles)
+                          if t.rot == 0 and not t.refl}
+        ids: dict = {}
+        self.labels = [tuple(ids.setdefault(x, len(ids)) for x in t.sides) for t in self.tiles]
+        # the ends a tile supplies at an interior vertex: slots 0 and 1 (west,
+        # south) when it is the SW cell, 2 (north) at NW, 3 (east) at NE
+        self.ends = [
+            tuple(ids.setdefault(end, len(ids)) for end in (
+                arrival_end(north), arrival_end(east), departure_end(east), departure_end(south)))
+            for south, east, north, _ in (t.sides for t in self.tiles)
+        ]
+        self.index = {cell: i for i, cell in enumerate(self.cells)}
+        self.tables: dict[tuple, dict] = {}
+        self.adds: dict[tuple, list] = {}
+        self.plan: list[tuple | None] = [None]  # the origin holds its seed tile
 
-    def _fits(self, cell: tuple[int, int], tile: Tile) -> bool:
-        x, y = cell
-        for (dx, dy), side in _SIDE_OF.items():
-            neighbor = self.placement.get((x + dx, y + dy))
-            if neighbor is not None and neighbor.sides[_OPPOSITE[side]] != tile.sides[side]:
-                return False
-        # interior vertices completed by this cell must see 4 distinct directions
+    def _compile(self, i: int) -> tuple:
+        """Cell i's plan: its side table, the (cell, side) labels that key
+        it, and per completed vertex the (cell, slot) ends read from earlier
+        cells plus the ends each tile would add (None when the two ends a SW
+        tile adds coincide, which only a boundary that is not cyclically
+        reduced can do)."""
+        x, y = self.cells[i]
+        index = self.index
+        matched = [(index[(x + dx, y + dy)], side) for (dx, dy), side in _SIDE_OF.items()
+                   if index.get((x + dx, y + dy), i) < i]
+        sides = tuple(side for _, side in matched)
+        if sides not in self.tables:
+            table = self.tables[sides] = {}
+            for k, labels in enumerate(self.labels):
+                table.setdefault(tuple(labels[s] for s in sides), []).append(k)
+        vertices = []
         for vx, vy in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)):
-            quads = [(vx - 1, vy - 1), (vx, vy - 1), (vx - 1, vy), (vx, vy)]
-            if any(q not in self.cell_set for q in quads):
+            quad = [index.get(q) for q in ((vx - 1, vy - 1), (vx, vy - 1), (vx - 1, vy), (vx, vy))]
+            if None in quad or max(quad) != i:
                 continue
-            tiles_at = [self.placement.get(q) if q != cell else tile for q in quads]
-            directions = _vertex_directions(tiles_at)
-            if directions is not None and len(set(directions)) != 4:
-                return False
-        return True
+            sw, _, nw, ne = quad  # the SE cell's ends repeat SW's and NE's
+            reads = ((sw, 0), (sw, 1), (nw, 2), (ne, 3))
+            own = tuple(slot for j, slot in reads if j == i)
+            if own and own not in self.adds:
+                self.adds[own] = [tuple(end[s] for s in own)
+                                  if len({end[s] for s in own}) == len(own) else None
+                                  for end in self.ends]
+            vertices.append((tuple((j, slot) for j, slot in reads if j != i),
+                             self.adds[own] if own else None))
+        return (self.tables[sides], tuple((j, _OPPOSITE[s]) for j, s in matched),
+                tuple(vertices))
 
-    def run(self, seed_square: int) -> dict | None:
-        """Depth-first placement over the cells in order, with an explicit
-        stack: ``tried[i]`` counts the candidates already tried at cell i."""
-        seed_tile = self.tiles_by_square[seed_square][0]
-        assert seed_tile.rot == 0 and not seed_tile.refl
-        every_tile = [t for s in sorted(self.tiles_by_square) for t in self.tiles_by_square[s]]
-        cells = self.cells
-        tried = [0] * len(cells)
-        self.placement.clear()
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            candidates = (seed_tile,) if cell == (0, 0) else every_tile
+    def run(self, seed: int) -> tuple[int, list[int] | None]:
+        """Search from ``seed``'s unrotated, unreflected tile at the origin.
+        Returns the most cells ever placed at once and, when the whole disk
+        is placed, the first complete placement as tile numbers per cell.
+        ``options[i]`` holds cell i's candidates, ``tried[i]`` how many of
+        them were tried."""
+        plan, labels, ends = self.plan, self.labels, self.ends
+        n = len(self.cells)
+        chosen = [0] * n
+        options: list = [()] * n
+        tried = [0] * n
+        options[0] = (self.seed_tile[seed],)
+        i = deepest = 0
+        while True:
             k = tried[i]
-            while k < len(candidates) and not self._fits(cell, candidates[k]):
-                k += 1
-            if k < len(candidates):
-                self.placement[cell] = candidates[k]
-                tried[i] = k + 1
-                i += 1
+            if k == len(options[i]):
+                i -= 1
+                if i < 0:
+                    return deepest, None
                 continue
+            tried[i] = k + 1
+            chosen[i] = options[i][k]
+            i += 1
+            if i > deepest:
+                deepest = i
+                if i == n:
+                    return n, chosen
+                if i == len(plan):  # plans are compiled on first reach
+                    plan.append(self._compile(i))
+            table, matched, vertices = plan[i]
+            candidates = table.get(tuple([labels[chosen[j]][s] for j, s in matched]), ())
+            for fixed, own in vertices:
+                seen = {ends[chosen[j]][slot] for j, slot in fixed}
+                if len(seen) < len(fixed):
+                    candidates = ()
+                elif own is not None:
+                    candidates = [t for t in candidates
+                                  if (add := own[t]) is not None and seen.isdisjoint(add)]
+                if not candidates:
+                    break
+            options[i] = candidates
             tried[i] = 0
-            i -= 1
-            if i < 0:
-                return None
-            del self.placement[cells[i]]
-        return {cell: (t.square, t.rot, t.refl) for cell, t in self.placement.items()}
+
+    def placement(self, chosen: list[int]) -> dict[tuple[int, int], tuple[int, int, bool]]:
+        tiles = self.tiles
+        return {cell: (tiles[k].square, tiles[k].rot, tiles[k].refl)
+                for cell, k in zip(self.cells, chosen)}
 
 
 def search_flat_disk(
@@ -185,17 +279,15 @@ def search_flat_disk(
     witness in deterministic search order (lexicographically least under
     the cell/placement ordering).
     """
-    if radius < 1:
-        raise InputError(f"disk radius must be >= 1, got {radius}")
+    _check_radius(radius)
     eligible = (analysis or Analysis(c)).eligible
     if not eligible:
         return None
-    tiles_by_square = {i: square_tiles(c.squares[i]) for i in eligible}
-    search = _DiskSearch(c, tiles_by_square, radius)
+    search = _DiskSearch(c, eligible, radius)
     for seed in eligible:
-        placement = search.run(seed)
-        if placement is not None:
-            return DiskWitness(radius, placement)
+        _, chosen = search.run(seed)
+        if chosen is not None:
+            return DiskWitness(radius, search.placement(chosen))
     return None
 
 
@@ -272,6 +364,7 @@ def hyperbolicity_verdict(
     admits no development; otherwise Inconclusive with the largest-radius
     witness (bounded search cannot prove a plane exists).
     """
+    _check_radius(max_radius)
     analysis = analysis or Analysis(c)
     report = analysis.largeness
     if not report.is_large:
@@ -281,11 +374,16 @@ def hyperbolicity_verdict(
     if not eligible:
         return Verdict("HyperbolicCertA", eligible=[],
                        details="every square contains a poison corner")
-    witness = None
-    for radius in range(1, max_radius + 1):
-        witness = search_flat_disk(c, radius, analysis)
-        if witness is None:
-            return Verdict("HyperbolicCertB", radius=radius, eligible=eligible,
-                           details=f"no flat disk of radius {radius}")
-    return Verdict("Inconclusive", radius=max_radius, witness=witness, eligible=eligible,
-                   details=f"flat disks exist up to radius {max_radius}")
+    search = _DiskSearch(c, eligible, max_radius)
+    deepest = 0
+    for seed in eligible:
+        depth, chosen = search.run(seed)
+        if chosen is not None:
+            witness = DiskWitness(max_radius, search.placement(chosen))
+            return Verdict("Inconclusive", radius=max_radius, witness=witness, eligible=eligible,
+                           details=f"flat disks exist up to radius {max_radius}")
+        deepest = max(deepest, depth)
+    # radius r has a witness iff some seed placed all disk_size(r) cells of its prefix
+    radius = next(r for r in range(1, max_radius + 1) if disk_size(r) > deepest)
+    return Verdict("HyperbolicCertB", radius=radius, eligible=eligible,
+                   details=f"no flat disk of radius {radius}")

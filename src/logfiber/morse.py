@@ -48,6 +48,9 @@ WeightSystem = dict[str, int]
 
 # `fibering_scan` refuses lattices with more coordinate vectors than this
 MAX_SCAN_VECTORS = 100_000
+# `infinite_fibering_verdict` refuses lattices with more orthants than this
+# (rank 13, about a second when no orthant fibers)
+MAX_ORTHANTS = 2**13
 
 
 def parse_weight_spec(spec: str, c: SquareComplex) -> WeightSystem:
@@ -489,7 +492,8 @@ def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None
     YES when the weight lattice has rank >= 2 and some sign pattern
     (orthant) admits weight systems whose ascending and descending links
     are trees.  Tree-ness depends only on the signs, so one representative
-    per orthant decides the whole orthant.
+    per orthant decides the whole orthant.  Refuses lattices with more than
+    `MAX_ORTHANTS` orthants.
     """
     basis = analysis.lattice if analysis is not None else weight_lattice(c)
     rank = len(basis)
@@ -506,6 +510,16 @@ def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None
             if w[0] + w[2] != 0:
                 out["reason"] = f"square {sq.index} admits no affine extension on the lattice"
                 return out
+    # a generator that weighs zero on every basis vector weighs zero on the
+    # whole lattice, so no orthant has a representative to try
+    if any(all(b[g] == 0 for b in basis) for g in c.generators):
+        out["reason"] = "no orthant yields tree ascending and descending links"
+        return out
+    if 2**rank > MAX_ORTHANTS:
+        raise InputError(
+            f"infinite-fibering search over {2**rank} orthants (lattice rank {rank}) exceeds"
+            f" the limit of {MAX_ORTHANTS}"
+        )
     for signs in product((1, -1), repeat=rank):
         representative = None
         for coeffs in product(range(1, 4), repeat=rank):

@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, JSON schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +302,60 @@ def test_analyze_builds_each_piece_once(tmp_path, capsys, monkeypatch, complex_a
     assert main(["analyze", str(path), "--json"]) == 0
     capsys.readouterr()
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
+
+
+@pytest.mark.parametrize("argv", [["check", "flat", "{torus}", "--radius", "0"],
+                                  ["check", "flat", "{torus}", "--radius", "-1"],
+                                  ["analyze", "{torus}", "--radius", "0"]])
+def test_nonpositive_radius_is_an_input_error(capsys, torus_file, argv):
+    assert main([arg.format(torus=torus_file) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "disk radius must be >= 1" in captured.err
+
+
+def test_flat_radius_limit(capsys, monkeypatch, torus_file):
+    from logfiber import flatness
+
+    def refuse(radius):
+        raise AssertionError("the disk was built")
+
+    monkeypatch.setattr(flatness, "disk_cells", refuse)
+    radius = flatness.MAX_DISK_RADIUS + 1
+    cells = 2 * radius * radius + 2 * radius + 1
+    for argv in (["check", "flat", torus_file], ["analyze", torus_file]):
+        assert main(argv + ["--radius", str(radius)]) == 1
+        err = capsys.readouterr().err
+        assert f"({cells} cells)" in err and "internal" not in err
+
+
+def test_verdict_refuses_wide_lattices(tmp_path, capsys):
+    path = tmp_path / "wide.log"
+    path.write_text("generators " + " ".join(f"g{i}" for i in range(20)) + "\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["verdict", str(path)]) == 1
+    assert time.perf_counter() - start < 5.0  # trying every orthant takes minutes
+    err = capsys.readouterr().err
+    assert "1048576 orthants (lattice rank 20)" in err and "internal" not in err
+
+
+def test_one_process_runs_many_commands_like_separate_processes(capsys, g2_file, torus_file):
+    commands = [
+        ["check", "flat", torus_file, "--radius", "2"],
+        ["link", g2_file, "--json"],
+        ["check", "flat", g2_file, "--json"],
+        ["build", "named", "torus"],
+        ["check", "flat", torus_file, "--radius", "0"],
+        ["verdict", g2_file],
+        ["analyze", g2_file, "--weights", "a1=1,a2=1,a3=1,a4=1,b1=1,b2=1,b3=1,b4=1"],
+        ["check", "flat", torus_file, "--radius", "2"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in commands:
+        status = main(argv)
+        out = capsys.readouterr().out
+        alone = subprocess.run([sys.executable, "-m", "logfiber", *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert (status, out) == (alone.returncode, alone.stdout), argv

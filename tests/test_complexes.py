@@ -164,3 +164,19 @@ def test_duplicate_square_flagged():
     doubled = add_square(torus, "a b a^-1 b^-1")
     assert len(doubled.squares) == 2
     assert any("duplicate square" in line for line in doubled.provenance)
+    # every repeat gets its own line, in order
+    text = ("generators a b c\nsquare a b a^-1 b^-1\nsquare b c b^-1 c^-1\n"
+            "square a b a^-1 b^-1\nedge label=c from=a to=b\nsquare b c b^-1 c^-1\n"
+            "square a b a^-1 b^-1\n")
+    c = parse_spec(text)
+    assert len(c.squares) == 6
+    repeats = ["duplicate square: a b a^-1 b^-1", "duplicate square: b c b^-1 c^-1",
+               "duplicate square: a b a^-1 b^-1"]
+    assert c.provenance == ["log shape: forest (2 components)", *repeats]
+    # add_square copies the trail, then re-adds every square: the repeats
+    # are recorded again, before the new one
+    again = add_square(c, "c b c^-1 a^-1")
+    assert again.provenance == [*c.provenance, "added square c b c^-1 a^-1", *repeats,
+                                "duplicate square: c b c^-1 a^-1"]
+    wedge = combine(build_named("torus"), parse_spec("generators x y\n"), "a x a^-1 y^-1")
+    assert wedge.provenance == ["torus control case", "combined with relator a x a^-1 y^-1"]

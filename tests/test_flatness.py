@@ -13,7 +13,7 @@ from logfiber import (
     square_tiles,
     validate_witness,
 )
-from logfiber.flatness import DiskWitness
+from logfiber.flatness import MAX_DISK_RADIUS, DiskWitness
 
 
 def test_disk_cells_taxicab():
@@ -58,6 +58,11 @@ def test_torus_tiles_every_radius(torus):
 def test_bad_radius(torus):
     with pytest.raises(InputError):
         search_flat_disk(torus, 0)
+    for radius in (0, -1, MAX_DISK_RADIUS + 1):
+        with pytest.raises(InputError):
+            hyperbolicity_verdict(torus, radius)
+    with pytest.raises(InputError, match="20605 cells"):
+        search_flat_disk(torus, MAX_DISK_RADIUS + 1)
 
 
 def test_witness_validation_catches_corruption(torus):

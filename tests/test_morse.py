@@ -301,6 +301,22 @@ def test_verdict_no_when_no_orthant_gives_trees():
     assert "orthant" in verdict["reason"]
 
 
+def test_verdict_no_when_a_generator_always_weighs_zero():
+    # g0 g0 g0 g0 forces w(g0) = 0: no weight system is nonzero everywhere,
+    # which used to take 2^rank * 3^rank tries to find out
+    from logfiber import parse_spec
+
+    for n in (6, 14):
+        c = parse_spec("generators " + " ".join(f"g{i}" for i in range(n))
+                       + "\nsquare g0 g0 g0 g0\n")
+        assert infinite_fibering_verdict(c) == {
+            "lattice_rank": n - 1,
+            "infinite_fibering": False,
+            "orthant": None,
+            "reason": "no orthant yields tree ascending and descending links",
+        }
+
+
 def test_infinite_fibering_verdicts(lot_a, g1, g2, torus):
     assert infinite_fibering_verdict(lot_a) == {
         "lattice_rank": 1,
