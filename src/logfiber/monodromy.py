@@ -31,9 +31,10 @@ the directional-link trees:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterator
 
 from .analysis import Analysis
 from .complexes import SquareComplex
@@ -41,6 +42,9 @@ from .errors import InputError
 from .links import End, arrival_end, departure_end
 from .morse import WeightSystem
 from .words import Letter, Word, generator_stem, inverse_letter, signed_weight
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
 
@@ -120,34 +124,54 @@ class MonodromyContext:
         # tree adjacency: direction-end -> {neighbor end: square}
         self.desc_adj: dict[End, dict[End, int]] = {v: {} for v in desc.vertices}
         self.asc_adj: dict[End, dict[End, int]] = {v: {} for v in asc.vertices}
+        # harvesting across descending edge (from, to): the letter that must
+        # arrive at `from`, the basis letter emitted, the letter arriving at `to`
+        self._crossing: dict[tuple[End, End], tuple[Letter, Letter, Letter]] = {}
         for loop in self.basis:
             e1, e2, e3, e4 = loop.rotated
             a, b = arrival_end(e2), departure_end(e3)
             assert b not in self.desc_adj[a], "parallel descending edges"
             self.desc_adj[a][b] = loop.square
             self.desc_adj[b][a] = loop.square
+            self._crossing[a, b] = (e2, (loop.name, 1), inverse_letter(e3))
+            self._crossing[b, a] = (inverse_letter(e3), (loop.name, -1), e2)
             a, b = arrival_end(e4), departure_end(e1)
             assert b not in self.asc_adj[a], "parallel ascending edges"
             self.asc_adj[a][b] = loop.square
             self.asc_adj[b][a] = loop.square
         self.loop_of_square = {loop.square: loop for loop in self.basis}
+        # per tree (keyed by its adjacency): target end -> `_routes` toward it
+        self._route_cache: dict[int, dict[End, dict[End, tuple[End, int]]]] = {
+            id(self.desc_adj): {}, id(self.asc_adj): {},
+        }
+
+    def _routes(self, adj: dict[End, dict[End, int]], to: End) -> dict[End, tuple[End, int]]:
+        """End -> (next end toward ``to``, tree distance to ``to``), from one
+        full BFS rooted at ``to``, built the first time ``to`` is asked for."""
+        cache = self._route_cache[id(adj)]
+        routes = cache.get(to)
+        if routes is None:
+            routes = {to: (to, 0)}
+            frontier = [to]
+            dist = 0
+            while frontier:
+                dist += 1
+                nxt = []
+                for v in frontier:
+                    step = (v, dist)
+                    for w in adj[v]:
+                        if w not in routes:
+                            routes[w] = step
+                            nxt.append(w)
+                frontier = nxt
+            cache[to] = routes
+        return routes
 
     def _next_hop(self, adj: dict[End, dict[End, int]], frm: End, to: End) -> tuple[End, int]:
-        parent: dict[End, End] = {to: to}
-        frontier = [to]
-        while frontier:
-            if frm in parent:
-                break
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        nxt.append(w)
-            frontier = nxt
-        if frm not in parent:
+        route = self._routes(adj, to).get(frm)
+        if route is None:
             raise AssertionError(f"no tree path from {frm} to {to}")
-        hop = parent[frm]
+        hop = route[0]
         return hop, adj[frm][hop]
 
     # -- peak reduction ------------------------------------------------
@@ -205,24 +229,18 @@ class MonodromyContext:
         while i < len(letters):
             x, y = letters[i], letters[i + 1]
             d_left, d_right = arrival_end(x), departure_end(y)
-            for _ in range(10_000):
-                if d_left == d_right:
-                    break
-                _, square = self._next_hop(self.desc_adj, d_left, d_right)
-                loop = self.loop_of_square[square]
-                e1, e2, e3, e4 = loop.rotated
-                if d_left == arrival_end(e2):
-                    assert x == e2, (x, e2)
-                    out.append((loop.name, 1))
-                    x = inverse_letter(e3)
-                else:
-                    assert d_left == departure_end(e3) and x == inverse_letter(e3), (x, e3)
-                    out.append((loop.name, -1))
-                    x = e2
-                d_left = arrival_end(x)
-            else:
-                raise AssertionError("peak harvesting did not terminate")
-            assert x == inverse_letter(y), (x, y)
+            routes = self._routes(self.desc_adj, d_right)
+            if d_left not in routes:
+                raise AssertionError(f"no tree path from {d_left} to {d_right}")
+            # each corner crossed moves d_left one tree edge closer to d_right
+            for remaining in range(routes[d_left][1], 0, -1):
+                hop = routes[d_left][0]
+                entering, letter, leaving = self._crossing[d_left, hop]
+                assert x == entering, (x, entering)
+                out.append(letter)
+                x, d_left = leaving, hop
+                assert routes[d_left][1] == remaining - 1, (d_left, remaining)
+            assert d_left == d_right and x == inverse_letter(y), (x, y)
             i += 2
         return Word(out).free_reduce()
 
@@ -320,6 +338,8 @@ def transition_matrix(f: Automorphism) -> TransitionMatrix:
     Perron-Frobenius classification: irreducible = strongly connected
     dependency digraph, primitive = some power entrywise positive (least
     witness searched up to the Wielandt bound (n-1)^2 + 1)."""
+    import numpy as np
+
     order = [loop.name for loop in f.basis]
     index = {name: i for i, name in enumerate(order)}
     n = len(order)
@@ -332,50 +352,118 @@ def transition_matrix(f: Automorphism) -> TransitionMatrix:
     if n == 1:
         irreducible = bool(adjacency[0, 0])
     else:
+        # squaring doubles the path length covered; stop at the fixed point
         reach = adjacency | np.eye(n, dtype=bool)
-        for _ in range(n):
-            reach = reach | (reach @ reach)
+        while True:
+            wider = reach | (reach @ reach)
+            if (wider == reach).all():
+                break
+            reach = wider
         irreducible = bool(reach.all())
-    primitive = False
-    witness_power = None
-    if irreducible:
-        power = adjacency.copy()
-        for exponent in range(1, (n - 1) ** 2 + 2):
-            if power.all():
-                primitive = True
-                witness_power = exponent
-                break
-            power = (power @ adjacency) > 0
-    return TransitionMatrix(order, matrix, irreducible, primitive, witness_power)
+    witness_power = _least_positive_power(adjacency, (n - 1) ** 2 + 1) if irreducible else None
+    return TransitionMatrix(order, matrix, irreducible, witness_power is not None, witness_power)
 
 
-def _common_prefix(words: list[Word]) -> tuple[Letter, ...]:
-    if not words:
-        return ()
-    prefix = words[0].letters
-    for word in words[1:]:
-        limit = 0
-        for a, b in zip(prefix, word.letters):
-            if a != b:
-                break
-            limit += 1
-        prefix = prefix[:limit]
-    return prefix
+def _least_positive_power(adjacency: np.ndarray, bound: int) -> int | None:
+    """Least N <= bound with adjacency^N entrywise positive, or None.
+
+    A positive power leaves no column of the matrix zero, so every higher
+    power is positive too: square until positive (or past ``bound``), then
+    binary-search the last doubling with the stored squares.
+    """
+    squares = [adjacency]
+    exponent = 1
+    while not squares[-1].all():
+        if exponent >= bound:
+            return None
+        squares.append((squares[-1] @ squares[-1]) > 0)
+        exponent *= 2
+    if exponent == 1:
+        return 1
+    # adjacency^(exponent/2) is not positive; add the halvings that keep it so
+    below, below_exponent = squares[-2], exponent // 2
+    for k in range(len(squares) - 3, -1, -1):
+        trial = (below @ squares[k]) > 0
+        if not trial.all():
+            below, below_exponent = trial, below_exponent + 2 ** k
+    return below_exponent + 1 if below_exponent + 1 <= bound else None
 
 
-def _witness_for_subset(f: Automorphism, subset: tuple[str, ...]) -> Word | None:
-    allowed = set(subset)
-    images = [f.images[name] for name in subset]
-    prefix = _common_prefix(images)
-    for cut in range(len(prefix), -1, -1):
-        conjugator = Word(prefix[:cut])
-        inverse = conjugator.inverse()
-        if all(
-            (inverse * image * conjugator).free_reduce().support() <= allowed
-            for image in images
-        ):
-            return conjugator
-    return None
+def _witness_search(f: Automorphism) -> Iterator[tuple[tuple[str, ...], Word]]:
+    """Lazily yield every reducibility witness, smallest subsets first.
+
+    Basis letter i is bit i.  For a subset whose images share the prefix c,
+    c^-1 . image . c is the rotation image[len(c):] + image[:len(c)], so each
+    (image, cut) needs one free reduction, and testing a subset at a cut is
+    an OR of support masks.  Every conjugate of an image contains the letters
+    of its cyclic core, so only subsets holding the cores of their own images
+    are tested at all.
+    """
+    names = [loop.name for loop in f.basis]
+    if len(names) > 16:
+        raise InputError(f"basis of size {len(names)} is too large for exhaustive search")
+    n = len(names)
+    images = [f.images[name].letters for name in names]
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    foreign = 1 << n  # letters outside the basis: no subset allows them
+
+    def support_mask(letters: tuple[Letter, ...]) -> int:
+        m = 0
+        for g, _ in letters:
+            m |= bit.get(g, foreign)
+        return m
+
+    lcp = [[_common_prefix_length(u, v) for v in images] for u in images]
+    masks: list[dict[int, int]] = [{} for _ in images]
+
+    def mask(i: int, cut: int) -> int:
+        m = masks[i].get(cut)
+        if m is None:
+            image = images[i]
+            m = masks[i][cut] = support_mask(Word(image[cut:] + image[:cut]).free_reduce().letters)
+        return m
+
+    # cores[S] = the core letters of the images in subset S, by doubling
+    cores = array("L", [0])
+    for image in images:
+        core = support_mask(_cyclic_core(image))
+        cores += array("L", (core | m for m in cores))
+
+    def generate() -> Iterator[tuple[tuple[str, ...], Word]]:
+        bits = [1 << i for i in range(n)]
+        for size in range(1, n):
+            closed = [s for s in map(sum, combinations(bits, size)) if not cores[s] & ~s]
+            for allowed in closed:
+                subset = [i for i in range(n) if allowed >> i & 1]
+                first = subset[0]
+                for cut in range(min(lcp[first][j] for j in subset), -1, -1):
+                    m = 0
+                    for j in subset:
+                        m |= mask(j, cut)
+                    if not m & ~allowed:
+                        yield tuple(names[j] for j in subset), Word(images[first][:cut])
+                        break
+
+    return generate()
+
+
+def _common_prefix_length(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> int:
+    length = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        length += 1
+    return length
+
+
+def _cyclic_core(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The cyclically reduced word that every conjugate's reduced form contains."""
+    reduced = Word(letters).free_reduce().letters
+    start, stop = 0, len(reduced)
+    while stop - start > 1 and reduced[start] == inverse_letter(reduced[stop - 1]):
+        start += 1
+        stop -= 1
+    return reduced[start:stop]
 
 
 def invariant_factor_witnesses(f: Automorphism) -> list[tuple[tuple[str, ...], Word]]:
@@ -384,33 +472,13 @@ def invariant_factor_witnesses(f: Automorphism) -> list[tuple[tuple[str, ...], W
 
     The conjugator is the longest prefix, common to all images of B, whose
     stripping achieves purity (empty = syntactic invariance).  A witness
-    certifies reducibility; finding none proves nothing.
+    certifies reducibility; finding none proves nothing.  The search is
+    exhaustive over the 2^n - 2 subsets (n <= 16).
     """
-    from itertools import combinations
-
-    names = [loop.name for loop in f.basis]
-    if len(names) > 16:
-        raise InputError(f"basis of size {len(names)} is too large for exhaustive search")
-    witnesses = []
-    for size in range(1, len(names)):
-        for subset in combinations(names, size):
-            conjugator = _witness_for_subset(f, subset)
-            if conjugator is not None:
-                witnesses.append((subset, conjugator))
-    return witnesses
+    return list(_witness_search(f))
 
 
 def invariant_factor_witness(f: Automorphism) -> tuple[tuple[str, ...], Word] | None:
     """First (smallest) reducibility witness, or None when no basis-subset
     free factor is preserved up to conjugacy."""
-    from itertools import combinations
-
-    names = [loop.name for loop in f.basis]
-    if len(names) > 16:
-        raise InputError(f"basis of size {len(names)} is too large for exhaustive search")
-    for size in range(1, len(names)):
-        for subset in combinations(names, size):
-            conjugator = _witness_for_subset(f, subset)
-            if conjugator is not None:
-                return subset, conjugator
-    return None
+    return next(_witness_search(f), None)

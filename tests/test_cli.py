@@ -359,3 +359,12 @@ def test_one_process_runs_many_commands_like_separate_processes(capsys, g2_file,
         alone = subprocess.run([sys.executable, "-m", "logfiber", *argv], env=env,
                                capture_output=True, text=True, check=False)
         assert (status, out) == (alone.returncode, alone.stdout), argv
+
+
+def test_import_cli_leaves_numpy_unloaded():
+    # numpy is imported by transition_matrix alone, not by every CLI start
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys, logfiber.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,11 +1,15 @@
 """Fiber-loop bases, peak-reduction rewriting, automorphisms, matrices."""
 
 import random
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from logfiber import (
+    Automorphism,
+    BasisLoop,
     InputError,
     Word,
     compose,
@@ -327,6 +331,76 @@ def test_subadditivity_strict_under_cancellation(g1):
     lhs = transition_matrix(compose(f, invert(f))).matrix
     rhs = transition_matrix(f).matrix @ transition_matrix(invert(f)).matrix
     assert (lhs <= rhs).all() and (lhs < rhs).any()
+
+
+def matrix_automorphism(rows):
+    """An automorphism-shaped record whose transition matrix is ``rows``:
+    the image of loop j holds loop i once for each 1 in row i, column j."""
+    n = len(rows)
+    names = [f"x{i}" for i in range(n)]
+    images = {
+        names[j]: Word([(names[i], 1) for i in range(n) if rows[i][j]]) for j in range(n)
+    }
+    basis = [BasisLoop(i, name, Word(), ()) for i, name in enumerate(names)]
+    return Automorphism(images, Word(), "inner", SimpleNamespace(basis=basis))
+
+
+def linear_scan_classification(matrix):
+    """Irreducibility by n rounds of squaring the reachability closure, and
+    the least positive power by trying every exponent up to the Wielandt
+    bound (n-1)^2 + 1."""
+    n = matrix.shape[0]
+    adjacency = matrix > 0
+    if n == 1:
+        irreducible = bool(adjacency[0, 0])
+    else:
+        reach = adjacency | np.eye(n, dtype=bool)
+        for _ in range(n):
+            reach = reach | (reach @ reach)
+        irreducible = bool(reach.all())
+    witness_power = None
+    if irreducible:
+        power = adjacency.copy()
+        for exponent in range(1, (n - 1) ** 2 + 2):
+            if power.all():
+                witness_power = exponent
+                break
+            power = (power @ adjacency) > 0
+    return irreducible, witness_power is not None, witness_power
+
+
+def test_transition_classification_matches_linear_scan():
+    rng = random.Random(1912)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.15, 0.25, 0.4, 0.7))
+        rows = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:  # a cycle through every loop, so it is irreducible
+            order = rng.sample(range(n), n)
+            for a, b in zip(order, order[1:] + order[:1]):
+                rows[a][b] = 1
+        tm = transition_matrix(matrix_automorphism(rows))
+        assert tm.matrix.tolist() == rows
+        expected = linear_scan_classification(tm.matrix)
+        assert (tm.irreducible, tm.primitive, tm.witness_power) == expected, rows
+        seen.add(expected[2] if expected[2] is None else min(expected[2], 5))
+    assert seen == {None, 1, 2, 3, 4, 5}
+
+
+def test_cyclic_permutation_is_irreducible_not_primitive():
+    # no power is positive, so every exponent up to the Wielandt bound is ruled out
+    n = 128
+    rows = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+    start = time.perf_counter()
+    tm = transition_matrix(matrix_automorphism(rows))
+    assert time.perf_counter() - start < 0.5
+    assert tm.irreducible and not tm.primitive and tm.witness_power is None
+    # one extra chord makes it primitive, with the exponent the scan would find
+    rows[0][0] = 1
+    tm = transition_matrix(matrix_automorphism(rows))
+    assert (tm.irreducible, tm.primitive, tm.witness_power) == \
+        linear_scan_classification(tm.matrix)
 
 
 # -- reducibility witnesses ----------------------------------------------
