@@ -2,8 +2,9 @@
 
 A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
-the weight lattice and each weight system's `morse.MorseData` are built
-once.  Functions called without one build a fresh one.
+the weight lattice, each weight system's `morse.MorseData` and the
+directional links of each sign vector are built once.  Functions called
+without one build a fresh one.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ class Analysis:
         if link is not None:
             self.link = link  # fills the cached property
         self._morse: dict[tuple, morse.MorseData] = {}
+        self._sign_links: dict[tuple, tuple[morse.DirectionalLink, morse.DirectionalLink]] = {}
 
     @cached_property
     def link(self) -> links.LinkGraph:
@@ -48,3 +50,15 @@ class Analysis:
         if key not in self._morse:
             self._morse[key] = morse.MorseData(self.complex, ws)
         return self._morse[key]
+
+    def sign_links(self, ws: morse.WeightSystem
+                   ) -> tuple[morse.DirectionalLink, morse.DirectionalLink]:
+        """Ascending and descending links of an admissible weight system.
+
+        Each square's min and max corners, and each direction-end's side,
+        depend only on the signs of the weights, so the links are built
+        once per sign vector (from the first weight system seen with it)."""
+        key = tuple(map((0).__lt__, map(ws.__getitem__, self.complex.generators)))
+        if key not in self._sign_links:
+            self._sign_links[key] = self.morse_data(ws).links
+        return self._sign_links[key]

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from . import flatness, links, monodromy, morse
 from .analysis import Analysis
@@ -390,9 +391,18 @@ def reducible_text(data: dict) -> str:
 # commands
 
 
+# `json.dumps(indent=2)` runs this pure-Python encoder and joins every chunk
+# at once; `_emit` writes the same bytes in joined batches instead
+_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
+_JSON_BATCH = 4096  # chunks per write
+
+
 def _emit(args, text: str, data: dict) -> int:
     if getattr(args, "json", False):
-        print(json.dumps(data, indent=2, ensure_ascii=False))
+        chunks = _JSON.iterencode(data)
+        while batch := "".join(islice(chunks, _JSON_BATCH)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         print(text)
     return 0

@@ -25,7 +25,7 @@ and never affects the mathematics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InputError
 from .words import Word, check_generator_name, generator_stem
@@ -264,14 +264,15 @@ def combine(c1: SquareComplex, c2: SquareComplex, relator: Word | str) -> Square
     used = relator.support()
     if not (used & c1.generator_set()) or not (used & c2.generator_set()):
         raise InputError("combine relator must use generators from both complexes")
+    # the sources' squares are valid and their repeats already recorded in
+    # their provenance; disjoint alphabets keep them apart from each other
+    squares = list(c1.squares)
+    squares += [replace(sq, index=len(squares) + i) for i, sq in enumerate(c2.squares)]
     out = SquareComplex(
         gens,
+        squares,
         provenance=list(c1.provenance) + list(c2.provenance) + [f"combined with relator {relator}"],
     )
-    for sq in c1.squares:
-        out.append_square(sq.boundary, sq.origin)
-    for sq in c2.squares:
-        out.append_square(sq.boundary, sq.origin)
     out.append_square(relator, "added")
     return out
 
@@ -281,9 +282,8 @@ def add_square(c: SquareComplex, relator: Word | str) -> SquareComplex:
         relator = Word.parse(relator)
     out = SquareComplex(
         list(c.generators),
+        list(c.squares),  # valid, and their repeats are in the copied provenance
         provenance=list(c.provenance) + [f"added square {relator}"],
     )
-    for sq in c.squares:
-        out.append_square(sq.boundary, sq.origin)
     out.append_square(relator, "added")
     return out

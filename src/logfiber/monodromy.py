@@ -96,7 +96,7 @@ class MonodromyContext:
             letters = sq.boundary.letters
             m = h.min_corner
             rotated = tuple(letters[(m + i) % 4] for i in range(4))
-            rep = Word([rotated[1], rotated[2]])
+            rep = Word._of((rotated[1], rotated[2]))
             conj = _conjugator_of(sq.boundary)
             if conj is not None:
                 name = greek[generator_stem(conj)] + conj[len(generator_stem(conj)):]
@@ -183,7 +183,7 @@ class MonodromyContext:
         return heights
 
     def _flatten(self, letters: list[Letter]) -> list[Letter]:
-        letters = list(Word(letters).free_reduce())
+        letters = list(Word._of(tuple(letters)).free_reduce())
         for _ in range(100_000):
             h = self._profile(letters)
             top, bottom = max(h), min(h)
@@ -216,7 +216,7 @@ class MonodromyContext:
                     assert d_left == departure_end(e1) and x == inverse_letter(e1), (x, e1)
                     replacement = [e2, e3, e4]
             letters[j - 1:j] = replacement
-            letters = list(Word(letters).free_reduce())
+            letters = list(Word._of(tuple(letters)).free_reduce())
         raise AssertionError("peak reduction did not terminate")
 
     def rewrite(self, word: Word) -> Word:
@@ -242,7 +242,7 @@ class MonodromyContext:
                 assert routes[d_left][1] == remaining - 1, (d_left, remaining)
             assert d_left == d_right and x == inverse_letter(y), (x, y)
             i += 2
-        return Word(out).free_reduce()
+        return Word._of(tuple(out)).free_reduce()
 
     def push_to_generators(self, basis_word: Word) -> Word:
         """Substitute each basis letter by its representative (free-reduced)."""
@@ -420,7 +420,8 @@ def _witness_search(f: Automorphism) -> Iterator[tuple[tuple[str, ...], Word]]:
         m = masks[i].get(cut)
         if m is None:
             image = images[i]
-            m = masks[i][cut] = support_mask(Word(image[cut:] + image[:cut]).free_reduce().letters)
+            rotated = Word._of(image[cut:] + image[:cut])
+            m = masks[i][cut] = support_mask(rotated.free_reduce().letters)
         return m
 
     # cores[S] = the core letters of the images in subset S, by doubling
@@ -441,7 +442,7 @@ def _witness_search(f: Automorphism) -> Iterator[tuple[tuple[str, ...], Word]]:
                     for j in subset:
                         m |= mask(j, cut)
                     if not m & ~allowed:
-                        yield tuple(names[j] for j in subset), Word(images[first][:cut])
+                        yield tuple(names[j] for j in subset), Word._of(images[first][:cut])
                         break
 
     return generate()
@@ -458,7 +459,7 @@ def _common_prefix_length(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> int:
 
 def _cyclic_core(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     """The cyclically reduced word that every conjugate's reduced form contains."""
-    reduced = Word(letters).free_reduce().letters
+    reduced = Word._of(letters).free_reduce().letters
     start, stop = 0, len(reduced)
     while stop - start > 1 and reduced[start] == inverse_letter(reduced[stop - 1]):
         start += 1

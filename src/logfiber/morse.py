@@ -18,6 +18,9 @@ From an admissible weight system we read off:
   is connected.
 
 `MorseData` holds these for one weight system, each computed once.
+`fibering_scan` reads the same values for each lattice vector from closed
+forms and builds a fiber graph only when a directional link is
+disconnected.
 
 The integer lattice of zero-sum weight systems is computed exactly.  A LOG
 square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square whose
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .complexes import Square, SquareComplex, union_find
@@ -433,6 +437,14 @@ def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
     return [dict(zip(c.generators, vec)) for vec in basis]
 
 
+def _analysis_of(c: SquareComplex, analysis: Analysis | None) -> Analysis:
+    if analysis is not None:
+        return analysis
+    from .analysis import Analysis  # imports this module
+
+    return Analysis(c)
+
+
 def _combine_basis(basis: list[WeightSystem], coords: tuple[int, ...], c: SquareComplex) -> WeightSystem:
     return {g: sum(k * b[g] for k, b in zip(coords, basis)) for g in c.generators}
 
@@ -441,45 +453,87 @@ def fibering_scan(c: SquareComplex, bound: int, analysis: Analysis | None = None
     """One row per lattice vector with coordinates in [-bound, bound]
     (zero-weight vectors excluded), in lexicographic coordinate order.
 
+    Each row costs integer work linear in generators and squares, with the
+    same values `MorseData` would give:
+
+    * admissible iff, on every square, both pairs of opposite letters carry
+      negated signed weights (together: zero boundary sum and the affine
+      condition), tested on the vector itself;
+    * the directional links depend only on the signs of the weights
+      (corner heights are (0, a, a+b, b) for the signed weights a, b of
+      letters 0 and 1), so they come from `Analysis.sign_links`, built once
+      per sign vector;
+    * chi = 1 + sum_g (|w_g| - 1) - sum_squares (|a| + |b| - 1), the vertex
+      and arc count of `fiber_graph`;
+    * when both links are connected, every level set of a primitive weight
+      map is connected (Bestvina-Brady, Morse lemma), and the fiber of
+      d times a primitive map is d disjoint level sets, so it has
+      gcd(weights) components; otherwise `fiber_graph` counts them.
+
     Refuses scans of more than `MAX_SCAN_VECTORS` coordinate vectors."""
     if bound < 1:
         raise InputError("scan bound must be >= 1")
-    basis = analysis.lattice if analysis is not None else weight_lattice(c)
+    analysis = _analysis_of(c, analysis)
+    basis = analysis.lattice
     vectors = (2 * bound + 1) ** len(basis)
     if vectors > MAX_SCAN_VECTORS:
         raise InputError(
             f"scan of {vectors} vectors ((2*{bound}+1)^{len(basis)}) exceeds the limit of"
             f" {MAX_SCAN_VECTORS}; lower the bound"
         )
+    generators = c.generators
+    span = range(-bound, bound + 1)
+    # multiples[i][k + bound] = k times basis vector i, in generator order
+    multiples = [[[k * b[g] for g in generators] for k in span] for b in basis]
+    index = {g: i for i, g in enumerate(generators)}
+    # opposite letters (index, sign, index, sign) whose signed weights must
+    # cancel; a letter against its own inverse always does
+    opposite = []
+    # chi = chi_constant + sum_g chi_coefficient[g] * |w_g|
+    chi_coefficient = [1] * len(generators)
+    for sq in c.squares:
+        (g0, s0), (g1, s1), (g2, s2), (g3, s3) = sq.boundary.letters
+        for g, s, h, t in ((g0, s0, g2, s2), (g1, s1, g3, s3)):
+            if g != h or s != -t:
+                opposite.append((index[g], s, index[h], t))
+        chi_coefficient[index[g0]] -= 1
+        chi_coefficient[index[g1]] -= 1
+    opposite = list(dict.fromkeys(opposite))
+    chi_constant = 1 - len(generators) + len(c.squares)
+
     rows = []
-    for coords in product(range(-bound, bound + 1), repeat=len(basis)):
-        if all(k == 0 for k in coords):
+    for coords, parts in zip(product(span, repeat=len(basis)), product(*multiples)):
+        if not any(coords):
             continue
-        ws = _combine_basis(basis, coords, c)
-        if any(w == 0 for w in ws.values()):
+        w = list(map(sum, zip(*parts)))
+        if 0 in w:
             continue
-        row: dict = {"coords": list(coords), "weights": dict(ws)}
-        data = MorseData(c, ws)
-        row["admissible"] = data.admissibility.admissible
+        ws = dict(zip(generators, w))
+        row: dict = {"coords": list(coords), "weights": ws}
+        row["admissible"] = all(s * w[i] + t * w[j] == 0 for i, s, j, t in opposite)
         row["primitive"] = gcd(*coords) == 1
         if not row["admissible"]:
             row.update({"asc_tree": None, "desc_tree": None, "chi": None,
                         "components": None, "rank": None})
             rows.append(row)
             continue
-        asc, desc = data.links
-        fiber = data.fiber
+        asc, desc = analysis.sign_links(ws)
+        chi = chi_constant + sum(map(mul, chi_coefficient, map(abs, w)))
+        if asc.components == 1 and desc.components == 1:
+            components = gcd(*w)
+        else:
+            components = fiber_graph(c, ws).components
         row["asc_tree"] = asc.is_tree
         row["desc_tree"] = desc.is_tree
-        row["chi"] = fiber.chi  # direct count from the explicit fiber graph
-        row["components"] = fiber.components
-        if asc.is_tree and desc.is_tree and fiber.connected:
-            row["rank"] = 1 - fiber.chi
+        row["chi"] = chi  # vertex count minus arc count of the fiber graph
+        row["components"] = components
+        if asc.is_tree and desc.is_tree and components == 1:
+            row["rank"] = 1 - chi
         else:
             row["rank"] = None
-            if not fiber.connected:
+            if components != 1:
                 row["note"] = (
-                    f"disconnected fiber ({fiber.components} components);"
+                    f"disconnected fiber ({components} components);"
                     " chi is the direct count, no rank claim"
                 )
         rows.append(row)
@@ -495,7 +549,8 @@ def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None
     per orthant decides the whole orthant.  Refuses lattices with more than
     `MAX_ORTHANTS` orthants.
     """
-    basis = analysis.lattice if analysis is not None else weight_lattice(c)
+    analysis = _analysis_of(c, analysis)
+    basis = analysis.lattice
     rank = len(basis)
     out: dict = {"lattice_rank": rank, "infinite_fibering": False, "orthant": None}
     if rank < 2:
@@ -529,13 +584,9 @@ def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None
                 break
         if representative is None:
             continue
-        if analysis is not None:
-            data = analysis.morse_data(representative)
-        else:
-            data = MorseData(c, representative)
-        if not data.admissibility.admissible:
+        if not analysis.morse_data(representative).admissibility.admissible:
             continue
-        asc, desc = data.links
+        asc, desc = analysis.sign_links(representative)
         if asc.is_tree and desc.is_tree:
             out["infinite_fibering"] = True
             out["orthant"] = ["+" if s > 0 else "-" for s in signs]

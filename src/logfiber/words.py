@@ -62,6 +62,14 @@ class Word:
         self.letters = letters
 
     @classmethod
+    def _of(cls, letters: tuple[Letter, ...]) -> "Word":
+        """A word on a tuple of letters that are already valid, such as the
+        letters of existing words: skips `__init__`'s checks."""
+        word = object.__new__(cls)
+        word.letters = letters
+        return word
+
+    @classmethod
     def parse(cls, text: str) -> "Word":
         letters = []
         for token in text.split():
@@ -97,10 +105,10 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         # concatenation only; reduction stays explicit
-        return Word(self.letters + other.letters)
+        return Word._of(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(inverse_letter(l) for l in reversed(self.letters))
+        return Word._of(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def free_reduce(self) -> "Word":
         stack: list[Letter] = []
@@ -109,7 +117,7 @@ class Word:
                 stack.pop()
             else:
                 stack.append((g, s))
-        return Word(stack)
+        return Word._of(tuple(stack))
 
     def is_reduced(self) -> bool:
         return len(self.free_reduce()) == len(self)

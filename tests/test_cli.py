@@ -368,3 +368,29 @@ def test_import_cli_leaves_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def _triple5_text():
+    from logfiber import build_lot_family, combine
+
+    wedge = combine(build_lot_family(5, "a"), build_lot_family(5, "b"), "a0 b2 a1^-1 b0^-1")
+    return combine(wedge, build_lot_family(5, "c"), "b0 c2 b1^-1 c0^-1").render()
+
+
+@pytest.mark.parametrize("text, bound", [
+    (_triple5_text(), "4"),
+    ("generators β1 β2 a\nsquare β1 β2 β1^-1 β2^-1\nsquare a β2 a^-1 β2^-1\n", "2"),
+])
+def test_json_output_is_byte_identical_to_dumps(tmp_path, capsys, text, bound):
+    from logfiber import cli, parse_spec
+
+    path = tmp_path / "c.log"
+    path.write_text(text, encoding="utf-8")
+    assert main(["fiberings", str(path), "--bound", bound, "--json"]) == 0
+    out = capsys.readouterr().out
+    data = cli.fiberings_report(parse_spec(text), int(bound))
+    assert out == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    if "β" in text:
+        assert "β1" in out
+    else:  # several batches
+        assert sum(1 for _ in cli._JSON.iterencode(data)) > 2 * cli._JSON_BATCH

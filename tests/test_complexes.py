@@ -173,10 +173,17 @@ def test_duplicate_square_flagged():
     repeats = ["duplicate square: a b a^-1 b^-1", "duplicate square: b c b^-1 c^-1",
                "duplicate square: a b a^-1 b^-1"]
     assert c.provenance == ["log shape: forest (2 components)", *repeats]
-    # add_square copies the trail, then re-adds every square: the repeats
-    # are recorded again, before the new one
+    # add_square copies the trail, with each repeat once, then flags the new
+    # square when it repeats one
     again = add_square(c, "c b c^-1 a^-1")
-    assert again.provenance == [*c.provenance, "added square c b c^-1 a^-1", *repeats,
+    assert again.provenance == [*c.provenance, "added square c b c^-1 a^-1",
                                 "duplicate square: c b c^-1 a^-1"]
+    fresh = add_square(c, "a c a^-1 c^-1")
+    assert fresh.provenance == [*c.provenance, "added square a c a^-1 c^-1"]
+    assert [sq.boundary for sq in fresh.squares[:6]] == [sq.boundary for sq in c.squares]
+    # combine keeps each source's repeats once
+    wedge = combine(c, parse_spec("generators x y\nsquare x y x^-1 y^-1\n"), "a x a^-1 y^-1")
+    assert wedge.provenance == [*c.provenance, "combined with relator a x a^-1 y^-1"]
+    assert [sq.index for sq in wedge.squares] == list(range(8))
     wedge = combine(build_named("torus"), parse_spec("generators x y\n"), "a x a^-1 y^-1")
     assert wedge.provenance == ["torus control case", "combined with relator a x a^-1 y^-1"]

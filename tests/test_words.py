@@ -81,3 +81,15 @@ def test_cyclic_reduction_flag():
     assert not Word.parse("a b b^-1 a").is_cyclically_reduced()
     # wraparound cancellation
     assert not Word.parse("a b c a^-1").is_cyclically_reduced()
+
+
+def test_constructor_checks_signs_and_derived_words_match():
+    for bad in ([("a", 2)], [("a", 0)], [("a", 1), ("b", -2)]):
+        with pytest.raises(InputError):
+            Word(bad)
+    u, v = Word.parse("a b^-1 c"), Word.parse("c^-1 b a")
+    # products, inverses and reductions skip the checks but equal checked words
+    assert u * v == Word(list(u) + list(v))
+    assert u.inverse() == Word([("c", -1), ("b", 1), ("a", -1)])
+    assert (u * v).free_reduce() == Word([("a", 1), ("a", 1)])
+    assert type((u * v).free_reduce().letters) is tuple
