@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from itertools import islice
+from typing import Callable
 
 from . import flatness, links, monodromy, morse
 from .analysis import Analysis
@@ -64,33 +65,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ----------------------------------------------------------------------
-# report builders (dict + text, shared by subcommands and `analyze`); those
-# `analyze` calls read its `Analysis` and build a fresh one when given none
+# reports (dicts) and their texts; each report reads one `Analysis`
 
 
 def _read_complex(path: str) -> SquareComplex:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parse_spec(text)
 
 
-def _weights_for(c: SquareComplex, spec: str | None) -> morse.WeightSystem:
-    if spec is None:
-        return morse.unit_weights(c)
-    return morse.parse_weight_spec(spec, c)
-
-
-def complex_report(c: SquareComplex) -> dict:
+def complex_report(a: Analysis) -> dict:
     return {
-        "generators": list(c.generators),
+        "generators": list(a.complex.generators),
         "squares": [
             {"id": sq.index, "boundary": str(sq.boundary), "origin": sq.origin}
-            for sq in c.squares
+            for sq in a.complex.squares
         ],
-        "provenance": list(c.provenance),
+        "provenance": list(a.complex.provenance),
     }
 
 
@@ -103,8 +97,7 @@ def complex_text(c: SquareComplex) -> str:
     return "\n".join(lines)
 
 
-def link_report(c: SquareComplex, analysis: Analysis | None = None) -> dict:
-    a = analysis or Analysis(c)
+def link_report(a: Analysis) -> dict:
     return {
         "vertices": len(a.link.vertices),
         "edges": len(a.link.edges),
@@ -134,6 +127,12 @@ def link_text(data: dict) -> str:
     return "\n".join(lines + [poison_text(data)])
 
 
+def large_text(data: dict) -> str:
+    girth = data["girth"] if data["girth"] is not None else "none (no cycles)"
+    return (f"link large: {'yes' if data['is_large'] else 'no'} (girth {girth},"
+            f" {len(data['violations'])} violations)")
+
+
 def poison_text(data: dict) -> str:
     lines = [f"poison corners: {len(data['poison'])}"]
     for p in data["poison"]:
@@ -145,8 +144,8 @@ def poison_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def flat_report(c: SquareComplex, max_radius: int, analysis: Analysis | None = None) -> dict:
-    verdict = flatness.hyperbolicity_verdict(c, max_radius, analysis)
+def flat_report(a: Analysis, max_radius: int) -> dict:
+    verdict = flatness.hyperbolicity_verdict(a.complex, max_radius, a)
     witness = None
     if verdict.witness is not None:
         witness = [
@@ -178,9 +177,7 @@ def flat_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def morse_report(c: SquareComplex, ws: morse.WeightSystem,
-                 analysis: Analysis | None = None) -> dict:
-    a = analysis or Analysis(c)
+def morse_report(a: Analysis, ws: morse.WeightSystem) -> dict:
     data: dict = {
         "lattice_rank": len(a.lattice),
         "basis": [dict(b) for b in a.lattice],
@@ -209,19 +206,9 @@ def morse_report(c: SquareComplex, ws: morse.WeightSystem,
         "components": fiber.components,
     }
     data["chi"] = fiber.chi
-    if asc.is_tree and desc.is_tree and fiber.connected:
-        data["rank"] = 1 - fiber.chi
-        data["rank_blocked_by"] = None
-    else:
-        blockers = []
-        if not asc.is_tree:
-            blockers.append("ascending link is not a tree")
-        if not desc.is_tree:
-            blockers.append("descending link is not a tree")
-        if not fiber.connected:
-            blockers.append("fiber is disconnected")
-        data["rank"] = None
-        data["rank_blocked_by"] = "; ".join(blockers)
+    failures = [condition for condition, _ in weights.fibration_failures()]
+    data["rank"] = None if failures else 1 - fiber.chi
+    data["rank_blocked_by"] = "; ".join(failures) if failures else None
     return data
 
 
@@ -254,12 +241,11 @@ def morse_text(data: dict, weights_shown: str) -> str:
     return "\n".join(lines)
 
 
-def fiberings_report(c: SquareComplex, bound: int) -> dict:
-    a = Analysis(c)
+def fiberings_report(a: Analysis, bound: int) -> dict:
     return {
         "lattice_rank": len(a.lattice),
         "basis": [dict(b) for b in a.lattice],
-        "table": morse.fibering_scan(c, bound, a),
+        "table": morse.fibering_scan(a.complex, bound, a),
     }
 
 
@@ -282,8 +268,8 @@ def fiberings_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def verdict_report(c: SquareComplex, analysis: Analysis | None = None) -> dict:
-    data = morse.infinite_fibering_verdict(c, analysis)
+def verdict_report(a: Analysis) -> dict:
+    data = morse.infinite_fibering_verdict(a.complex, a)
     out = {
         "lattice_rank": data["lattice_rank"],
         "infinite_fibering": "YES" if data["infinite_fibering"] else "NO",
@@ -303,7 +289,7 @@ def verdict_text(data: dict) -> str:
     return line
 
 
-def basis_report(ctx: monodromy.MonodromyContext) -> dict:
+def _basis(ctx: monodromy.MonodromyContext) -> dict:
     return {
         "basis": [
             {"square": loop.square, "name": loop.name, "rep": str(loop.rep)}
@@ -313,11 +299,18 @@ def basis_report(ctx: monodromy.MonodromyContext) -> dict:
     }
 
 
-def monodromy_report(c: SquareComplex, ws: morse.WeightSystem, conjugator: str) -> dict:
-    ctx = monodromy.MonodromyContext(c, ws)
-    auto = monodromy.conjugation_automorphism(Word.parse(conjugator), c, ws, context=ctx)
+def _automorphism(a: Analysis, ws: morse.WeightSystem, t: Word | str) -> monodromy.Automorphism:
+    """Conjugation by ``t`` over a context built from ``a``.  A conjugator
+    given as text is parsed after the context is built, so `monodromy`
+    reports an unusable complex before a malformed conjugator."""
+    ctx = monodromy.MonodromyContext(a.complex, ws, a)
+    return monodromy.conjugation_automorphism(t, a.complex, ws, context=ctx)
+
+
+def monodromy_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
+    auto = _automorphism(a, ws, conjugator)
     return {
-        **basis_report(ctx),
+        **_basis(auto.context),
         "images": {name: str(word) for name, word in auto.images.items()},
         "conjugator": str(auto.conjugator),
         "tag": auto.tag,
@@ -336,12 +329,11 @@ def monodromy_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def transition_report(c: SquareComplex, ws: morse.WeightSystem, conjugator: str) -> dict:
-    auto = monodromy.conjugation_automorphism(Word.parse(conjugator), c, ws)
-    tm = monodromy.transition_matrix(auto)
+def transition_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
+    tm = monodromy.transition_matrix(_automorphism(a, ws, Word.parse(conjugator)))
     return {
         "basis": tm.order,
-        "matrix": tm.matrix.tolist(),
+        "matrix": [list(row) for row in tm.matrix],
         "irreducible": tm.irreducible,
         "primitive": tm.primitive,
         "witness_power": tm.witness_power,
@@ -360,19 +352,16 @@ def transition_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def reducible_report(c: SquareComplex, ws: morse.WeightSystem, conjugator: str) -> dict:
-    auto = monodromy.conjugation_automorphism(Word.parse(conjugator), c, ws)
-    witnesses = monodromy.invariant_factor_witnesses(auto)
+def reducible_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
+    auto = _automorphism(a, ws, Word.parse(conjugator))
+    witnesses = [
+        {"subset": list(subset), "conjugator": str(word)}
+        for subset, word in monodromy.invariant_factor_witnesses(auto)
+    ]
     return {
         "basis": [loop.name for loop in auto.basis],
-        "witness": (
-            {"subset": list(witnesses[0][0]), "conjugator": str(witnesses[0][1])}
-            if witnesses
-            else None
-        ),
-        "witnesses": [
-            {"subset": list(subset), "conjugator": str(word)} for subset, word in witnesses
-        ],
+        "witness": witnesses[0] if witnesses else None,
+        "witnesses": witnesses,
     }
 
 
@@ -429,21 +418,58 @@ def cmd_add_square(args) -> int:
     return 0
 
 
+def _weights(a: Analysis, args) -> morse.WeightSystem:
+    if args.weights is None:
+        return morse.unit_weights(a.complex)
+    return morse.parse_weight_spec(args.weights, a.complex)
+
+
+def _with_text(data: dict, text: Callable[[dict], str]) -> tuple[dict, str]:
+    return data, text(data)
+
+
+def _keep(data: dict, keys: tuple[str, ...]) -> dict:
+    return {k: data[k] for k in keys}
+
+
+def _morse_view(a: Analysis, args) -> tuple[dict, str]:
+    ws = _weights(a, args)
+    data = morse_report(a, ws)
+    return data, morse_text(data, " ".join(f"{g}={ws[g]}" for g in a.complex.generators))
+
+
+def _analyze_view(a: Analysis, args) -> tuple[dict, str]:
+    ws = _weights(a, args)  # a bad --weights is the first error reported
+    views = {"complex": (complex_report(a), complex_text(a.complex))}
+    for key, command in (("link", "link"), ("flat", "check flat"), ("morse", "morse"),
+                         ("fibering", "verdict")):
+        views[key] = VIEWS[command](a, args)
+    unit = all(abs(w) == 1 for w in ws.values())
+    if unit and views["morse"][0]["rank"] is not None:
+        ctx = monodromy.MonodromyContext(a.complex, ws, a)
+        views["monodromy"] = ({**_basis(ctx), "convention": LOOP_CONVENTION},
+                              "fiber-loop basis: " + " ".join(loop.name for loop in ctx.basis))
+    else:
+        reason = ("weights are not all +-1" if not unit
+                  else "needs admissible weights, tree links and a connected fiber")
+        views["monodromy"] = ({"skipped": reason}, f"monodromy basis: skipped ({reason})")
+    data = {key: section for key, (section, _) in views.items()}
+    return data, "\n\n".join(text for _, text in views.values())
+
+
 def _write_dot(args, a: Analysis) -> None:
     if not getattr(args, "dot", None):
         return
-    c = a.complex
     highlight_edges: set[tuple[int, int]] = set()
     highlight_vertices: set = set()
     if args.highlight == "poison":
         highlight_edges = {(e.square, e.corner) for e in a.poison}
     elif args.highlight in ("asc", "desc"):
-        ws = _weights_for(c, getattr(args, "weights", None))
-        asc, desc = a.morse_data(ws).links
+        asc, desc = a.morse_data(_weights(a, args)).links
         side = asc if args.highlight == "asc" else desc
         highlight_edges = {(e.square, e.corner) for e in side.edges}
         highlight_vertices = set(side.vertices)
-    distinct = {sq.index for sq in c.squares if sq.origin == "added"}
+    distinct = {sq.index for sq in a.complex.squares if sq.origin == "added"}
     text = links.export_dot(a.link, highlight_vertices, highlight_edges, distinct)
     try:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -452,107 +478,52 @@ def _write_dot(args, a: Analysis) -> None:
         raise InputError(f"cannot write {args.dot}: {exc}") from None
 
 
-def cmd_link(args) -> int:
+def _run_view(args) -> int:
     a = Analysis(_read_complex(args.file))
-    data = link_report(a.complex, a)
+    data, text = args.view(a, args)
     _write_dot(args, a)
-    return _emit(args, link_text(data), data)
+    return _emit(args, text, data)
 
 
-def cmd_check(args) -> int:
-    c = _read_complex(args.file)
-    if args.what == "large":
-        data = link_report(c)
-        keep = {k: data[k] for k in ("vertices", "edges", "girth", "is_large", "violations")}
-        girth = keep["girth"] if keep["girth"] is not None else "none (no cycles)"
-        text = (f"link large: {'yes' if keep['is_large'] else 'no'} (girth {girth},"
-                f" {len(keep['violations'])} violations)")
-        return _emit(args, text, keep)
-    if args.what == "poison":
-        data = link_report(c)
-        keep = {k: data[k] for k in ("poison", "convention")}
-        return _emit(args, poison_text(keep), keep)
-    data = flat_report(c, args.radius)
-    return _emit(args, flat_text(data), data)
+_DOT = ("--dot", {"help": "write the link as a DOT graph"})
+_HIGHLIGHT = ("--highlight", {"choices": ("asc", "desc", "poison")})
+_WEIGHTS = ("--weights", {})
+_RADIUS = ("--radius", {"type": int, "default": 3})
+_CONJUGATOR = ("--conjugator", {"required": True})
 
-
-def cmd_morse(args) -> int:
-    c = _read_complex(args.file)
-    ws = _weights_for(c, args.weights)
-    data = morse_report(c, ws)
-    shown = " ".join(f"{g}={ws[g]}" for g in c.generators)
-    return _emit(args, morse_text(data, shown), data)
-
-
-def cmd_fiberings(args) -> int:
-    c = _read_complex(args.file)
-    data = fiberings_report(c, args.bound)
-    return _emit(args, fiberings_text(data), data)
-
-
-def cmd_verdict(args) -> int:
-    c = _read_complex(args.file)
-    data = verdict_report(c)
-    return _emit(args, verdict_text(data), data)
-
-
-def cmd_monodromy(args) -> int:
-    c = _read_complex(args.file)
-    ws = _weights_for(c, args.weights)
-    data = monodromy_report(c, ws, args.conjugator)
-    return _emit(args, monodromy_text(data), data)
-
-
-def cmd_transition(args) -> int:
-    c = _read_complex(args.file)
-    ws = _weights_for(c, args.weights)
-    data = transition_report(c, ws, args.conjugator)
-    return _emit(args, transition_text(data), data)
-
-
-def cmd_reducible(args) -> int:
-    c = _read_complex(args.file)
-    ws = _weights_for(c, args.weights)
-    data = reducible_report(c, ws, args.conjugator)
-    return _emit(args, reducible_text(data), data)
-
-
-def cmd_analyze(args) -> int:
-    c = _read_complex(args.file)
-    a = Analysis(c)
-    ws = _weights_for(c, args.weights)
-    shown = " ".join(f"{g}={ws[g]}" for g in c.generators)
-    data: dict = {"complex": complex_report(c)}
-    texts = [complex_text(c)]
-
-    data["link"] = link_report(c, a)
-    texts.append(link_text(data["link"]))
-
-    data["flat"] = flat_report(c, args.radius, a)
-    texts.append(flat_text(data["flat"]))
-
-    data["morse"] = morse_report(c, ws, a)
-    texts.append(morse_text(data["morse"], shown))
-
-    data["fibering"] = verdict_report(c, a)
-    texts.append(verdict_text(data["fibering"]))
-
-    section = data["morse"]
-    unit = all(abs(w) == 1 for w in ws.values())
-    if (section["admissible"] and unit and section["asc"] and section["asc"]["is_tree"]
-            and section["desc"]["is_tree"] and section["fiber"]["connected"]):
-        ctx = monodromy.MonodromyContext(c, ws, a)
-        data["monodromy"] = {**basis_report(ctx), "convention": LOOP_CONVENTION}
-        names = " ".join(loop.name for loop in ctx.basis)
-        texts.append(f"fiber-loop basis: {names}")
-    else:
-        reason = ("weights are not all +-1" if not unit
-                  else "needs admissible weights, tree links and a connected fiber")
-        data["monodromy"] = {"skipped": reason}
-        texts.append(f"monodromy basis: skipped ({reason})")
-
-    _write_dot(args, a)
-    return _emit(args, "\n\n".join(texts), data)
+# (subcommand, help, options besides `file` and `--json`, view) of every
+# subcommand that reads a complex, in listing order; a row without a view
+# is a group of the subcommands named after it.  `_run_view` prints
+# view(analysis, args) = (data, text).  A view calls its reports by their
+# module names, so it runs whatever `cli.*_report` is bound to when it runs.
+FILE_COMMANDS = (
+    ("link", "link of the vertex: counts, girth, poison corners", (_DOT, _HIGHLIGHT, _WEIGHTS),
+     lambda a, args: _with_text(link_report(a), link_text)),
+    ("check", "large / poison / flat checks", (), None),
+    ("check large", None, (), lambda a, args: _with_text(
+        _keep(link_report(a), ("vertices", "edges", "girth", "is_large", "violations")),
+        large_text)),
+    ("check poison", None, (),
+     lambda a, args: _with_text(_keep(link_report(a), ("poison", "convention")), poison_text)),
+    ("check flat", None, (_RADIUS,),
+     lambda a, args: _with_text(flat_report(a, args.radius), flat_text)),
+    ("morse", "weight system analysis", (("--weights", {"required": True}),), _morse_view),
+    ("fiberings", "scan the weight lattice", (("--bound", {"type": int, "required": True}),),
+     lambda a, args: _with_text(fiberings_report(a, args.bound), fiberings_text)),
+    ("verdict", "does the complex fiber in infinitely many ways?", (),
+     lambda a, args: _with_text(verdict_report(a), verdict_text)),
+    ("monodromy", "conjugation automorphism on the fiber loops", (_WEIGHTS, _CONJUGATOR),
+     lambda a, args: _with_text(monodromy_report(a, _weights(a, args), args.conjugator),
+                                monodromy_text)),
+    ("transition", "transition matrix with PF classification", (_WEIGHTS, _CONJUGATOR),
+     lambda a, args: _with_text(transition_report(a, _weights(a, args), args.conjugator),
+                                transition_text)),
+    ("reducible-witness", "search invariant free-factor witnesses", (_WEIGHTS, _CONJUGATOR),
+     lambda a, args: _with_text(reducible_report(a, _weights(a, args), args.conjugator),
+                                reducible_text)),
+    ("analyze", "full pipeline report", (_WEIGHTS, _RADIUS, _DOT, _HIGHLIGHT), _analyze_view),
+)
+VIEWS = {command: view for command, _, _, view in FILE_COMMANDS if view is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,73 +551,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relator", required=True)
     p.set_defaults(func=cmd_add_square)
 
-    p = sub.add_parser("link", help="link of the vertex: counts, girth, poison corners")
-    p.add_argument("file")
-    p.add_argument("--dot", help="write the link as a DOT graph")
-    p.add_argument("--highlight", choices=("asc", "desc", "poison"))
-    p.add_argument("--weights")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_link)
-
-    p = sub.add_parser("check", help="large / poison / flat checks")
-    check_sub = p.add_subparsers(dest="what", required=True)
-    for what in ("large", "poison"):
-        q = check_sub.add_parser(what)
-        q.add_argument("file")
-        q.add_argument("--json", action="store_true")
-        q.set_defaults(func=cmd_check)
-    q = check_sub.add_parser("flat")
-    q.add_argument("file")
-    q.add_argument("--radius", type=int, default=3)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("morse", help="weight system analysis")
-    p.add_argument("file")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_morse)
-
-    p = sub.add_parser("fiberings", help="scan the weight lattice")
-    p.add_argument("file")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fiberings)
-
-    p = sub.add_parser("verdict", help="does the complex fiber in infinitely many ways?")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verdict)
-
-    p = sub.add_parser("monodromy", help="conjugation automorphism on the fiber loops")
-    p.add_argument("file")
-    p.add_argument("--weights")
-    p.add_argument("--conjugator", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_monodromy)
-
-    p = sub.add_parser("transition", help="transition matrix with PF classification")
-    p.add_argument("file")
-    p.add_argument("--weights")
-    p.add_argument("--conjugator", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_transition)
-
-    p = sub.add_parser("reducible-witness", help="search invariant free-factor witnesses")
-    p.add_argument("file")
-    p.add_argument("--weights")
-    p.add_argument("--conjugator", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_reducible)
-
-    p = sub.add_parser("analyze", help="full pipeline report")
-    p.add_argument("file")
-    p.add_argument("--weights")
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--dot")
-    p.add_argument("--highlight", choices=("asc", "desc", "poison"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    groups = {}
+    for command, help_text, options, view in FILE_COMMANDS:
+        *group, name = command.split()
+        owner = groups[group[0]] if group else sub
+        # a subcommand given no help stays out of its group's listing
+        p = owner.add_parser(name, **({"help": help_text} if help_text else {}))
+        if view is None:
+            groups[name] = p.add_subparsers(dest="what", required=True)
+            continue
+        p.add_argument("file")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_run_view, view=view)
 
     return parser
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .analysis import Analysis
 from .complexes import SquareComplex
@@ -42,9 +42,6 @@ from .errors import InputError
 from .links import End, arrival_end, departure_end
 from .morse import WeightSystem
 from .words import Letter, Word, generator_stem, inverse_letter, signed_weight
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
 
@@ -83,12 +80,8 @@ class MonodromyContext:
         self.complex = c
         self.weights = dict(ws)
 
-        stems: list[str] = []
-        for g in c.generators:
-            stem = generator_stem(g)
-            if stem not in stems:
-                stems.append(stem)
-        greek = {stem: _GREEK[i] if i < len(_GREEK) else f"x{i}" for i, stem in enumerate(stems)}
+        greek = {stem: _GREEK[i] if i < len(_GREEK) else f"x{i}"
+                 for i, stem in enumerate(c.stems())}
 
         loops: list[BasisLoop] = []
         names: list[str] = []
@@ -327,7 +320,7 @@ def invert(f: Automorphism) -> Automorphism:
 @dataclass
 class TransitionMatrix:
     order: list[str]  # basis names, row/column order
-    matrix: np.ndarray  # counts, entry (i, j) = occurrences of letter i in image of j
+    matrix: tuple[tuple[int, ...], ...]  # entry (i, j) = occurrences of letter i in image of j
     irreducible: bool
     primitive: bool
     witness_power: int | None  # least N with M^N entrywise positive
@@ -337,54 +330,86 @@ def transition_matrix(f: Automorphism) -> TransitionMatrix:
     """Occurrence counts of basis letters in the images, with the
     Perron-Frobenius classification: irreducible = strongly connected
     dependency digraph, primitive = some power entrywise positive (least
-    witness searched up to the Wielandt bound (n-1)^2 + 1)."""
-    import numpy as np
+    witness searched up to the Wielandt bound (n-1)^2 + 1).
 
+    The digraph has an edge i -> j when entry (i, j) is positive; row i is
+    the bitset of those j, column j the bitset of those i."""
     order = [loop.name for loop in f.basis]
     index = {name: i for i, name in enumerate(order)}
     n = len(order)
-    matrix = np.zeros((n, n), dtype=np.int64)
+    counts = [[0] * n for _ in range(n)]
+    rows, columns = [0] * n, [0] * n
     for name, word in f.images.items():
         j = index[name]
-        for letter, _ in word:
-            matrix[index[letter], j] += 1
-    adjacency = matrix > 0
-    if n == 1:
-        irreducible = bool(adjacency[0, 0])
-    else:
-        # squaring doubles the path length covered; stop at the fixed point
-        reach = adjacency | np.eye(n, dtype=bool)
-        while True:
-            wider = reach | (reach @ reach)
-            if (wider == reach).all():
-                break
-            reach = wider
-        irreducible = bool(reach.all())
-    witness_power = _least_positive_power(adjacency, (n - 1) ** 2 + 1) if irreducible else None
+        bit = 1 << j
+        for letter, _ in word.letters:
+            i = index[letter]
+            counts[i][j] += 1
+            rows[i] |= bit
+            columns[j] |= 1 << i
+    # strongly connected iff every loop is reached from loop 0 and reaches
+    # it by a nonempty path (for n = 1 that asks for a positive entry)
+    irreducible = _reached_from_first(rows) and _reached_from_first(columns)
+    witness_power = _least_positive_power(rows, (n - 1) ** 2 + 1) if irreducible else None
+    matrix = tuple(map(tuple, counts))
     return TransitionMatrix(order, matrix, irreducible, witness_power is not None, witness_power)
 
 
-def _least_positive_power(adjacency: np.ndarray, bound: int) -> int | None:
-    """Least N <= bound with adjacency^N entrywise positive, or None.
+def _union_of_rows(rows: list[int], mask: int) -> int:
+    """OR of the rows whose bits are set in ``mask``, stopping once all
+    bits are set."""
+    full = (1 << len(rows)) - 1
+    out = 0
+    while mask and out != full:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """Boolean matrix product of two bitset-row matrices."""
+    return [_union_of_rows(b, row) for row in a]
+
+
+def _reached_from_first(rows: list[int]) -> bool:
+    """Whether every vertex ends a nonempty path from vertex 0 (true when
+    there are no vertices)."""
+    seen = frontier = rows[0] if rows else 0
+    while frontier:
+        step = _union_of_rows(rows, frontier)
+        frontier = step & ~seen
+        seen |= step
+    return seen == (1 << len(rows)) - 1
+
+
+def _least_positive_power(rows: list[int], bound: int) -> int | None:
+    """Least N <= bound with the N-th power of the bitset-row matrix
+    entrywise positive, or None.
 
     A positive power leaves no column of the matrix zero, so every higher
     power is positive too: square until positive (or past ``bound``), then
     binary-search the last doubling with the stored squares.
     """
-    squares = [adjacency]
+    full = (1 << len(rows)) - 1
+
+    def positive(matrix: list[int]) -> bool:
+        return all(row == full for row in matrix)
+
+    squares = [rows]
     exponent = 1
-    while not squares[-1].all():
+    while not positive(squares[-1]):
         if exponent >= bound:
             return None
-        squares.append((squares[-1] @ squares[-1]) > 0)
+        squares.append(_product(squares[-1], squares[-1]))
         exponent *= 2
     if exponent == 1:
         return 1
-    # adjacency^(exponent/2) is not positive; add the halvings that keep it so
+    # rows^(exponent/2) is not positive; add the halvings that keep it so
     below, below_exponent = squares[-2], exponent // 2
     for k in range(len(squares) - 3, -1, -1):
-        trial = (below @ squares[k]) > 0
-        if not trial.all():
+        trial = _product(below, squares[k])
+        if not positive(trial):
             below, below_exponent = trial, below_exponent + 2 ** k
     return below_exponent + 1 if below_exponent + 1 <= bound else None
 

@@ -38,7 +38,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .complexes import Square, SquareComplex, union_find
 from .errors import InputError
@@ -55,6 +55,9 @@ MAX_SCAN_VECTORS = 100_000
 # `infinite_fibering_verdict` refuses lattices with more orthants than this
 # (rank 13, about a second when no orthant fibers)
 MAX_ORTHANTS = 2**13
+# `fiber_graph` refuses fibers with more vertices plus arcs than this (the
+# torus at weights 10^5 has about 4 * 10^5 and takes about a second)
+MAX_FIBER_CELLS = 500_000
 
 
 def parse_weight_spec(spec: str, c: SquareComplex) -> WeightSystem:
@@ -243,9 +246,16 @@ def fiber_graph(
 ) -> FiberGraph:
     """The preimage of the base point: one vertex per subdivision point of
     the edges plus the vertex itself, and one arc per integer level strictly
-    between each square's min and max corner heights."""
+    between each square's min and max corner heights.  Refuses fibers of
+    more than `MAX_FIBER_CELLS` vertices plus arcs, counted before building."""
     if heights is None:
         heights = require_admissible(c, ws)
+    cells = 1 + sum(abs(ws[g]) - 1 for g in c.generators) + sum(h.span - 1 for h in heights)
+    if cells > MAX_FIBER_CELLS:
+        raise InputError(
+            f"fiber graph of {cells} vertices and arcs exceeds the limit of {MAX_FIBER_CELLS};"
+            " lower the weights"
+        )
     vertices: list[FiberVertex] = [BASE_VERTEX]
     for g in c.generators:
         for i in range(1, abs(ws[g])):
@@ -296,16 +306,22 @@ class MorseData:
     def fiber(self) -> FiberGraph:
         return fiber_graph(self.complex, self.weights, self.heights)
 
-    def require_fibration(self) -> None:
-        """Raise InputError naming the first failed condition for a kernel
-        rank: tree ascending and descending links and a connected fiber."""
+    def fibration_failures(self) -> Iterator[tuple[str, int]]:
+        """The failed conditions for a kernel rank, in order, each with its
+        component count: tree ascending and descending links and a connected
+        fiber.  The fiber is built only when asked for its condition."""
         asc, desc = self.links
         if not asc.is_tree:
-            raise InputError(f"ascending link is not a tree ({asc.components} components)")
+            yield "ascending link is not a tree", asc.components
         if not desc.is_tree:
-            raise InputError(f"descending link is not a tree ({desc.components} components)")
+            yield "descending link is not a tree", desc.components
         if not self.fiber.connected:
-            raise InputError(f"fiber is disconnected ({self.fiber.components} components)")
+            yield "fiber is disconnected", self.fiber.components
+
+    def require_fibration(self) -> None:
+        """Raise InputError naming the first failed condition for a kernel rank."""
+        for condition, components in self.fibration_failures():
+            raise InputError(f"{condition} ({components} components)")
 
 
 def kernel_rank(c: SquareComplex, ws: WeightSystem) -> int:

@@ -185,7 +185,7 @@ def test_criterion_9_transition_matrix(g2):
         start = time.perf_counter()
         auto = conjugation_automorphism("a3", g2, unit_weights(g2))
         tm = transition_matrix(auto)
-        assert tm.matrix.shape == (7, 7)
+        assert np.array(tm.matrix).shape == (7, 7)
         assert tm.irreducible and tm.primitive
         assert tm.witness_power is not None and tm.witness_power <= 3
         assert (np.linalg.matrix_power(tm.matrix, 3) > 0).all()
@@ -241,8 +241,8 @@ def test_criterion_11_property_suites(g1, g2, mixed, torus, capsys, tmp_path):
             ws = unit_weights(c)
             f = conjugation_automorphism(s, c, ws)
             g = conjugation_automorphism(t, c, ws)
-            lhs = transition_matrix(compose(f, g)).matrix
-            rhs = transition_matrix(f).matrix @ transition_matrix(g).matrix
+            lhs = np.array(transition_matrix(compose(f, g)).matrix)
+            rhs = np.array(transition_matrix(f).matrix) @ np.array(transition_matrix(g).matrix)
             assert (lhs <= rhs).all()
 
         # flat-disk witness revalidation

@@ -62,6 +62,17 @@ def test_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["link", "{bad}"], ["analyze", "{bad}"],
+                                  ["add-square", "{bad}", "--relator", "a b a^-1 b^-1"],
+                                  ["combine", "{bad}", "{bad}", "--relator", "a b a^-1 b^-1"]])
+def test_undecodable_file_is_an_input_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.log"
+    bad.write_bytes(b"generators a b\nsquare a b a^-1 b^-1 # \xff\n")
+    assert main([arg.format(bad=bad) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read {bad}" in err and "Traceback" not in err
+
+
 def test_combine_and_add_square_roundtrip(tmp_path, capsys):
     assert main(["build", "lot", "--k", "4", "--stem", "a"]) == 0
     a = tmp_path / "a.log"
@@ -257,6 +268,16 @@ def test_fiberings_refuses_huge_scans(capsys, g1_file):
     assert "40000400001 vectors" in err and "internal" not in err
 
 
+@pytest.mark.parametrize("command", ["morse", "analyze"])
+def test_huge_weights_are_refused(capsys, torus_file, command):
+    # 1 + 2 * (10^6 - 1) fiber vertices and 2 * 10^6 - 1 arcs
+    start = time.perf_counter()
+    assert main([command, torus_file, "--weights", "a=1000000,b=1000000"]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "3999998 vertices and arcs" in err and "internal" not in err
+
+
 def test_check_flat_large_radius_on_torus(capsys, torus_file):
     from logfiber import build_named, validate_witness
     from logfiber.flatness import DiskWitness
@@ -302,6 +323,36 @@ def test_analyze_builds_each_piece_once(tmp_path, capsys, monkeypatch, complex_a
     assert main(["analyze", str(path), "--json"]) == 0
     capsys.readouterr()
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
+
+
+@pytest.mark.parametrize("argv, reports", [
+    (["link", "{g1}"], ["link_report"]),
+    (["check", "large", "{g1}"], ["link_report"]),
+    (["check", "poison", "{g1}"], ["link_report"]),
+    (["check", "flat", "{g1}", "--radius", "2"], ["flat_report"]),
+    (["morse", "{g1}", "--weights", "a=1,b=1"], ["morse_report"]),
+    (["fiberings", "{g1}", "--bound", "1"], ["fiberings_report"]),
+    (["verdict", "{g1}"], ["verdict_report"]),
+    (["monodromy", "{g1}", "--conjugator", "a0"], ["monodromy_report"]),
+    (["transition", "{g1}", "--conjugator", "a0"], ["transition_report"]),
+    (["reducible-witness", "{g1}", "--conjugator", "a0"], ["reducible_report"]),
+    (["analyze", "{g1}", "--radius", "2"],
+     ["complex_report", "link_report", "flat_report", "morse_report", "verdict_report"]),
+])
+def test_views_look_reports_up_when_they_run(capsys, monkeypatch, g1_file, argv, reports):
+    # the benchmark's tracer times each report by rebinding `cli.<name>`
+    import logfiber.cli as cli
+
+    called = []
+    for name in reports:
+        def patched(*args, _name=name, _report=getattr(cli, name)):
+            called.append(_name)
+            return _report(*args)
+
+        monkeypatch.setattr(cli, name, patched)
+    assert main([arg.format(g1=g1_file) for arg in argv]) == 0
+    capsys.readouterr()
+    assert sorted(set(called)) == sorted(reports)
 
 
 @pytest.mark.parametrize("argv", [["check", "flat", "{torus}", "--radius", "0"],
@@ -361,13 +412,19 @@ def test_one_process_runs_many_commands_like_separate_processes(capsys, g2_file,
         assert (status, out) == (alone.returncode, alone.stdout), argv
 
 
-def test_import_cli_leaves_numpy_unloaded():
-    # numpy is imported by transition_matrix alone, not by every CLI start
+def test_import_cli_leaves_numpy_unloaded(g2_file):
+    # numpy is a test-only dependency: neither a CLI start nor `transition` loads it
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = "import sys, logfiber.cli; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+    argv = ["transition", g2_file, "--conjugator", "a3", "--json"]
+    probe = ("import sys; from logfiber.cli import main;"
+             f" status = main({argv!r}); print(status, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def _triple5_text():
@@ -383,12 +440,13 @@ def _triple5_text():
 ])
 def test_json_output_is_byte_identical_to_dumps(tmp_path, capsys, text, bound):
     from logfiber import cli, parse_spec
+    from logfiber.analysis import Analysis
 
     path = tmp_path / "c.log"
     path.write_text(text, encoding="utf-8")
     assert main(["fiberings", str(path), "--bound", bound, "--json"]) == 0
     out = capsys.readouterr().out
-    data = cli.fiberings_report(parse_spec(text), int(bound))
+    data = cli.fiberings_report(Analysis(parse_spec(text)), int(bound))
     assert out == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
     if "β" in text:
         assert "β1" in out

@@ -289,7 +289,7 @@ def test_g2_transition_classification(g2):
         assert (below == 0).any()
     # column of α3 (image α1 β2 α3): three entries of 1
     j = tm.order.index("α3")
-    column = tm.matrix[:, j]
+    column = np.array(tm.matrix)[:, j]
     assert column.sum() == 3 and set(column.tolist()) <= {0, 1}
     for name in ("α1", "β2", "α3"):
         assert column[tm.order.index(name)] == 1
@@ -299,7 +299,7 @@ def test_column_sums_are_image_lengths(g1):
     auto = conjugation_automorphism("a0", g1, unit_weights(g1))
     tm = transition_matrix(auto)
     for j, name in enumerate(tm.order):
-        assert tm.matrix[:, j].sum() == len(auto.images[name])
+        assert np.array(tm.matrix)[:, j].sum() == len(auto.images[name])
 
 
 def test_identity_matrix_not_irreducible(g1):
@@ -320,16 +320,16 @@ def test_transition_subadditivity(g1, g2):
         ws = unit_weights(c)
         f = conjugation_automorphism(s, c, ws)
         g = conjugation_automorphism(t, c, ws)
-        lhs = transition_matrix(compose(f, g)).matrix
-        rhs = transition_matrix(f).matrix @ transition_matrix(g).matrix
+        lhs = np.array(transition_matrix(compose(f, g)).matrix)
+        rhs = np.array(transition_matrix(f).matrix) @ np.array(transition_matrix(g).matrix)
         assert (lhs <= rhs).all()
 
 
 def test_subadditivity_strict_under_cancellation(g1):
     ws = unit_weights(g1)
     f = conjugation_automorphism("a0", g1, ws)
-    lhs = transition_matrix(compose(f, invert(f))).matrix
-    rhs = transition_matrix(f).matrix @ transition_matrix(invert(f)).matrix
+    lhs = np.array(transition_matrix(compose(f, invert(f))).matrix)
+    rhs = np.array(transition_matrix(f).matrix) @ np.array(transition_matrix(invert(f)).matrix)
     assert (lhs <= rhs).all() and (lhs < rhs).any()
 
 
@@ -381,8 +381,8 @@ def test_transition_classification_matches_linear_scan():
             for a, b in zip(order, order[1:] + order[:1]):
                 rows[a][b] = 1
         tm = transition_matrix(matrix_automorphism(rows))
-        assert tm.matrix.tolist() == rows
-        expected = linear_scan_classification(tm.matrix)
+        assert np.array(tm.matrix).tolist() == rows
+        expected = linear_scan_classification(np.array(tm.matrix))
         assert (tm.irreducible, tm.primitive, tm.witness_power) == expected, rows
         seen.add(expected[2] if expected[2] is None else min(expected[2], 5))
     assert seen == {None, 1, 2, 3, 4, 5}
@@ -400,7 +400,7 @@ def test_cyclic_permutation_is_irreducible_not_primitive():
     rows[0][0] = 1
     tm = transition_matrix(matrix_automorphism(rows))
     assert (tm.irreducible, tm.primitive, tm.witness_power) == \
-        linear_scan_classification(tm.matrix)
+        linear_scan_classification(np.array(tm.matrix))
 
 
 # -- reducibility witnesses ----------------------------------------------

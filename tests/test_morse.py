@@ -173,6 +173,23 @@ def test_gcd_two_fiber_disconnects(g1):
         kernel_rank(g1, ws)
 
 
+def test_huge_fibers_are_refused_before_building(torus, monkeypatch):
+    from logfiber import morse
+
+    ws = parse_weight_spec("a=1000000,b=1000000", torus)
+    with pytest.raises(InputError, match="3999998 vertices and arcs"):
+        kernel_rank(torus, ws)
+    # the limit is on vertices plus arcs: 2|a| + 2|b| - 2 on the torus
+    ws = parse_weight_spec("a=3,b=4", torus)
+    fiber = fiber_graph(torus, ws)
+    assert len(fiber.vertices) + len(fiber.edges) == 12
+    monkeypatch.setattr(morse, "MAX_FIBER_CELLS", 12)
+    assert fiber_graph(torus, ws).chi == fiber.chi
+    monkeypatch.setattr(morse, "MAX_FIBER_CELLS", 11)
+    with pytest.raises(InputError, match="12 vertices and arcs"):
+        fiber_graph(torus, ws)
+
+
 def test_rank_equals_edges_minus_vertices_plus_one(g2):
     for m, n in ((1, 2), (3, 4), (2, 5)):
         ws = parse_weight_spec(f"a={m},b={n}", g2)
