@@ -13,8 +13,8 @@ import argparse
 import functools
 import json
 import sys
-from itertools import islice
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterator
 
 from . import flatness, links, monodromy, morse
 from .analysis import Analysis
@@ -254,8 +254,7 @@ def fiberings_text(data: dict) -> str:
     for row in data["table"]:
         coords = ",".join(str(k) for k in row["coords"])
         rank = row["rank"] if row["rank"] is not None else "-"
-        flags = []
-        flags.append("admissible" if row["admissible"] else "inadmissible")
+        flags = ["admissible" if row["admissible"] else "inadmissible"]
         if row.get("asc_tree") is not None:
             flags.append("trees" if row["asc_tree"] and row["desc_tree"] else "not trees")
         flags.append("primitive" if row["primitive"] else "non-primitive")
@@ -270,14 +269,7 @@ def fiberings_text(data: dict) -> str:
 
 def verdict_report(a: Analysis) -> dict:
     data = morse.infinite_fibering_verdict(a.complex, a)
-    out = {
-        "lattice_rank": data["lattice_rank"],
-        "infinite_fibering": "YES" if data["infinite_fibering"] else "NO",
-        "orthant": data["orthant"],
-    }
-    if "reason" in data:
-        out["reason"] = data["reason"]
-    return out
+    return {**data, "infinite_fibering": "YES" if data["infinite_fibering"] else "NO"}
 
 
 def verdict_text(data: dict) -> str:
@@ -380,21 +372,68 @@ def reducible_text(data: dict) -> str:
 # commands
 
 
-# `json.dumps(indent=2)` runs this pure-Python encoder and joins every chunk
-# at once; `_emit` writes the same bytes in joined batches instead
-_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
-_JSON_BATCH = 4096  # chunks per write
-
-
-def _emit(args, text: str, data: dict) -> int:
-    if getattr(args, "json", False):
-        chunks = _JSON.iterencode(data)
-        while batch := "".join(islice(chunks, _JSON_BATCH)):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
+def _json_pieces(value, level: int, stream: int) -> Iterator[str]:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` for `value` nested
+    ``level`` deep, in pieces: one per item of the outer ``stream`` levels.
+    A container of str, int, bool and None values goes to the C encoder with
+    ``"," + newline + indentation`` as item separator (encoded strings hold
+    no raw newline, so only its outer brackets need laying out).  Other
+    lists, tuples and str-keyed dicts are joined here, scalar items inline;
+    anything else (floats, subclasses, other keys) is the stdlib's text."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        head, tail, keys, values = "[", "]", repeat(""), value
+    elif kind is dict and _JSON_STR.issuperset(map(type, value)):
+        head, tail, keys, values = "{", "}", map(_json_key, value), value.values()
     else:
-        print(text)
-    return 0
+        scalar = _JSON_SCALARS.get(kind)
+        yield scalar(value) if scalar else json.dumps(
+            value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
+        return
+    if not value:
+        yield head + tail
+        return
+    inner = "\n" + "  " * (level + 1)
+    if _JSON_FLAT.issuperset(map(type, values)):
+        yield head + inner + "".join(_json_flat(level)(value, 0))[1:-1]
+    else:
+        separator = head + inner
+        for key, item in zip(keys, values):
+            scalar = _JSON_SCALARS.get(type(item))
+            if scalar:
+                yield separator + key + scalar(item)
+            elif stream > 1:
+                yield separator + key
+                yield from _json_pieces(item, level + 1, stream - 1)
+            else:
+                yield separator + key + "".join(_json_pieces(item, level + 1, 0))
+            separator = "," + inner
+    yield "\n" + "  " * level + tail
+
+
+_JSON_STRING = json.encoder.encode_basestring
+_JSON_SCALARS = {str: _JSON_STRING, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+                 type(None): lambda _: "null"}
+_JSON_STR, _JSON_FLAT = frozenset((str,)), frozenset(_JSON_SCALARS)
+_json_key = functools.lru_cache(1024)(lambda key: _JSON_STRING(key) + ": ")  # `"key": `
+
+
+@functools.cache
+def _json_flat(level: int):
+    """The C encoder for the items of a flat container nested ``level`` deep."""
+    return json.encoder.c_make_encoder(
+        None, None, _JSON_STRING, None, ": ", ",\n" + "  " * (level + 1), False, False, True)
+
+
+def _write_json(data) -> None:
+    """Write ``json.dumps(data, indent=2, ensure_ascii=False)`` and a
+    newline to stdout, the items of the outer two levels one at a time."""
+    if json.encoder.c_make_encoder is None:
+        sys.stdout.write(json.dumps(data, indent=2, ensure_ascii=False))
+    else:
+        for piece in _json_pieces(data, 0, 2):
+            sys.stdout.write(piece)
+    sys.stdout.write("\n")
 
 
 def cmd_build(args) -> int:
@@ -424,37 +463,37 @@ def _weights(a: Analysis, args) -> morse.WeightSystem:
     return morse.parse_weight_spec(args.weights, a.complex)
 
 
-def _with_text(data: dict, text: Callable[[dict], str]) -> tuple[dict, str]:
-    return data, text(data)
+def _with_text(data: dict, text: Callable[[dict], str]) -> tuple[dict, Callable[[], str]]:
+    return data, functools.partial(text, data)
 
 
 def _keep(data: dict, keys: tuple[str, ...]) -> dict:
     return {k: data[k] for k in keys}
 
 
-def _morse_view(a: Analysis, args) -> tuple[dict, str]:
+def _morse_view(a: Analysis, args) -> tuple[dict, Callable[[], str]]:
     ws = _weights(a, args)
     data = morse_report(a, ws)
-    return data, morse_text(data, " ".join(f"{g}={ws[g]}" for g in a.complex.generators))
+    return data, lambda: morse_text(data, " ".join(f"{g}={ws[g]}" for g in a.complex.generators))
 
 
-def _analyze_view(a: Analysis, args) -> tuple[dict, str]:
-    ws = _weights(a, args)  # a bad --weights is the first error reported
-    views = {"complex": (complex_report(a), complex_text(a.complex))}
+def _analyze_view(a: Analysis, args) -> tuple[dict, Callable[[], str]]:
+    ws = _weights(a, args)
+    views = {"complex": (complex_report(a), functools.partial(complex_text, a.complex))}
     for key, command in (("link", "link"), ("flat", "check flat"), ("morse", "morse"),
                          ("fibering", "verdict")):
         views[key] = VIEWS[command](a, args)
     unit = all(abs(w) == 1 for w in ws.values())
     if unit and views["morse"][0]["rank"] is not None:
         ctx = monodromy.MonodromyContext(a.complex, ws, a)
-        views["monodromy"] = ({**_basis(ctx), "convention": LOOP_CONVENTION},
-                              "fiber-loop basis: " + " ".join(loop.name for loop in ctx.basis))
+        views["monodromy"] = ({**_basis(ctx), "convention": LOOP_CONVENTION}, lambda: (
+            "fiber-loop basis: " + " ".join(loop.name for loop in ctx.basis)))
     else:
         reason = ("weights are not all +-1" if not unit
                   else "needs admissible weights, tree links and a connected fiber")
-        views["monodromy"] = ({"skipped": reason}, f"monodromy basis: skipped ({reason})")
+        views["monodromy"] = ({"skipped": reason}, lambda: f"monodromy basis: skipped ({reason})")
     data = {key: section for key, (section, _) in views.items()}
-    return data, "\n\n".join(text for _, text in views.values())
+    return data, lambda: "\n\n".join(render() for _, render in views.values())
 
 
 def _write_dot(args, a: Analysis) -> None:
@@ -480,9 +519,15 @@ def _write_dot(args, a: Analysis) -> None:
 
 def _run_view(args) -> int:
     a = Analysis(_read_complex(args.file))
-    data, text = args.view(a, args)
+    if getattr(args, "weights", None) is not None:
+        _weights(a, args)  # a bad --weights is the first error, even where it is unused
+    data, render = args.view(a, args)
     _write_dot(args, a)
-    return _emit(args, text, data)
+    if args.json:
+        _write_json(data)
+    else:
+        print(render())
+    return 0
 
 
 _DOT = ("--dot", {"help": "write the link as a DOT graph"})
@@ -493,9 +538,10 @@ _CONJUGATOR = ("--conjugator", {"required": True})
 
 # (subcommand, help, options besides `file` and `--json`, view) of every
 # subcommand that reads a complex, in listing order; a row without a view
-# is a group of the subcommands named after it.  `_run_view` prints
-# view(analysis, args) = (data, text).  A view calls its reports by their
-# module names, so it runs whatever `cli.*_report` is bound to when it runs.
+# is a group of the subcommands named after it.  `_run_view` prints the
+# data of view(analysis, args) = (data, render), or without --json render().
+# A view calls its reports by their module names, so it runs whatever
+# `cli.*_report` is bound to when it runs.
 FILE_COMMANDS = (
     ("link", "link of the vertex: counts, girth, poison corners", (_DOT, _HIGHLIGHT, _WEIGHTS),
      lambda a, args: _with_text(link_report(a), link_text)),

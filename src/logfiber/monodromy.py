@@ -333,7 +333,10 @@ def transition_matrix(f: Automorphism) -> TransitionMatrix:
     witness searched up to the Wielandt bound (n-1)^2 + 1).
 
     The digraph has an edge i -> j when entry (i, j) is positive; row i is
-    the bitset of those j, column j the bitset of those i."""
+    the bitset of those j, column j the bitset of those i.  An empty basis
+    has no matrix to classify and is refused."""
+    if not f.basis:
+        raise InputError("the fiber-loop basis is empty; there is no transition matrix to classify")
     order = [loop.name for loop in f.basis]
     index = {name: i for i, name in enumerate(order)}
     n = len(order)

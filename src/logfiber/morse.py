@@ -19,8 +19,8 @@ From an admissible weight system we read off:
 
 `MorseData` holds these for one weight system, each computed once.
 `fibering_scan` reads the same values for each lattice vector from closed
-forms and builds a fiber graph only when a directional link is
-disconnected.
+forms and counts fiber components by integer union-find only when a
+directional link is disconnected.
 
 The integer lattice of zero-sum weight systems is computed exactly.  A LOG
 square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square whose
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, count, product, repeat
 from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
@@ -55,8 +55,8 @@ MAX_SCAN_VECTORS = 100_000
 # `infinite_fibering_verdict` refuses lattices with more orthants than this
 # (rank 13, about a second when no orthant fibers)
 MAX_ORTHANTS = 2**13
-# `fiber_graph` refuses fibers with more vertices plus arcs than this (the
-# torus at weights 10^5 has about 4 * 10^5 and takes about a second)
+# the fiber graph functions refuse fibers with more vertices plus arcs than
+# this (the torus at weights 10^5 has about 4 * 10^5 and takes about a second)
 MAX_FIBER_CELLS = 500_000
 
 
@@ -219,26 +219,57 @@ class FiberGraph:
     components: int
 
 
-def _point_on_path(path, level: int) -> FiberVertex:
-    """Locate the fiber point at the given height on a monotone two-letter
-    boundary path.  ``path`` lists (letter, from_height, to_height)."""
-    (l1, a1, b1), (l2, a2, b2) = path
-    if level == b1:
-        return BASE_VERTEX  # the intermediate corner is the vertex
-    if level < b1:
-        (g, s), ha, hb = l1, a1, b1
-    else:
-        (g, s), ha, hb = l2, a2, b2
-    g_weight = s * (hb - ha)  # the weight of g itself
-    sign = 1 if g_weight > 0 else -1
-    # index the point along the oriented edge g: (g, i) sits at height
-    # i * sign(weight) relative to the start of g
-    if s > 0:
-        i = (level - ha) * sign
-    else:
-        i = (level - ha + g_weight) * sign
-    assert 1 <= i <= abs(g_weight) - 1, ((g, s), level, i)
-    return (g, i)
+def _fiber_arcs(c: SquareComplex, ws: WeightSystem) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Vertex count and arcs (u, v, square, level) of the fiber graph of an
+    admissible weight system over integer point ids: 0 is the base vertex,
+    then the points (g, 1) .. (g, |w_g| - 1) of each generator in order, the
+    height rising with the index when w_g > 0 and falling when w_g < 0.  A
+    square with corner heights (0, a, a+b, b) and min corner m has an arc at
+    each level strictly between corners m and m+2, from the path through
+    corner m+1 to the one through m+3; a path meets the levels at its first
+    letter's points, the base vertex at its middle corner, then its second
+    letter's points.  Refuses more than `MAX_FIBER_CELLS` vertices plus arcs."""
+    by_level = {}  # generator -> its point ids in increasing height order
+    vertices = 1
+    for g in c.generators:
+        ids = range(vertices, vertices + abs(ws[g]) - 1)
+        by_level[g] = ids if ws[g] > 0 else ids[::-1]
+        vertices += len(ids)
+    squares = []
+    for sq in c.squares:
+        g, s = zip(*sq.boundary.letters)
+        a, b = s[0] * ws[g[0]], s[1] * ws[g[1]]
+        squares.append((sq.index, g, (0, a, a + b, b)))
+    cells = vertices + sum(abs(h[1]) + abs(h[3]) - 1 for _, _, h in squares)
+    if cells > MAX_FIBER_CELLS:
+        raise InputError(
+            f"fiber graph of {cells} vertices and arcs exceeds the limit of {MAX_FIBER_CELLS};"
+            " lower the weights"
+        )
+    arcs: list[tuple[int, int, int, int]] = []
+    for index, g, heights in squares:
+        m = heights.index(min(heights))
+        up = chain(by_level[g[m]], (0,), by_level[g[m - 3]])
+        down = chain(by_level[g[m - 1]], (0,), by_level[g[m - 2]])
+        arcs.extend(zip(up, down, repeat(index), count(heights[m] + 1)))
+    return vertices, arcs
+
+
+def fiber_components(c: SquareComplex, ws: WeightSystem, fiber: tuple | None = None) -> int:
+    """Components of the fiber graph of an admissible weight system, by
+    union-find over the integer point ids of `_fiber_arcs` (``fiber``, when
+    the caller holds them)."""
+    vertices, arcs = fiber or _fiber_arcs(c, ws)
+    parent = list(range(vertices))
+    for u, v, _, _ in arcs:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            vertices -= 1
+    return vertices
 
 
 def fiber_graph(
@@ -246,39 +277,15 @@ def fiber_graph(
 ) -> FiberGraph:
     """The preimage of the base point: one vertex per subdivision point of
     the edges plus the vertex itself, and one arc per integer level strictly
-    between each square's min and max corner heights.  Refuses fibers of
-    more than `MAX_FIBER_CELLS` vertices plus arcs, counted before building."""
+    between each square's min and max corner heights, as `_fiber_arcs`
+    lists them.  ``heights`` skips the admissibility check."""
     if heights is None:
-        heights = require_admissible(c, ws)
-    cells = 1 + sum(abs(ws[g]) - 1 for g in c.generators) + sum(h.span - 1 for h in heights)
-    if cells > MAX_FIBER_CELLS:
-        raise InputError(
-            f"fiber graph of {cells} vertices and arcs exceeds the limit of {MAX_FIBER_CELLS};"
-            " lower the weights"
-        )
-    vertices: list[FiberVertex] = [BASE_VERTEX]
-    for g in c.generators:
-        for i in range(1, abs(ws[g])):
-            vertices.append((g, i))
-    edges = []
-    for sq, h in zip(c.squares, heights):
-        letters = sq.boundary.letters
-        m = h.min_corner
-        up = [
-            (letters[m], h.heights[m], h.heights[(m + 1) % 4]),
-            (letters[(m + 1) % 4], h.heights[(m + 1) % 4], h.heights[h.max_corner]),
-        ]
-        down = [
-            ((letters[(m + 3) % 4][0], -letters[(m + 3) % 4][1]), h.heights[m], h.heights[(m + 3) % 4]),
-            ((letters[(m + 2) % 4][0], -letters[(m + 2) % 4][1]), h.heights[(m + 3) % 4], h.heights[h.max_corner]),
-        ]
-        for level in range(h.heights[m] + 1, h.heights[h.max_corner]):
-            edges.append((_point_on_path(up, level), _point_on_path(down, level), sq.index, level))
-
-    root, _ = union_find(vertices, ((u, v) for u, v, _, _ in edges))
-    components = len(set(root.values()))
-    chi = len(vertices) - len(edges)
-    return FiberGraph(vertices, edges, chi, components == 1, components)
+        require_admissible(c, ws)
+    fiber = _fiber_arcs(c, ws)
+    vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
+    edges = [(vertices[u], vertices[v], square, level) for u, v, square, level in fiber[1]]
+    components = fiber_components(c, ws, fiber)
+    return FiberGraph(vertices, edges, len(vertices) - len(edges), components == 1, components)
 
 
 class MorseData:
@@ -484,7 +491,7 @@ def fibering_scan(c: SquareComplex, bound: int, analysis: Analysis | None = None
     * when both links are connected, every level set of a primitive weight
       map is connected (Bestvina-Brady, Morse lemma), and the fiber of
       d times a primitive map is d disjoint level sets, so it has
-      gcd(weights) components; otherwise `fiber_graph` counts them.
+      gcd(weights) components; otherwise `fiber_components` counts them.
 
     Refuses scans of more than `MAX_SCAN_VECTORS` coordinate vectors."""
     if bound < 1:
@@ -538,7 +545,7 @@ def fibering_scan(c: SquareComplex, bound: int, analysis: Analysis | None = None
         if asc.components == 1 and desc.components == 1:
             components = gcd(*w)
         else:
-            components = fiber_graph(c, ws).components
+            components = fiber_components(c, ws)
         row["asc_tree"] = asc.is_tree
         row["desc_tree"] = desc.is_tree
         row["chi"] = chi  # vertex count minus arc count of the fiber graph

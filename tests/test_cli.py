@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, JSON schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -438,17 +440,118 @@ def _triple5_text():
     (_triple5_text(), "4"),
     ("generators β1 β2 a\nsquare β1 β2 β1^-1 β2^-1\nsquare a β2 a^-1 β2^-1\n", "2"),
 ])
-def test_json_output_is_byte_identical_to_dumps(tmp_path, capsys, text, bound):
+def test_json_output_is_byte_identical_to_dumps(tmp_path, text, bound):
     from logfiber import cli, parse_spec
     from logfiber.analysis import Analysis
 
     path = tmp_path / "c.log"
     path.write_text(text, encoding="utf-8")
-    assert main(["fiberings", str(path), "--bound", bound, "--json"]) == 0
-    out = capsys.readouterr().out
+    stdout = CountingStdout()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["fiberings", str(path), "--bound", bound, "--json"]) == 0
+    out = stdout.getvalue()
     data = cli.fiberings_report(Analysis(parse_spec(text)), int(bound))
     assert out == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
     if "β" in text:
         assert "β1" in out
-    else:  # several batches
-        assert sum(1 for _ in cli._JSON.iterencode(data)) > 2 * cli._JSON_BATCH
+    else:  # written row by row, never as one string
+        assert stdout.writes > len(data["table"])
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its `write` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def view_argvs(path, c):
+    """One argv per subcommand with a view in `cli.FILE_COMMANDS`, on the
+    file ``path`` holding ``c``, with every required option filled in."""
+    from logfiber import cli
+
+    values = {"--weights": ",".join(f"{g}=1" for g in c.generators), "--bound": "2",
+              "--conjugator": c.generators[0]}
+    argvs = []
+    for command, _, options, view in cli.FILE_COMMANDS:
+        if view is not None:
+            argvs.append([*command.split(), path])
+            for flag, kwargs in options:
+                if kwargs.get("required"):
+                    argvs[-1] += [flag, values[flag]]
+    return argvs
+
+
+def test_json_renders_no_text(capsys, monkeypatch, g1_file):
+    from logfiber import build_named, cli
+
+    def refuse(*args):
+        raise AssertionError("a text report was rendered")
+
+    for name in dir(cli):
+        if name.endswith("_text") and not name.startswith("_"):
+            monkeypatch.setattr(cli, name, refuse)
+    argvs = view_argvs(g1_file, build_named("g1"))
+    assert len(argvs) == len(cli.VIEWS)
+    for argv in argvs:
+        assert main(argv + ["--json"]) == 0, argv
+        json.loads(capsys.readouterr().out)
+    assert main(argvs[0]) == 2  # without --json the patched renderer runs
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "gf", "torus", "triple5"])
+def test_json_stdout_is_dumps_of_view_data(tmp_path, capsys, name):
+    from logfiber import build_named, cli, parse_spec
+    from logfiber.analysis import Analysis
+    from logfiber.errors import InputError
+
+    text = _triple5_text() if name == "triple5" else build_named(name).render()
+    path = tmp_path / f"{name}.log"
+    path.write_text(text, encoding="utf-8")
+    parser = cli.build_parser()
+    written = 0
+    for argv in view_argvs(str(path), parse_spec(text)):
+        status = main(argv + ["--json"])
+        out = capsys.readouterr().out
+        args = parser.parse_args(argv + ["--json"])
+        try:
+            data, _ = args.view(Analysis(parse_spec(text)), args)
+        except InputError:
+            assert (status, out) == (1, ""), argv
+            continue
+        assert status == 0 and out == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+        written += 1
+    assert written >= 8  # gf has no fiber-loop basis at unit weights
+
+
+def test_link_rejects_a_bad_weight_spec(capsys, g2_file):
+    for mode in ([], ["--json"]):
+        assert main(["link", g2_file, "--weights", "zz=1"] + mode) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'zz' is neither a generator nor a stem of the complex" in captured.err
+
+
+def test_link_output_does_not_depend_on_a_valid_weight_spec(capsys, g2_file):
+    for mode in ([], ["--json"]):
+        assert main(["link", g2_file] + mode) == 0
+        plain = capsys.readouterr().out
+        assert main(["link", g2_file, "--weights", "a=2,b=-3"] + mode) == 0
+        assert capsys.readouterr().out == plain
+
+
+def test_transition_refuses_an_empty_basis(tmp_path, capsys):
+    path = tmp_path / "free.log"
+    path.write_text("generators a\n", encoding="utf-8")
+    for mode in ([], ["--json"]):
+        assert main(["transition", str(path), "--conjugator", "a"] + mode) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("the fiber-loop basis is empty; there is no transition matrix to classify"
+                in captured.err)
+    assert main(["reducible-witness", str(path), "--conjugator", "a"]) == 0
+    assert capsys.readouterr().out.startswith("no invariant free-factor witness")

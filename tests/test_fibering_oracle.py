@@ -23,7 +23,8 @@ from logfiber import (
     weight_lattice,
 )
 from logfiber.analysis import Analysis
-from logfiber.morse import MorseData, _combine_basis
+from logfiber.complexes import union_find
+from logfiber.morse import BASE_VERTEX, MorseData, _combine_basis, corner_heights, fiber_components
 
 
 def reference_scan(c, bound):
@@ -205,3 +206,48 @@ def test_links_built_once_per_sign_vector():
     signs = {tuple(w > 0 for w in r["weights"].values()) for r in rows if r["admissible"]}
     assert len(rows) >= 50 * len(signs)
     assert set(a._sign_links) == signs
+
+
+def reference_fiber_edges(c, ws):
+    """Each arc of the fiber graph from its definition: at every integer
+    level strictly between a square's min and max corner heights, the
+    points where the boundary paths through its two middle corners cross
+    that level.  Point (g, i) sits i * sign(w_g) above the origin of g."""
+    edges = []
+    for sq in c.squares:
+        h = corner_heights(sq, ws)
+        for level in range(h.heights[h.min_corner] + 1, h.heights[h.max_corner]):
+            ends = []
+            for middle in ((h.min_corner + 1) % 4, (h.min_corner + 3) % 4):
+                if h.heights[middle] == level:
+                    ends.append(BASE_VERTEX)
+                    continue
+                for j in range(4):  # letter j runs from corner j to corner j + 1
+                    a, b = h.heights[j], h.heights[(j + 1) % 4]
+                    if middle in (j, (j + 1) % 4) and min(a, b) < level < max(a, b):
+                        g, s = sq.boundary.letters[j]
+                        origin = a if s > 0 else b
+                        ends.append((g, (level - origin) * (1 if ws[g] > 0 else -1)))
+            edges.append((*ends, sq.index, level))
+    return edges
+
+
+def test_fiber_graph_and_component_count_match_references():
+    # `fiber_graph` takes its arcs and component count from the integer ids
+    # of `morse._fiber_arcs`, so they are checked against the definition and
+    # against a union-find over tuple vertices
+    gf_rows = g2_mixed_rows = 0
+    for c in NAMED + RANDOM:
+        for row in fibering_scan(c, 3):
+            if not row["admissible"]:
+                continue
+            ws = row["weights"]
+            fiber = fiber_graph(c, ws)
+            assert fiber.edges == reference_fiber_edges(c, ws), (c.render(), ws)
+            root, _ = union_find(fiber.vertices, ((u, v) for u, v, _, _ in fiber.edges))
+            components = len(set(root.values()))
+            assert fiber_components(c, ws) == components == row["components"], (c.render(), ws)
+            gf_rows += c is NAMED[2]
+            g2_mixed_rows += c is NAMED[1] and len({w > 0 for w in ws.values()}) == 2
+    # every admissible gf row and every mixed-sign g2 row at bound 3
+    assert (gf_rows, g2_mixed_rows) == (36, 18)

@@ -18,6 +18,7 @@ from logfiber import (
     invariant_factor_witnesses,
     invert,
     kernel_basis,
+    parse_spec,
     parse_weight_spec,
     rewrite_to_basis,
     signed_weight,
@@ -444,3 +445,12 @@ def test_witness_certificates_verify(g1):
         for name in subset:
             moved = (conj.inverse() * auto.images[name] * conj).free_reduce()
             assert moved.support() <= allowed
+
+
+def test_transition_matrix_refuses_an_empty_basis():
+    c = parse_spec("generators a\n")
+    auto = conjugation_automorphism("a", c, unit_weights(c))
+    assert auto.basis == []
+    with pytest.raises(InputError, match="the fiber-loop basis is empty"):
+        transition_matrix(auto)
+    assert list(invariant_factor_witnesses(auto)) == []
