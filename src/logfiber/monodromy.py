@@ -13,25 +13,32 @@ Greek letter in order of first appearance, digits kept), e.g. the square
 letters (the attached relator squares) are named γ.
 
 Rewriting a weight-zero word into the basis is peak reduction driven by
-the directional-link trees:
+the directional-link trees.  Their vertex sets are disjoint (a
+direction-end ascends for one sign of its weight and descends for the
+other), so one table holds both: each square's max-corner edge (descending
+tree) and min-corner edge (ascending tree), in both directions.  Directed
+edge ``(from, to)`` maps to the letter ``x`` entering ``from``, the other
+three letters of the square's boundary in the order whose product equals
+``x`` (the last one enters ``to``), and the square's signed basis letter.
 
 * Phase 1 (flattening): while the height profile leaves {0, 1}, take the
-  leftmost extreme peak (or valley), join its two downward (upward)
-  directions through the descending (ascending) tree, and cross the first
-  corner on that path by replacing the entering letter with the
-  complementary three-letter path around that corner's square.  Each step
-  moves the extreme point one tree edge closer; the profile measure
-  strictly decreases.
+  leftmost highest point while the top is at least 2, else the leftmost
+  lowest; join the directions on its two sides through their tree, and
+  replace the entering letter by the rest of the square of the first edge
+  on that path.  Each step moves the extreme point one tree edge closer;
+  the profile measure strictly decreases.
 
 * Phase 2 (harvesting): a flat word is a concatenation of unit peaks
   ``x . y``; walking the descending tree from the reverse direction of
-  ``x`` to the direction of ``y`` emits one signed basis letter per corner
-  crossed until the pair cancels.
+  ``x`` to the direction of ``y`` emits the basis letter of each edge
+  crossed and leaves by its replacement's last letter, until the pair
+  cancels.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -44,6 +51,9 @@ from .morse import WeightSystem
 from .words import Letter, Word, generator_stem, inverse_letter, signed_weight
 
 _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
+
+# (letter entering `from`, the rest of the square's boundary, signed basis letter)
+Crossing = tuple[Letter, tuple[Letter, Letter, Letter], Letter]
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,14 @@ def _conjugator_of(boundary: Word) -> str | None:
     return None
 
 
+def _loop_name(boundary: Word, greek: dict[str, str]) -> str:
+    conj = _conjugator_of(boundary)
+    if conj is None:
+        return "γ"
+    stem = generator_stem(conj)
+    return greek[stem] + conj[len(stem):]
+
+
 class MonodromyContext:
     """Shared data for rewriting over one complex and unit weight system."""
 
@@ -82,68 +100,44 @@ class MonodromyContext:
 
         greek = {stem: _GREEK[i] if i < len(_GREEK) else f"x{i}"
                  for i, stem in enumerate(c.stems())}
-
-        loops: list[BasisLoop] = []
-        names: list[str] = []
-        for sq, h in zip(c.squares, heights):
-            letters = sq.boundary.letters
-            m = h.min_corner
-            rotated = tuple(letters[(m + i) % 4] for i in range(4))
-            rep = Word._of((rotated[1], rotated[2]))
-            conj = _conjugator_of(sq.boundary)
-            if conj is not None:
-                name = greek[generator_stem(conj)] + conj[len(generator_stem(conj)):]
-            else:
-                name = "γ"
-            names.append(name)
-            loops.append(BasisLoop(sq.index, name, rep, rotated))
-        # disambiguate clashes deterministically by square id
-        duplicated = {n for n in names if names.count(n) > 1}
+        names = [_loop_name(sq.boundary, greek) for sq in c.squares]
+        clashes = Counter(names)
         used: set[str] = set()
-        final: list[str] = []
-        for loop, name in zip(loops, names):
-            if name in duplicated or name in used:
-                name = f"{name}{loop.square}"
+        self.basis: list[BasisLoop] = []
+        # both trees: end -> {neighbour end: crossing of that directed edge}
+        self._crossings: dict[End, dict[End, Crossing]] = {
+            v: {} for v in (*asc.vertices, *desc.vertices)
+        }
+        # tree end -> `_routes` toward it
+        self._route_cache: dict[End, dict[End, tuple[End, int]]] = {}
+        for sq, h, name in zip(c.squares, heights, names):
+            # disambiguate clashes deterministically by square id
+            if clashes[name] > 1 or name in used:
+                name = f"{name}{sq.index}"
                 while name in used:
                     name += "x"
             used.add(name)
-            final.append(name)
-        self.basis = [
-            BasisLoop(loop.square, name, loop.rep, loop.rotated)
-            for loop, name in zip(loops, final)
-        ]
-        self.by_name = {loop.name: loop for loop in self.basis}
+            m = h.min_corner
+            rotated = sq.boundary.letters[m:] + sq.boundary.letters[:m]
+            self.basis.append(BasisLoop(sq.index, name, Word._of(rotated[1:3]), rotated))
+            e1, e2, e3, e4 = rotated
+            i1, i2, i3, i4 = map(inverse_letter, rotated)
+            # e1 e2 e3 e4 = 1 makes each entering letter x equal to its rest
+            # and to loop^s . rest[-1]; the max corner's edge (the first two
+            # rows) lies in the descending tree, the min corner's in the ascending
+            for x, rest, s in ((e2, (i1, i4, i3), 1), (i3, (e4, e1, e2), -1),
+                               (e4, (i3, i2, i1), -1), (i1, (e2, e3, e4), 1)):
+                frm, to = arrival_end(x), arrival_end(rest[-1])
+                assert to not in self._crossings[frm], "parallel tree edges"
+                self._crossings[frm][to] = (x, rest, (name, s))
 
-        # tree adjacency: direction-end -> {neighbor end: square}
-        self.desc_adj: dict[End, dict[End, int]] = {v: {} for v in desc.vertices}
-        self.asc_adj: dict[End, dict[End, int]] = {v: {} for v in asc.vertices}
-        # harvesting across descending edge (from, to): the letter that must
-        # arrive at `from`, the basis letter emitted, the letter arriving at `to`
-        self._crossing: dict[tuple[End, End], tuple[Letter, Letter, Letter]] = {}
-        for loop in self.basis:
-            e1, e2, e3, e4 = loop.rotated
-            a, b = arrival_end(e2), departure_end(e3)
-            assert b not in self.desc_adj[a], "parallel descending edges"
-            self.desc_adj[a][b] = loop.square
-            self.desc_adj[b][a] = loop.square
-            self._crossing[a, b] = (e2, (loop.name, 1), inverse_letter(e3))
-            self._crossing[b, a] = (inverse_letter(e3), (loop.name, -1), e2)
-            a, b = arrival_end(e4), departure_end(e1)
-            assert b not in self.asc_adj[a], "parallel ascending edges"
-            self.asc_adj[a][b] = loop.square
-            self.asc_adj[b][a] = loop.square
-        self.loop_of_square = {loop.square: loop for loop in self.basis}
-        # per tree (keyed by its adjacency): target end -> `_routes` toward it
-        self._route_cache: dict[int, dict[End, dict[End, tuple[End, int]]]] = {
-            id(self.desc_adj): {}, id(self.asc_adj): {},
-        }
-
-    def _routes(self, adj: dict[End, dict[End, int]], to: End) -> dict[End, tuple[End, int]]:
+    def _routes(self, frm: End, to: End) -> dict[End, tuple[End, int]]:
         """End -> (next end toward ``to``, tree distance to ``to``), from one
-        full BFS rooted at ``to``, built the first time ``to`` is asked for."""
-        cache = self._route_cache[id(adj)]
-        routes = cache.get(to)
+        full BFS rooted at ``to``, built the first time ``to`` is asked for;
+        ``frm`` must lie in the same tree."""
+        routes = self._route_cache.get(to)
         if routes is None:
+            adj = self._crossings
             routes = {to: (to, 0)}
             frontier = [to]
             dist = 0
@@ -157,15 +151,10 @@ class MonodromyContext:
                             routes[w] = step
                             nxt.append(w)
                 frontier = nxt
-            cache[to] = routes
-        return routes
-
-    def _next_hop(self, adj: dict[End, dict[End, int]], frm: End, to: End) -> tuple[End, int]:
-        route = self._routes(adj, to).get(frm)
-        if route is None:
+            self._route_cache[to] = routes
+        if frm not in routes:
             raise AssertionError(f"no tree path from {frm} to {to}")
-        hop = route[0]
-        return hop, adj[frm][hop]
+        return routes
 
     # -- peak reduction ------------------------------------------------
 
@@ -182,33 +171,14 @@ class MonodromyContext:
             top, bottom = max(h), min(h)
             if top <= 1 and bottom >= 0:
                 return letters
-            if top >= 2:
-                j = h.index(top)
-                x, y = letters[j - 1], letters[j]
-                d_left, d_right = arrival_end(x), departure_end(y)
-                assert d_left != d_right, "free reduction missed a cancelling peak"
-                _, square = self._next_hop(self.desc_adj, d_left, d_right)
-                e1, e2, e3, e4 = self.loop_of_square[square].rotated
-                if d_left == arrival_end(e2):
-                    assert x == e2, (x, e2)
-                    replacement = [inverse_letter(e1), inverse_letter(e4), inverse_letter(e3)]
-                else:
-                    assert d_left == departure_end(e3) and x == inverse_letter(e3), (x, e3)
-                    replacement = [e4, e1, e2]
-            else:
-                j = h.index(bottom)
-                x, y = letters[j - 1], letters[j]
-                d_left, d_right = arrival_end(x), departure_end(y)
-                assert d_left != d_right, "free reduction missed a cancelling valley"
-                _, square = self._next_hop(self.asc_adj, d_left, d_right)
-                e1, e2, e3, e4 = self.loop_of_square[square].rotated
-                if d_left == arrival_end(e4):
-                    assert x == e4, (x, e4)
-                    replacement = [inverse_letter(e3), inverse_letter(e2), inverse_letter(e1)]
-                else:
-                    assert d_left == departure_end(e1) and x == inverse_letter(e1), (x, e1)
-                    replacement = [e2, e3, e4]
-            letters[j - 1:j] = replacement
+            j = h.index(top if top >= 2 else bottom)
+            x, y = letters[j - 1], letters[j]
+            d_left, d_right = arrival_end(x), departure_end(y)
+            assert d_left != d_right, "free reduction missed a cancelling peak or valley"
+            hop = self._routes(d_left, d_right)[d_left][0]
+            entering, rest, _ = self._crossings[d_left][hop]
+            assert x == entering, (x, entering)
+            letters[j - 1:j] = rest
             letters = list(Word._of(tuple(letters)).free_reduce())
         raise AssertionError("peak reduction did not terminate")
 
@@ -218,32 +188,34 @@ class MonodromyContext:
             raise InputError(f"cannot rewrite {word}: weight is nonzero")
         letters = self._flatten(list(word))
         out: list[Letter] = []
-        i = 0
-        while i < len(letters):
+        for i in range(0, len(letters), 2):
             x, y = letters[i], letters[i + 1]
             d_left, d_right = arrival_end(x), departure_end(y)
-            routes = self._routes(self.desc_adj, d_right)
-            if d_left not in routes:
-                raise AssertionError(f"no tree path from {d_left} to {d_right}")
+            routes = self._routes(d_left, d_right)
             # each corner crossed moves d_left one tree edge closer to d_right
             for remaining in range(routes[d_left][1], 0, -1):
                 hop = routes[d_left][0]
-                entering, letter, leaving = self._crossing[d_left, hop]
+                entering, rest, letter = self._crossings[d_left][hop]
                 assert x == entering, (x, entering)
                 out.append(letter)
-                x, d_left = leaving, hop
+                x, d_left = rest[-1], hop
                 assert routes[d_left][1] == remaining - 1, (d_left, remaining)
             assert d_left == d_right and x == inverse_letter(y), (x, y)
-            i += 2
         return Word._of(tuple(out)).free_reduce()
 
     def push_to_generators(self, basis_word: Word) -> Word:
         """Substitute each basis letter by its representative (free-reduced)."""
-        out = Word()
-        for name, s in basis_word:
-            rep = self.by_name[name].rep
-            out = out * (rep if s > 0 else rep.inverse())
-        return out.free_reduce()
+        return _substitute(basis_word, {loop.name: loop.rep for loop in self.basis})
+
+
+def _substitute(word: Word, images: dict[str, Word]) -> Word:
+    """Each letter of ``word`` replaced by its image (inverted for an
+    inverse letter), free-reduced."""
+    letters: list[Letter] = []
+    for name, s in word:
+        image = images[name]
+        letters += image.letters if s > 0 else image.inverse().letters
+    return Word._of(tuple(letters)).free_reduce()
 
 
 @dataclass
@@ -300,13 +272,7 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     """f after g: substitute f's images into g's image words."""
     if [l.name for l in f.basis] != [l.name for l in g.basis]:
         raise InputError("cannot compose automorphisms over different bases")
-    images = {}
-    for name, word in g.images.items():
-        out = Word()
-        for letter, s in word:
-            image = f.images[letter]
-            out = out * (image if s > 0 else image.inverse())
-        images[name] = out.free_reduce()
+    images = {name: _substitute(word, f.images) for name, word in g.images.items()}
     conjugator = (f.conjugator * g.conjugator).free_reduce()
     weight = signed_weight(conjugator, f.context.weights)
     return Automorphism(images, conjugator, "monodromy" if weight else "inner", f.context)

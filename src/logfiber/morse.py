@@ -579,8 +579,8 @@ def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None
     if rank < 2:
         out["reason"] = "weight lattice has rank < 2"
         return out
-    # the affine condition is linear, so it holds lattice-wide iff it holds
-    # on every basis vector (zero weights are fine for this check)
+    # the affine condition is linear, so it holds lattice-wide iff it holds on
+    # every basis vector; with no zero weight it makes a representative admissible
     for sq in c.squares:
         letters = sq.boundary.letters
         for b in basis:
@@ -606,8 +606,6 @@ def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None
                 representative = ws
                 break
         if representative is None:
-            continue
-        if not analysis.morse_data(representative).admissibility.admissible:
             continue
         asc, desc = analysis.sign_links(representative)
         if asc.is_tree and desc.is_tree:

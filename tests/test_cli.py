@@ -429,6 +429,27 @@ def test_import_cli_leaves_numpy_unloaded(g2_file):
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["fiberings", "--bound", "40", "--json"], 2),
+    (["fiberings", "--bound", "40"], 2),
+    (["analyze"], 0),
+], ids=["json", "text", "buffered"])
+def test_reader_leaving_early_ends_quietly(g2_file, argv, lines):
+    # `logfiber fiberings g2.log --bound 40 --json | head -2`: both fiberings
+    # reports far outgrow a pipe buffer, so a write meets the closed pipe; the
+    # small analyze report is still buffered when the pipe closes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "logfiber", argv[0], g2_file, *argv[1:]],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
 def _triple5_text():
     from logfiber import build_lot_family, combine
 

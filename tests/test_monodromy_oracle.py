@@ -2,10 +2,13 @@
 references.
 
 `reference_witnesses` conjugates every image of every subset by each
-candidate prefix and free-reduces the result; `ReferenceContext` runs a
-fresh breadth-first search for every tree hop and walks the harvest until
-the two directions meet.  Both are slow and follow the definitions, so the
-library must give exactly their witnesses and basis words.
+candidate prefix and free-reduces the result.  `ReferenceContext` keeps one
+adjacency per directional-link tree, built from `directional_links`, runs a
+fresh breadth-first search for every tree hop, rebuilds each peak's or
+valley's replacement from the square's rotated boundary, and walks the
+harvest until the two directions meet.  Both are slow and follow the
+definitions, so the library must give exactly their witnesses and basis
+words.
 """
 
 import random
@@ -27,10 +30,12 @@ from logfiber import (
     invariant_factor_witness,
     invariant_factor_witnesses,
     invert,
+    parse_weight_spec,
     signed_weight,
     unit_weights,
 )
 from logfiber.links import arrival_end, departure_end
+from logfiber.morse import directional_links
 from logfiber.words import inverse_letter
 
 
@@ -74,8 +79,23 @@ def reference_witnesses(f):
     return witnesses
 
 
-class ReferenceContext(MonodromyContext):
-    """Peak reduction with a new BFS per hop and an unbounded harvest walk."""
+class ReferenceContext:
+    """Peak reduction over one adjacency per directional-link tree, with a
+    new BFS per hop, separate peak and valley steps, and an unbounded
+    harvest walk.  Only the basis comes from the library."""
+
+    def __init__(self, c, ws):
+        self.weights = dict(ws)
+        self.basis = MonodromyContext(c, ws).basis
+        self.loop_of_square = {loop.square: loop for loop in self.basis}
+        asc, desc = directional_links(c, ws)
+        self.asc_adj, self.desc_adj = (
+            {v: {} for v in link.vertices} for link in (asc, desc)
+        )
+        for link, adj in ((asc, self.asc_adj), (desc, self.desc_adj)):
+            for edge in link.edges:
+                a, b = edge.ends
+                adj[a][b] = adj[b][a] = edge.square
 
     def _next_hop(self, adj, frm, to):
         parent = {to: to}
@@ -94,6 +114,45 @@ class ReferenceContext(MonodromyContext):
             raise AssertionError(f"no tree path from {frm} to {to}")
         hop = parent[frm]
         return hop, adj[frm][hop]
+
+    def _flatten(self, letters):
+        letters = list(Word(letters).free_reduce())
+        for _ in range(100_000):
+            h = [0]
+            for g, s in letters:
+                h.append(h[-1] + s * self.weights[g])
+            top, bottom = max(h), min(h)
+            if top <= 1 and bottom >= 0:
+                return letters
+            if top >= 2:
+                j = h.index(top)
+                x, y = letters[j - 1], letters[j]
+                d_left, d_right = arrival_end(x), departure_end(y)
+                assert d_left != d_right
+                _, square = self._next_hop(self.desc_adj, d_left, d_right)
+                e1, e2, e3, e4 = self.loop_of_square[square].rotated
+                if d_left == arrival_end(e2):
+                    assert x == e2, (x, e2)
+                    replacement = [inverse_letter(e1), inverse_letter(e4), inverse_letter(e3)]
+                else:
+                    assert d_left == departure_end(e3) and x == inverse_letter(e3), (x, e3)
+                    replacement = [e4, e1, e2]
+            else:
+                j = h.index(bottom)
+                x, y = letters[j - 1], letters[j]
+                d_left, d_right = arrival_end(x), departure_end(y)
+                assert d_left != d_right
+                _, square = self._next_hop(self.asc_adj, d_left, d_right)
+                e1, e2, e3, e4 = self.loop_of_square[square].rotated
+                if d_left == arrival_end(e4):
+                    assert x == e4, (x, e4)
+                    replacement = [inverse_letter(e3), inverse_letter(e2), inverse_letter(e1)]
+                else:
+                    assert d_left == departure_end(e1) and x == inverse_letter(e1), (x, e1)
+                    replacement = [e2, e3, e4]
+            letters[j - 1:j] = replacement
+            letters = list(Word(letters).free_reduce())
+        raise AssertionError("peak reduction did not terminate")
 
     def rewrite(self, word):
         assert signed_weight(word, self.weights) == 0
@@ -210,9 +269,8 @@ def test_witnesses_match_reference_on_random_automorphisms():
     assert found >= 100 and conjugated >= 20
 
 
-def conjugated_loops(c, rng, count):
+def conjugated_loops(c, ws, rng, count):
     """Basis-loop reps conjugated by random words of weight -1, 0 and +1."""
-    ws = unit_weights(c)
     words = []
     while len(words) < count:
         t = Word(random_reduced_word(rng, c.generators, rng.randint(0, 5)))
@@ -221,14 +279,24 @@ def conjugated_loops(c, rng, count):
     return words
 
 
-@pytest.mark.parametrize("name", ["g1", "g2", "mixed", "wedge7", "lot8"])
-def test_rewrite_matches_reference(name):
+# unit weights on the bench cases, and the mixed signs of
+# test_mixed_sign_unit_weights, where peaks and valleys swap trees
+REWRITE_CASES = [pytest.param(name, None, id=name)
+                 for name in ("g1", "g2", "mixed", "wedge7", "lot8")] + [
+    pytest.param(name, spec, id=f"{name}-{spec}")
+    for name, spec in (("g1", "a=1,b=-1"), ("g1", "a=-1,b=1"), ("g1", "a=-1,b=-1"),
+                       ("g2", "a=-1,b=-1"))
+]
+
+
+@pytest.mark.parametrize("name, spec", REWRITE_CASES)
+def test_rewrite_matches_reference(name, spec):
     c = BENCH_CASES[name][0]()
-    ws = unit_weights(c)
+    ws = unit_weights(c) if spec is None else parse_weight_spec(spec, c)
     ctx, ref = MonodromyContext(c, ws), ReferenceContext(c, ws)
-    rng = random.Random(f"rewrite {name}")
+    rng = random.Random(f"rewrite {name}" if spec is None else f"rewrite {name} {spec}")
     weights = set()
-    for t in conjugated_loops(c, rng, 12):
+    for t in conjugated_loops(c, ws, rng, 12):
         weights.add(signed_weight(t, ws))
         for loop in ctx.basis:
             word = (t * loop.rep * t.inverse()).free_reduce()
