@@ -292,12 +292,12 @@ def _basis(ctx: monodromy.MonodromyContext) -> dict:
     }
 
 
-def _automorphism(a: Analysis, ws: morse.WeightSystem, t: Word | str) -> monodromy.Automorphism:
-    """Conjugation by ``t`` over a context built from ``a``.  A conjugator
-    given as text is parsed after the context is built, so `monodromy`
-    reports an unusable complex before a malformed conjugator."""
+def _automorphism(a: Analysis, ws: morse.WeightSystem, t: str, **options) -> monodromy.Automorphism:
+    """Conjugation by ``t`` over a context built from ``a``.  The conjugator
+    is parsed after the context is built, so an unusable complex is
+    reported before a malformed conjugator."""
     ctx = monodromy.MonodromyContext(a.complex, ws, a)
-    return monodromy.conjugation_automorphism(t, a.complex, ws, context=ctx)
+    return monodromy.conjugation_automorphism(t, a.complex, ws, context=ctx, **options)
 
 
 def monodromy_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
@@ -323,7 +323,7 @@ def monodromy_text(data: dict) -> str:
 
 
 def transition_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
-    tm = monodromy.transition_matrix(_automorphism(a, ws, Word.parse(conjugator)))
+    tm = monodromy.transition_matrix(_automorphism(a, ws, conjugator))
     return {
         "basis": tm.order,
         "matrix": [list(row) for row in tm.matrix],
@@ -346,7 +346,7 @@ def transition_text(data: dict) -> str:
 
 
 def reducible_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
-    auto = _automorphism(a, ws, Word.parse(conjugator))
+    auto = _automorphism(a, ws, conjugator, for_witness_search=True)
     witnesses = [
         {"subset": list(subset), "conjugator": str(word)}
         for subset, word in monodromy.invariant_factor_witnesses(auto)

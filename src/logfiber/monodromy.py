@@ -21,11 +21,15 @@ edge ``(from, to)`` maps to the letter ``x`` entering ``from``, the other
 three letters of the square's boundary in the order whose product equals
 ``x`` (the last one enters ``to``), and the square's signed basis letter.
 
+Each tree is rooted once, on the first route request: the first hop from
+``u`` toward ``v`` is ``u``'s parent, or the child whose DFS entry interval
+holds ``v``; a whole path climbs both ends by depth until they meet.
+
 * Phase 1 (flattening): while the height profile leaves {0, 1}, take the
   leftmost highest point while the top is at least 2, else the leftmost
-  lowest; join the directions on its two sides through their tree, and
-  replace the entering letter by the rest of the square of the first edge
-  on that path.  Each step moves the extreme point one tree edge closer;
+  lowest; splice the rest of the square of the first edge toward the other
+  side over the entering letter, in place, cancelling only at the splice's
+  two junctions.  Each step moves the extreme point one tree edge closer;
   the profile measure strictly decreases.
 
 * Phase 2 (harvesting): a flat word is a concatenation of unit peaks
@@ -38,6 +42,7 @@ three letters of the square's boundary in the order whose product equals
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -108,8 +113,8 @@ class MonodromyContext:
         self._crossings: dict[End, dict[End, Crossing]] = {
             v: {} for v in (*asc.vertices, *desc.vertices)
         }
-        # tree end -> `_routes` toward it
-        self._route_cache: dict[End, dict[End, tuple[End, int]]] = {}
+        # by `_tree`: end -> [parent, depth, entry, exit, root, children's entries, children]
+        self._rooting: dict[End, list] | None = None
         for sq, h, name in zip(c.squares, heights, names):
             # disambiguate clashes deterministically by square id
             if clashes[name] > 1 or name in used:
@@ -131,55 +136,85 @@ class MonodromyContext:
                 assert to not in self._crossings[frm], "parallel tree edges"
                 self._crossings[frm][to] = (x, rest, (name, s))
 
-    def _routes(self, frm: End, to: End) -> dict[End, tuple[End, int]]:
-        """End -> (next end toward ``to``, tree distance to ``to``), from one
-        full BFS rooted at ``to``, built the first time ``to`` is asked for;
-        ``frm`` must lie in the same tree."""
-        routes = self._route_cache.get(to)
-        if routes is None:
-            adj = self._crossings
-            routes = {to: (to, 0)}
-            frontier = [to]
-            dist = 0
-            while frontier:
-                dist += 1
-                nxt = []
-                for v in frontier:
-                    step = (v, dist)
-                    for w in adj[v]:
-                        if w not in routes:
-                            routes[w] = step
-                            nxt.append(w)
-                frontier = nxt
-            self._route_cache[to] = routes
-        if frm not in routes:
-            raise AssertionError(f"no tree path from {frm} to {to}")
-        return routes
+    def _tree(self, u: End, v: End) -> dict[End, list]:
+        """The trees of `_crossings`, rooted on the first call, after checking that
+        ``u`` and ``v`` share one.  Entries are DFS preorder: ``w``'s subtree is entry..exit-1."""
+        rooting = self._rooting
+        if rooting is None:
+            rooting = self._rooting = {}
+            order: list[End] = []
+            for root in self._crossings:
+                stack = [] if root in rooting else [(root, None)]
+                while stack:
+                    w, p = stack.pop()
+                    # a root hangs below a placeholder of depth -1 that names it
+                    up = rooting[p] if p is not None else (None, -1, 0, 0, w, [], [])
+                    rooting[w] = [p, up[1] + 1, len(order), len(order) + 1, up[4], [], []]
+                    up[5].append(len(order))
+                    up[6].append(w)
+                    order.append(w)
+                    stack += [(z, w) for z in self._crossings[w] if z not in rooting]
+            for w in reversed(order):  # a subtree's exit is its last descendant's
+                p = rooting[w][0]
+                if p is not None:
+                    rooting[p][3] = max(rooting[p][3], rooting[w][3])
+        if rooting[u][4] != rooting[v][4]:
+            raise AssertionError(f"no tree path from {u} to {v}")
+        return rooting
+
+    def _first_hop(self, u: End, v: End) -> End:
+        """The next end after ``u`` toward ``v != u``: the parent, unless ``u`` is
+        a proper ancestor of ``v``; then the child whose subtree holds ``v``."""
+        rooting = self._tree(u, v)
+        parent, _, entry, exit_, _, entries, children = rooting[u]
+        at = rooting[v][2]
+        if entry < at < exit_:
+            return children[bisect_right(entries, at) - 1]
+        return parent
+
+    def _path(self, u: End, v: End) -> list[End]:
+        """The ends after ``u`` on the tree path to ``v``: the deeper end
+        climbs until both meet."""
+        rooting = self._tree(u, v)
+        up, down = [], []
+        while u != v:
+            if rooting[u][1] >= rooting[v][1]:
+                u = rooting[u][0]
+                up.append(u)
+            else:
+                down.append(v)
+                v = rooting[v][0]
+        return up + down[::-1]
 
     # -- peak reduction ------------------------------------------------
 
-    def _profile(self, letters: list[Letter]) -> list[int]:
-        heights = [0]
-        for g, s in letters:
-            heights.append(heights[-1] + s * self.weights[g])
-        return heights
-
     def _flatten(self, letters: list[Letter]) -> list[Letter]:
+        weights = self.weights
         letters = list(Word._of(tuple(letters)).free_reduce())
+        h = [0]
+        for g, s in letters:
+            h.append(h[-1] + s * weights[g])
         for _ in range(100_000):
-            h = self._profile(letters)
-            top, bottom = max(h), min(h)
-            if top <= 1 and bottom >= 0:
+            extreme = max(h)
+            if extreme < 2 and (extreme := min(h)) >= 0:
                 return letters
-            j = h.index(top if top >= 2 else bottom)
+            j = h.index(extreme)
             x, y = letters[j - 1], letters[j]
             d_left, d_right = arrival_end(x), departure_end(y)
             assert d_left != d_right, "free reduction missed a cancelling peak or valley"
-            hop = self._routes(d_left, d_right)[d_left][0]
-            entering, rest, _ = self._crossings[d_left][hop]
+            entering, rest, _ = self._crossings[d_left][self._first_hop(d_left, d_right)]
             assert x == entering, (x, entering)
+            (g1, s1), (g2, s2), _ = rest
+            h1 = h[j - 1] + s1 * weights[g1]
+            h[j:j] = (h1, h1 + s2 * weights[g2])
             letters[j - 1:j] = rest
-            letters = list(Word._of(tuple(letters)).free_reduce())
+            # the word on each side and the square's rest are reduced, so pairs cancel
+            # only at the splice's junctions; the right one first keeps the left at j - 1
+            for i in (j + 2, j - 1):
+                while 0 < i < len(letters) and letters[i - 1] == inverse_letter(letters[i]):
+                    del letters[i - 1:i + 1]
+                    del h[i:i + 2]
+                    i -= 1
         raise AssertionError("peak reduction did not terminate")
 
     def rewrite(self, word: Word) -> Word:
@@ -191,15 +226,12 @@ class MonodromyContext:
         for i in range(0, len(letters), 2):
             x, y = letters[i], letters[i + 1]
             d_left, d_right = arrival_end(x), departure_end(y)
-            routes = self._routes(d_left, d_right)
             # each corner crossed moves d_left one tree edge closer to d_right
-            for remaining in range(routes[d_left][1], 0, -1):
-                hop = routes[d_left][0]
+            for hop in self._path(d_left, d_right):
                 entering, rest, letter = self._crossings[d_left][hop]
                 assert x == entering, (x, entering)
                 out.append(letter)
                 x, d_left = rest[-1], hop
-                assert routes[d_left][1] == remaining - 1, (d_left, remaining)
             assert d_left == d_right and x == inverse_letter(y), (x, y)
         return Word._of(tuple(out)).free_reduce()
 
@@ -251,16 +283,20 @@ def conjugation_automorphism(
     c: SquareComplex,
     ws: WeightSystem,
     context: MonodromyContext | None = None,
+    for_witness_search: bool = False,
 ) -> Automorphism:
     """The automorphism of the fiber kernel induced by conjugation with a
     word of weight -1, 0 or +1 (a monodromy for weight +-1, an inner twist
-    of the kernel for weight 0)."""
+    of the kernel for weight 0).  ``for_witness_search`` refuses a basis too
+    large for `invariant_factor_witnesses` before rewriting it."""
     if isinstance(t, str):
         t = Word.parse(t)
     ctx = context if context is not None else MonodromyContext(c, ws)
     weight = signed_weight(t, ctx.weights)
     if abs(weight) > 1:
         raise InputError(f"unsupported conjugator {t}: weight {weight} not in -1..1")
+    if for_witness_search:
+        _require_searchable(len(ctx.basis))
     t_inv = t.inverse()
     images = {
         loop.name: ctx.rewrite((t * loop.rep * t_inv).free_reduce()) for loop in ctx.basis
@@ -383,6 +419,11 @@ def _least_positive_power(rows: list[int], bound: int) -> int | None:
     return below_exponent + 1 if below_exponent + 1 <= bound else None
 
 
+def _require_searchable(n: int) -> None:
+    if n > 16:
+        raise InputError(f"basis of size {n} is too large for exhaustive search")
+
+
 def _witness_search(f: Automorphism) -> Iterator[tuple[tuple[str, ...], Word]]:
     """Lazily yield every reducibility witness, smallest subsets first.
 
@@ -394,9 +435,8 @@ def _witness_search(f: Automorphism) -> Iterator[tuple[tuple[str, ...], Word]]:
     are tested at all.
     """
     names = [loop.name for loop in f.basis]
-    if len(names) > 16:
-        raise InputError(f"basis of size {len(names)} is too large for exhaustive search")
     n = len(names)
+    _require_searchable(n)
     images = [f.images[name].letters for name in names]
     bit = {name: 1 << i for i, name in enumerate(names)}
     foreign = 1 << n  # letters outside the basis: no subset allows them

@@ -576,3 +576,57 @@ def test_transition_refuses_an_empty_basis(tmp_path, capsys):
                 in captured.err)
     assert main(["reducible-witness", str(path), "--conjugator", "a"]) == 0
     assert capsys.readouterr().out.startswith("no invariant free-factor witness")
+
+
+@pytest.fixture()
+def lot17_and_gf_files(tmp_path):
+    """LOT k=17, whose 17 basis loops exceed the witness search, and gf,
+    whose unit weights give no fibration."""
+    from logfiber import build_lot_family, build_named
+
+    paths = {"lot17": tmp_path / "lot17.log", "gf": tmp_path / "gf.log"}
+    paths["lot17"].write_text(build_lot_family(17).render(), encoding="utf-8")
+    paths["gf"].write_text(build_named("gf").render(), encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+def test_reducible_witness_refuses_a_large_basis_before_rewriting(
+        capsys, monkeypatch, lot17_and_gf_files):
+    from logfiber import monodromy
+
+    def refuse(*args):
+        raise AssertionError("a basis image was rewritten")
+
+    monkeypatch.setattr(monodromy.MonodromyContext, "rewrite", refuse)
+    for mode in ([], ["--json"]):
+        argv = ["reducible-witness", lot17_and_gf_files["lot17"], "--conjugator", "a0"]
+        assert main(argv + mode) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "basis of size 17 is too large for exhaustive search" in captured.err
+
+
+@pytest.mark.parametrize("command", ["monodromy", "transition", "reducible-witness"])
+def test_monodromy_commands_report_errors_in_order(capsys, lot17_and_gf_files, command):
+    # an unusable complex, then a malformed conjugator, then its weight,
+    # then (for the witness search) the basis size
+    cases = [("gf", "a0%", "ascending link is not a tree"),
+             ("lot17", "a0%", "cannot parse letter 'a0%'"),
+             ("lot17", "a0 a0", "weight 2 not in -1..1")]
+    if command == "reducible-witness":
+        cases.append(("lot17", "a0", "basis of size 17 is too large"))
+    for name, conjugator, message in cases:
+        assert main([command, lot17_and_gf_files[name], "--conjugator", conjugator]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, (name, conjugator)
+
+
+def test_analyze_roots_no_link_tree(capsys, monkeypatch, g2_file):
+    # analyze builds a MonodromyContext for its basis only; routes are never asked for
+    from logfiber import monodromy
+
+    def refuse(*args):
+        raise AssertionError("a link tree was rooted")
+
+    monkeypatch.setattr(monodromy.MonodromyContext, "_tree", refuse)
+    assert run_json(capsys, ["analyze", g2_file])["monodromy"]["basis"]

@@ -436,6 +436,8 @@ def test_witness_search_refuses_large_bases():
         invariant_factor_witness(auto)
     with pytest.raises(InputError):
         invariant_factor_witnesses(auto)
+    with pytest.raises(InputError, match="basis of size 17 is too large"):
+        conjugation_automorphism(Word(), c, unit_weights(c), for_witness_search=True)
 
 
 def test_witness_certificates_verify(g1):

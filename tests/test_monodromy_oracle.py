@@ -1,14 +1,15 @@
-"""The bitset witness search and the cached-route rewriting against direct
-references.
+"""The bitset witness search, the rooted-tree routes and the in-place
+rewriting against direct references.
 
 `reference_witnesses` conjugates every image of every subset by each
 candidate prefix and free-reduces the result.  `ReferenceContext` keeps one
 adjacency per directional-link tree, built from `directional_links`, runs a
 fresh breadth-first search for every tree hop, rebuilds each peak's or
-valley's replacement from the square's rotated boundary, and walks the
-harvest until the two directions meet.  Both are slow and follow the
-definitions, so the library must give exactly their witnesses and basis
-words.
+valley's replacement from the square's rotated boundary, free-reduces the
+whole word after every step, and walks the harvest until the two directions
+meet.  `reference_routes` is one full breadth-first search per target end.
+All are slow and follow the definitions, so the library must give exactly
+their witnesses, routes, flat words and basis words.
 """
 
 import random
@@ -86,6 +87,7 @@ class ReferenceContext:
 
     def __init__(self, c, ws):
         self.weights = dict(ws)
+        self.flatten_steps = 0
         self.basis = MonodromyContext(c, ws).basis
         self.loop_of_square = {loop.square: loop for loop in self.basis}
         asc, desc = directional_links(c, ws)
@@ -152,6 +154,7 @@ class ReferenceContext:
                     replacement = [e2, e3, e4]
             letters[j - 1:j] = replacement
             letters = list(Word(letters).free_reduce())
+            self.flatten_steps += 1
         raise AssertionError("peak reduction did not terminate")
 
     def rewrite(self, word):
@@ -279,6 +282,14 @@ def conjugated_loops(c, ws, rng, count):
     return words
 
 
+def build_case(name):
+    return BENCH_CASES[name][0]() if name in BENCH_CASES else build_lot_family(int(name[3:]))
+
+
+def case_weights(c, spec):
+    return unit_weights(c) if spec is None else parse_weight_spec(spec, c)
+
+
 # unit weights on the bench cases, and the mixed signs of
 # test_mixed_sign_unit_weights, where peaks and valleys swap trees
 REWRITE_CASES = [pytest.param(name, None, id=name)
@@ -291,8 +302,8 @@ REWRITE_CASES = [pytest.param(name, None, id=name)
 
 @pytest.mark.parametrize("name, spec", REWRITE_CASES)
 def test_rewrite_matches_reference(name, spec):
-    c = BENCH_CASES[name][0]()
-    ws = unit_weights(c) if spec is None else parse_weight_spec(spec, c)
+    c = build_case(name)
+    ws = case_weights(c, spec)
     ctx, ref = MonodromyContext(c, ws), ReferenceContext(c, ws)
     rng = random.Random(f"rewrite {name}" if spec is None else f"rewrite {name} {spec}")
     weights = set()
@@ -307,3 +318,91 @@ def test_rewrite_matches_reference(name, spec):
             pushed = ctx.push_to_generators(rewritten)
             assert ctx.rewrite(pushed) == rewritten, (str(t), loop.name)
     assert weights == {-1, 0, 1}
+
+
+def reference_routes(adj, to):
+    """End -> (next end toward ``to``, tree distance to ``to``), from one full
+    breadth-first search rooted at ``to``."""
+    routes = {to: (to, 0)}
+    frontier = [to]
+    dist = 0
+    while frontier:
+        dist += 1
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in routes:
+                    routes[w] = (v, dist)
+                    nxt.append(w)
+        frontier = nxt
+    return routes
+
+
+# REWRITE_CASES (lot8 among them at unit weights), triple4, and LOTs at
+# a=1 and a=-1 whose trees are deep enough for long ancestor chains
+ROUTE_CASES = REWRITE_CASES + [pytest.param("triple4", None, id="triple4")] + [
+    pytest.param(f"lot{k}", spec, id=f"lot{k}-{spec}")
+    for k, spec in ((8, "a=-1"), (32, "a=1"), (32, "a=-1"), (64, "a=1"), (64, "a=-1"))
+]
+
+
+@pytest.mark.parametrize("name, spec", ROUTE_CASES)
+def test_routes_match_per_target_bfs(name, spec):
+    c = build_case(name)
+    ws = case_weights(c, spec)
+    ctx, ref = MonodromyContext(c, ws), ReferenceContext(c, ws)
+    assert ctx._rooting is None  # building the basis roots nothing
+    for adj in (ref.asc_adj, ref.desc_adj):
+        for to in adj:
+            routes = reference_routes(adj, to)
+            assert routes.keys() == adj.keys()  # one tree
+            for frm in adj:
+                path, at = [], frm
+                while at != to:
+                    at = routes[at][0]
+                    path.append(at)
+                assert ctx._path(frm, to) == path, (frm, to)
+                assert len(path) == routes[frm][1]
+                if frm != to:
+                    assert ctx._first_hop(frm, to) == routes[frm][0], (frm, to)
+    for u, v in ((next(iter(ref.asc_adj)), next(iter(ref.desc_adj))),
+                 (next(reversed(ref.desc_adj)), next(reversed(ref.asc_adj)))):
+        for route in (ctx._first_hop, ctx._path):
+            with pytest.raises(AssertionError, match="no tree path"):
+                route(u, v)
+
+
+def counting(method, calls):
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+    return counted
+
+
+# REWRITE_CASES, and LOT 32 at a=-1 under 3-letter conjugators whose long
+# words splice with cancellation at both junctions in one step, two pairs
+# deep on either side, and through the whole splice into the left word
+FLATTEN_CASES = [(*p.values, None) for p in REWRITE_CASES] + [
+    ("lot32", "a=-1", ("a2 a1 a5^-1", "a23 a8^-1 a9^-1", "a15^-1 a16^-1 a26"))
+]
+
+
+@pytest.mark.parametrize("name, spec, conjugators", FLATTEN_CASES,
+                         ids=[f"{n}-{s}" if s else n for n, s, _ in FLATTEN_CASES])
+def test_flatten_matches_reference_step_for_step(name, spec, conjugators):
+    c = build_case(name)
+    ws = case_weights(c, spec)
+    ctx, ref = MonodromyContext(c, ws), ReferenceContext(c, ws)
+    hops = []
+    ctx._first_hop = counting(ctx._first_hop, hops)  # one hop per peak step
+    if conjugators is None:
+        conjugators = conjugated_loops(c, ws, random.Random(f"flatten {name} {spec}"), 12)
+    else:
+        conjugators = map(Word.parse, conjugators)
+    for t in conjugators:
+        for loop in ctx.basis:
+            word = (t * loop.rep * t.inverse()).free_reduce()
+            del hops[:]
+            ref.flatten_steps = 0
+            assert ctx._flatten(list(word)) == ref._flatten(list(word)), (str(t), loop.name)
+            assert len(hops) == ref.flatten_steps, (str(t), loop.name)
