@@ -31,6 +31,7 @@ from .errors import InputError
 from .words import Word, check_generator_name, generator_stem
 
 NAMED_COMPLEXES = ("lot-a", "lot-b", "g1", "gf", "g2", "torus")
+MAX_LOT_K = 100_000  # a larger LOT family is refused before anything is allocated
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,12 @@ def parse_spec(text: str) -> SquareComplex:
 def build_lot_family(k: int, stem: str = "a") -> SquareComplex:
     """The k-square labeled-oriented-tree presentation: a tree on k+1
     vertices with one valence-k vertex, conjugation relations permuted as in
-    the 4-square case.  Defined for k >= 4 (smaller k breaks the link
-    condition)."""
+    the 4-square case.  Defined for 4 <= k <= MAX_LOT_K (smaller k breaks
+    the link condition)."""
     if k < 4:
         raise InputError(f"lot family needs k >= 4, got {k}")
+    if k > MAX_LOT_K:
+        raise InputError(f"lot family needs k <= MAX_LOT_K = {MAX_LOT_K}, got k = {k}")
     check_generator_name(stem + "0")
     gens = [f"{stem}{i}" for i in range(k + 1)]
     c = SquareComplex(gens, provenance=[f"lot family k={k} stem={stem}"])

@@ -15,8 +15,9 @@ for tiling a flat plane, which is what `flatness` builds on.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .complexes import Square, SquareComplex
 from .words import Letter
@@ -73,33 +74,40 @@ def square_corners(sq: Square) -> list[CornerEdge]:
 class LinkGraph:
     vertices: list[End]
     edges: list[CornerEdge]
-    _adjacency: dict[End, list[tuple[int, End]]] = field(default_factory=dict, repr=False)
-    _multiplicity: Counter = field(default_factory=Counter, repr=False)
-    _neighbors: dict[End, set[End]] = field(default_factory=dict, repr=False)
+    _neighbours: dict[End, dict[End, list[int]]] = field(default_factory=dict, repr=False)
+    _on_four_circuit: list[bool] = field(default_factory=list, repr=False)
 
-    def adjacency(self) -> dict[End, list[tuple[int, End]]]:
-        """Vertex -> list of (edge index, other endpoint)."""
-        if not self._adjacency:
-            adj: dict[End, list[tuple[int, End]]] = {v: [] for v in self.vertices}
+    def neighbours(self) -> dict[End, dict[End, list[int]]]:
+        """Vertex -> {other end of a non-loop edge: its edge indices, ascending}."""
+        if not self._neighbours:
+            near: dict[End, dict[End, list[int]]] = {v: {} for v in self.vertices}
             for i, e in enumerate(self.edges):
                 a, b = e.ends
-                adj[a].append((i, b))
                 if a != b:
-                    adj[b].append((i, a))
-            self._adjacency = adj
-        return self._adjacency
+                    near[a].setdefault(b, []).append(i)
+                    near[b].setdefault(a, []).append(i)
+            self._neighbours = near
+        return self._neighbours
 
-    def multiplicity(self) -> Counter:
-        """Unordered end pair -> number of link edges joining it."""
-        if not self._multiplicity:
-            self._multiplicity = Counter(e.pair for e in self.edges)
-        return self._multiplicity
-
-    def neighbors(self) -> dict[End, set[End]]:
-        """Vertex -> the other ends of its non-loop edges."""
-        if not self._neighbors:
-            self._neighbors = {v: {w for _, w in ws} - {v} for v, ws in self.adjacency().items()}
-        return self._neighbors
+    def on_four_circuit(self) -> list[bool]:
+        """Edge index -> is the edge on a closed 4-edge walk without immediate
+        backtracking (never a loop)?  Each end pair is decided once, from its
+        lower-degree end p: a parallel edge f closes e, f, e, f, else p, q, t, r
+        needs t near both q and some r near p, probing the smaller neighbour set."""
+        if not self._on_four_circuit:
+            near = self.neighbours()
+            on = [False] * len(self.edges)
+            for p, row in near.items():
+                for q, ids in row.items():
+                    far = near[q]
+                    if (len(row), p) > (len(far), q):
+                        continue
+                    if len(ids) > 1 or any(t != p for r in row if r != q
+                                           for t in _common(near[r], far)):
+                        for i in ids:
+                            on[i] = True
+            self._on_four_circuit = on
+        return self._on_four_circuit
 
 
 def build_link(c: SquareComplex) -> LinkGraph:
@@ -120,48 +128,54 @@ def _loops(link: LinkGraph) -> list[CornerEdge]:
 
 
 def _bigons(link: LinkGraph) -> list[tuple[CornerEdge, CornerEdge]]:
-    by_pair: dict[tuple[End, End], list[CornerEdge]] = {}
-    for e in link.edges:
-        if e.ends[0] != e.ends[1]:
-            by_pair.setdefault(e.pair, []).append(e)
+    near, edges = link.neighbours(), link.edges
     out = []
-    for group in by_pair.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                out.append((group[i], group[j]))
+    for i, e in enumerate(edges):
+        a, b = e.ends
+        ids = near[a].get(b, ())
+        if len(ids) > 1 and ids[0] == i:  # each parallel class once, by its first edge
+            out.extend((edges[j], edges[k]) for j, k in combinations(ids, 2))
     return out
 
 
 def _triangles(link: LinkGraph) -> list[tuple[CornerEdge, CornerEdge, CornerEdge]]:
-    """Triangles with edges i < j < k running a -> b -> c -> a, where
-    (a, b) are edge i's stored ends.
+    """Triangles with edges i < j < k: edge i joins a to b, edge j joins b
+    to a common neighbour c, and edge k joins c back to a.
 
-    Known defect: a triangle whose edge j meets edge i at ``a`` instead of
-    ``b`` is missed, so some links with triangles are reported large.  The
-    stored bench report hashes (``perfbench/expected.json``) were recorded
-    with this enumeration; `_has_triangle` is the complete check.
+    Known defect: one condition drops a triangle whose edge on {c, a} comes
+    before its edge on {b, c}, so some links with triangles are reported large.
+    The bench report hashes (``perfbench/expected.json``) were recorded with
+    this enumeration; `_has_triangle` is the complete check.
     """
-    adj, near = link.adjacency(), link.neighbors()
+    near, edges = link.neighbours(), link.edges
     out = []
-    n = len(link.edges)
-    for i in range(n):
-        a, b = link.edges[i].ends
+    for i, e in enumerate(edges):
+        a, b = e.ends
         if a == b:
             continue
-        for j, c_vertex in adj[b]:
-            if j <= i or c_vertex in (a, b) or a not in near[c_vertex]:
-                continue
-            for k, back in adj[c_vertex]:
-                if k <= j or back != a:
-                    continue
-                out.append((link.edges[i], link.edges[j], link.edges[k]))
+        found = []
+        for c in _common(near[a], near[b]):
+            for j in near[b][c]:
+                for k in near[c][a]:
+                    # known defect: ``j < k`` keeps only the triangles whose edge on
+                    # {b, c} comes before their edge on {c, a}; without it all are found
+                    if i < min(j, k) and j < k:
+                        found.append((min(j, k), max(j, k)))
+        out.extend((e, edges[j], edges[k]) for j, k in sorted(found))
     return out
+
+
+def _common(x: dict[End, list[int]], y: dict[End, list[int]]) -> Iterator[End]:
+    """The ends in both neighbour sets, probing the larger with the smaller."""
+    if len(x) > len(y):
+        x, y = y, x
+    return (t for t in x if t in y)
 
 
 def _has_triangle(link: LinkGraph) -> bool:
     """Do some three distinct vertices span a triangle?"""
-    near = link.neighbors()
-    return any(near[a] & near[b] for a, b in (e.ends for e in link.edges) if a != b)
+    near = link.neighbours()
+    return any(any(_common(row, near[b])) for a, row in near.items() for b in row if a < b)
 
 
 def largeness(link: LinkGraph) -> LargenessReport:
@@ -186,7 +200,7 @@ def largeness(link: LinkGraph) -> LargenessReport:
         girth = 2
     elif triangles or _has_triangle(link):
         girth = 3
-    elif any(edge_on_length_four_circuit(link, i) for i in range(len(link.edges))):
+    elif any(link.on_four_circuit()):
         # with no loops or bigons a closed non-backtracking 4-walk visits four
         # distinct vertices, so it is a simple 4-cycle
         girth = 4
@@ -196,30 +210,16 @@ def largeness(link: LinkGraph) -> LargenessReport:
     return LargenessReport(is_large=not violations, girth=girth, violations=violations)
 
 
-def edge_on_length_four_circuit(link: LinkGraph, edge_index: int) -> bool:
-    """Does this edge instance lie on a closed 4-edge walk without immediate
-    backtracking?  Loop edges never participate."""
-    e = link.edges[edge_index]
-    p, q = e.ends
-    if p == q:
-        return False
-    if link.multiplicity()[e.pair] > 1:
-        return True  # with a parallel edge f the walk e, f, e, f closes
-    # otherwise the walk p, q, r, t returns to p through four distinct vertices
-    near = link.neighbors()
-    return any((near[r] & near[p]) - {q} for r in near[q] - {p})
-
-
 def poison_corners(c: SquareComplex, link: LinkGraph | None = None) -> list[CornerEdge]:
     """Corners whose link edge lies on no length-four circuit."""
     if link is None:
         link = build_link(c)
-    return [e for i, e in enumerate(link.edges) if not edge_on_length_four_circuit(link, i)]
+    return [e for e, on in zip(link.edges, link.on_four_circuit()) if not on]
 
 
 def shortest_cycle_through(link: LinkGraph, edge_index: int) -> int | None:
     """Length of the shortest cycle using this edge instance (None if none)."""
-    adj = link.adjacency()
+    near = link.neighbours()
     a, b = link.edges[edge_index].ends
     if a == b:
         return 1
@@ -228,8 +228,8 @@ def shortest_cycle_through(link: LinkGraph, edge_index: int) -> int | None:
     while frontier and b not in dist:
         nxt = []
         for v in frontier:
-            for j, w in adj[v]:
-                if j == edge_index or w in dist:
+            for w, ids in near[v].items():
+                if w in dist or ids == [edge_index]:
                     continue
                 dist[w] = dist[v] + 1
                 nxt.append(w)

@@ -194,11 +194,15 @@ class MonodromyContext:
         h = [0]
         for g, s in letters:
             h.append(h[-1] + s * weights[g])
+        extreme = count = j = 0  # count heights equal the extreme, none left of j
         for _ in range(100_000):
-            extreme = max(h)
-            if extreme < 2 and (extreme := min(h)) >= 0:
-                return letters
-            j = h.index(extreme)
+            if count:
+                j = h.index(extreme, j)
+            else:
+                extreme = max(h)
+                if extreme < 2 and (extreme := min(h)) >= 0:
+                    return letters
+                count, j = h.count(extreme), h.index(extreme)
             x, y = letters[j - 1], letters[j]
             d_left, d_right = arrival_end(x), departure_end(y)
             assert d_left != d_right, "free reduction missed a cancelling peak or valley"
@@ -206,14 +210,22 @@ class MonodromyContext:
             assert x == entering, (x, entering)
             (g1, s1), (g2, s2), _ = rest
             h1 = h[j - 1] + s1 * weights[g1]
-            h[j:j] = (h1, h1 + s2 * weights[g2])
+            h2 = h1 + s2 * weights[g2]
+            # at unit weights a square's one top and one bottom corner are two apart, so the new
+            # heights stay below a peak, or between a valley (at most -1) and 2: while count > 0,
+            # a rescan would pick the same extreme
+            assert (max(h1, h2) < extreme if extreme >= 2
+                    else extreme < min(h1, h2) and max(h1, h2) < 2), "a step passed its extreme"
+            h[j:j] = (h1, h2)
             letters[j - 1:j] = rest
             # the word on each side and the square's rest are reduced, so pairs cancel
             # only at the splice's junctions; the right one first keeps the left at j - 1
             for i in (j + 2, j - 1):
                 while 0 < i < len(letters) and letters[i - 1] == inverse_letter(letters[i]):
                     del letters[i - 1:i + 1]
+                    count -= (h[i] == extreme) + (h[i + 1] == extreme)
                     del h[i:i + 2]
+                    j = min(j, i)  # heights left of j are unchanged, so none is the extreme
                     i -= 1
         raise AssertionError("peak reduction did not terminate")
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from logfiber.cli import SCHEMAS, main
+from logfiber.complexes import MAX_LOT_K
 
 
 @pytest.fixture()
@@ -53,6 +54,13 @@ def test_build_lot(capsys):
 def test_build_lot_bad_k(capsys):
     assert main(["build", "lot", "--k", "3"]) == 1
     assert "k >= 4" in capsys.readouterr().err
+
+
+def test_build_lot_huge_k_is_refused(capsys):
+    # only just above the limit: the check comes before any allocation
+    assert main(["build", "lot", "--k", str(MAX_LOT_K + 1)]) == 1
+    err = capsys.readouterr().err
+    assert f"k = {MAX_LOT_K + 1}" in err and f"MAX_LOT_K = {MAX_LOT_K}" in err
 
 
 def test_unknown_subcommand(capsys):

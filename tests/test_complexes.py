@@ -10,6 +10,7 @@ from logfiber import (
     parse_spec,
     signed_weight,
 )
+from logfiber.complexes import MAX_LOT_K
 from logfiber.complexes import log_square
 
 
@@ -69,6 +70,13 @@ def test_round_trip_keeps_name_line():
 def test_bad_edge_field():
     with pytest.raises(InputError):
         parse_spec("generators a b\nedge label a from=a to=b\n")
+
+
+def test_lot_family_refuses_k_above_the_limit():
+    # only just above the limit: a huge k would be refused the same way, but
+    # a regression there would try to allocate it
+    with pytest.raises(InputError, match=f"MAX_LOT_K = {MAX_LOT_K}, got k = {MAX_LOT_K + 1}"):
+        build_lot_family(MAX_LOT_K + 1)
 
 
 def test_round_trip_preserves_added_tag():

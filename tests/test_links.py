@@ -8,6 +8,8 @@ import pytest
 from logfiber import (
     add_square,
     build_link,
+    build_lot_family,
+    combine,
     export_dot,
     largeness,
     parse_spec,
@@ -15,13 +17,24 @@ from logfiber import (
     shortest_cycle_through,
     unit_weights,
 )
-from logfiber.links import format_end
+from logfiber.links import CornerEdge, LinkGraph, format_end
+
+
+def edge_adjacency(link):
+    """Vertex -> list of (edge index, other end), loops listed once."""
+    adj = {v: [] for v in link.vertices}
+    for i, e in enumerate(link.edges):
+        a, b = e.ends
+        adj[a].append((i, b))
+        if a != b:
+            adj[b].append((i, a))
+    return adj
 
 
 def closed_four_walk_edges(link):
     """Oracle: edge instances on some closed 4-edge walk without immediate
     backtracking (loop edges excluded), by global enumeration."""
-    adj = link.adjacency()
+    adj = edge_adjacency(link)
     loops = {i for i, e in enumerate(link.edges) if e.ends[0] == e.ends[1]}
     hits = set()
     walks = []
@@ -135,20 +148,14 @@ def test_poison_matches_brute_force_oracle(lot_a, gf, g2, g1, torus):
 
 
 def test_poison_matches_brute_force_on_random_complexes():
-    # repeated letters give loops, bigons and parallel edges in the link
+    # repeated letters give bigons (parallel link edges)
     rng = random.Random(4)
     for _ in range(200):
-        gens = "abcde"[: rng.randint(2, 5)]
-        squares = []
-        while len(squares) < rng.randint(1, 5):
-            letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(4)]
-            if all(letters[i - 1] != (g, -s) for i, (g, s) in enumerate(letters)):
-                squares.append(" ".join(g + ("^-1" if s < 0 else "") for g, s in letters))
-        c = squares_complex(" ".join(gens), squares)
+        c = random_squares(rng)
         link = build_link(c)
         hits, _ = closed_four_walk_edges(link)
         expected = {(e.square, e.corner) for i, e in enumerate(link.edges) if i not in hits}
-        assert {(e.square, e.corner) for e in poison_corners(c, link)} == expected, squares
+        assert {(e.square, e.corner) for e in poison_corners(c, link)} == expected, c.squares
 
 
 def test_large_links_have_honest_four_cycles(lot_a, gf, g2, g1, mixed):
@@ -267,6 +274,106 @@ def test_triangle_found_in_either_edge_order():
     report = largeness(build_link(c))
     assert report.girth == 3
     assert not report.is_large
+
+
+def reference_violations(link):
+    """Loops, bigons and triangles as the enumeration that the bench report
+    hashes were recorded with lists them: parallel classes in order of their
+    first edge, and triangles i < j < k running a -> b -> c -> a from edge
+    i's stored ends, walked over a per-edge adjacency."""
+    adj = edge_adjacency(link)
+    near = {v: {w for _, w in ws} - {v} for v, ws in adj.items()}
+    out = [{"kind": "loop", "corners": [(e.square, e.corner)], "vertices": [format_end(e.ends[0])]}
+           for e in link.edges if e.ends[0] == e.ends[1]]
+    by_pair = {}
+    for e in link.edges:
+        if e.ends[0] != e.ends[1]:
+            by_pair.setdefault(e.pair, []).append(e)
+    for group in by_pair.values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                e, f = group[i], group[j]
+                out.append({"kind": "bigon", "corners": [(e.square, e.corner), (f.square, f.corner)],
+                            "vertices": [format_end(v) for v in e.pair]})
+    for i, e in enumerate(link.edges):
+        a, b = e.ends
+        if a == b:
+            continue
+        for j, c in adj[b]:
+            if j <= i or c in (a, b) or a not in near[c]:
+                continue
+            for k, back in adj[c]:
+                if k > j and back == a:
+                    tri = (e, link.edges[j], link.edges[k])
+                    out.append({"kind": "triangle", "corners": [(f.square, f.corner) for f in tri],
+                                "vertices": sorted({format_end(v) for f in tri for v in f.ends})})
+    return out
+
+
+def wedge(k):
+    return combine(build_lot_family(k, "a"), build_lot_family(k, "b"), "a0 b2 a1^-1 b0^-1")
+
+
+def random_log(rng, hub=0.0):
+    """A random LOG on 4-9 generators; with probability ``hub`` an edge is
+    labelled by the first generator, whose two ends then carry most edges."""
+    n = rng.randint(4, 9)
+    gens = [f"a{i}" for i in range(n)]
+    lines = ["generators " + " ".join(gens)]
+    for _ in range(rng.randint(n - 1, n + 2)):
+        label = gens[0] if rng.random() < hub else rng.choice(gens)
+        frm, to = rng.sample([g for g in gens if g != label], 2)
+        lines.append(f"edge label={label} from={frm} to={to}")
+    return parse_spec("\n".join(lines) + "\n")
+
+
+def random_squares(rng):
+    """Random squares on 2-5 generators; repeated letters give bigons
+    (parallel link edges)."""
+    gens = "abcde"[: rng.randint(2, 5)]
+    squares = []
+    while len(squares) < rng.randint(1, 5):
+        letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(4)]
+        if all(letters[i - 1] != (g, -s) for i, (g, s) in enumerate(letters)):
+            squares.append(" ".join(g + ("^-1" if s < 0 else "") for g, s in letters))
+    return squares_complex(" ".join(gens), squares)
+
+
+def random_link(rng):
+    """A link graph built directly, on 2-4 generators' ends with 2-12 random
+    edges: square boundaries are cyclically reduced, so only this way does a
+    link get loop edges."""
+    vertices = [(g, sign) for g in "abcd"[: rng.randint(2, 4)] for sign in "+-"]
+    edges = [CornerEdge(n // 4, n % 4, (rng.choice(vertices), rng.choice(vertices)))
+             for n in range(rng.randint(2, 12))]
+    return LinkGraph(vertices, edges)
+
+
+def test_violations_match_reference_enumeration(g1, gf, g2, torus, mixed):
+    rng = random.Random(1015)
+    complexes = [random_log(rng, hub=0.5 * (t % 2)) for t in range(2000)]
+    complexes += [random_squares(rng) for _ in range(500)]
+    complexes += [build_lot_family(16), build_lot_family(64), wedge(8), g1, gf, g2, torus, mixed]
+    links = [build_link(c) for c in complexes] + [random_link(rng) for _ in range(500)]
+    kinds = Counter()
+    for link in links:
+        expected = reference_violations(link)
+        assert largeness(link).violations == expected
+        kinds.update({v["kind"] for v in expected})
+    assert kinds["triangle"] >= 1000 and kinds["bigon"] >= 500 and kinds["loop"] >= 100
+
+
+def test_poison_and_girth_match_brute_force_on_hub_and_loop_links():
+    rng = random.Random(806)
+    complexes = [build_lot_family(16), build_lot_family(32), wedge(8)]
+    complexes += [random_log(rng, hub=0.8) for _ in range(300)]
+    links = [build_link(c) for c in complexes] + [random_link(rng) for _ in range(300)]
+    for link in links:
+        hits, _ = closed_four_walk_edges(link)
+        expected = [e for i, e in enumerate(link.edges) if i not in hits]
+        assert poison_corners(None, link) == expected
+        assert link.on_four_circuit() is link.on_four_circuit()  # decided once per link
+        assert largeness(link).girth == brute_girth(link, cap=len(link.vertices) + 1)
 
 
 def test_export_dot(g2):

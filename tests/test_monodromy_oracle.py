@@ -13,6 +13,7 @@ their witnesses, routes, flat words and basis words.
 """
 
 import random
+import sys
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -406,3 +407,74 @@ def test_flatten_matches_reference_step_for_step(name, spec, conjugators):
             ref.flatten_steps = 0
             assert ctx._flatten(list(word)) == ref._flatten(list(word)), (str(t), loop.name)
             assert len(hops) == ref.flatten_steps, (str(t), loop.name)
+
+
+def rescanning_flatten(ctx, letters):
+    """`MonodromyContext._flatten` as it was before it resumed the search for
+    the leftmost extreme: a whole-list max, min and index before every step."""
+    weights = ctx.weights
+    letters = list(Word(letters).free_reduce())
+    h = [0]
+    for g, s in letters:
+        h.append(h[-1] + s * weights[g])
+    for _ in range(100_000):
+        extreme = max(h)
+        if extreme < 2 and (extreme := min(h)) >= 0:
+            return letters
+        j = h.index(extreme)
+        x, y = letters[j - 1], letters[j]
+        d_left, d_right = arrival_end(x), departure_end(y)
+        entering, rest, _ = ctx._crossings[d_left][ctx._first_hop(d_left, d_right)]
+        assert x == entering, (x, entering)
+        (g1, s1), (g2, s2), _ = rest
+        h1 = h[j - 1] + s1 * weights[g1]
+        h[j:j] = (h1, h1 + s2 * weights[g2])
+        letters[j - 1:j] = rest
+        for i in (j + 2, j - 1):
+            while 0 < i < len(letters) and letters[i - 1] == inverse_letter(letters[i]):
+                del letters[i - 1:i + 1]
+                del h[i:i + 2]
+                i -= 1
+    raise AssertionError("peak reduction did not terminate")
+
+
+def stepping(method, steps):
+    """Wrap `_first_hop` to record, with its ends, the position and height of
+    the peak or valley its caller is stepping from."""
+    def stepped(*args):
+        caller = sys._getframe(1).f_locals
+        steps.append((caller["j"], caller["extreme"], *args))
+        return method(*args)
+    return stepped
+
+
+# ROUTE_CASES without the LOT 64 ones, where the rescanning loop is slow
+@pytest.mark.parametrize("name, spec", [p for p in ROUTE_CASES if not p.id.startswith("lot64")])
+def test_flatten_steps_as_the_rescanning_loop(name, spec):
+    c = build_case(name)
+    ws = case_weights(c, spec)
+    ctx = MonodromyContext(c, ws)
+    steps = []
+    ctx._first_hop = stepping(ctx._first_hop, steps)
+    rng = random.Random(f"resume {name} {spec}")
+    kept = switched = 0
+    for _ in range(32):
+        # products of two conjugated loops, each conjugator of any weight, so
+        # one word can need peak steps, then valley steps (conjugators of four
+        # letters give LOT 32 words of thousands of steps, where the
+        # rescanning loop takes minutes)
+        word = Word()
+        for loop in rng.sample(ctx.basis, 2):
+            t = Word(random_reduced_word(rng, c.generators, rng.randint(1, 3)))
+            word = word * t * loop.rep * t.inverse()
+        word = list(word.free_reduce())
+        del steps[:]
+        flat = rescanning_flatten(ctx, word)
+        expected = list(steps)
+        del steps[:]
+        assert ctx._flatten(word) == flat, word
+        assert steps == expected, word
+        heights = [step[1] for step in steps]
+        kept += sum(a == b for a, b in zip(heights, heights[1:]))
+        switched += sum((a >= 2) != (b >= 2) for a, b in zip(heights, heights[1:]))
+    assert kept and switched
