@@ -3,8 +3,9 @@
 A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
 the weight lattice, each weight system's `morse.MorseData` and the
-directional links of each sign vector are built once.  Functions called
-without one build a fresh one.
+directional links of each sign vector are built once; the directional
+links reuse the link's corner edges.  Functions called without one build
+a fresh one.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Analysis:
     def morse_data(self, ws: morse.WeightSystem) -> morse.MorseData:
         key = tuple(sorted(ws.items()))
         if key not in self._morse:
-            self._morse[key] = morse.MorseData(self.complex, ws)
+            self._morse[key] = morse.MorseData(self.complex, ws, self.link.edges)
         return self._morse[key]
 
     def sign_links(self, ws: morse.WeightSystem

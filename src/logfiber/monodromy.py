@@ -41,11 +41,9 @@ holds ``v``; a whole path climbs both ends by depth until they meet.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .analysis import Analysis
@@ -439,18 +437,20 @@ def _require_searchable(n: int) -> None:
 def _witness_search(f: Automorphism) -> Iterator[tuple[tuple[str, ...], Word]]:
     """Lazily yield every reducibility witness, smallest subsets first.
 
-    Basis letter i is bit i.  For a subset whose images share the prefix c,
-    c^-1 . image . c is the rotation image[len(c):] + image[:len(c)], so each
-    (image, cut) needs one free reduction, and testing a subset at a cut is
-    an OR of support masks.  Every conjugate of an image contains the letters
-    of its cyclic core, so only subsets holding the cores of their own images
-    are tested at all.
+    Basis letter i is bit n-1-i.  For a subset whose images share the prefix
+    c, c^-1 . image . c is the rotation image[len(c):] + image[:len(c)], so
+    each (image, cut) needs one free reduction, and testing a subset at a cut
+    is an OR of support masks.  Every conjugate of an image contains the
+    letters of its cyclic core, so a witness subset is closed: it holds the
+    cores of its own images.  Only the closed subsets, from `_closed_subsets`,
+    are tested, so the search stays exhaustive.
     """
     names = [loop.name for loop in f.basis]
     n = len(names)
     _require_searchable(n)
     images = [f.images[name].letters for name in names]
-    bit = {name: 1 << i for i, name in enumerate(names)}
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    bit = dict(zip(names, bits))
     foreign = 1 << n  # letters outside the basis: no subset allows them
 
     def support_mask(letters: tuple[Letter, ...]) -> int:
@@ -470,28 +470,50 @@ def _witness_search(f: Automorphism) -> Iterator[tuple[tuple[str, ...], Word]]:
             m = masks[i][cut] = support_mask(rotated.free_reduce().letters)
         return m
 
-    # cores[S] = the core letters of the images in subset S, by doubling
-    cores = array("L", [0])
-    for image in images:
-        core = support_mask(_cyclic_core(image))
-        cores += array("L", (core | m for m in cores))
+    order = _closed_subsets([support_mask(_cyclic_core(image)) for image in images])
 
     def generate() -> Iterator[tuple[tuple[str, ...], Word]]:
-        bits = [1 << i for i in range(n)]
-        for size in range(1, n):
-            closed = [s for s in map(sum, combinations(bits, size)) if not cores[s] & ~s]
-            for allowed in closed:
-                subset = [i for i in range(n) if allowed >> i & 1]
-                first = subset[0]
-                for cut in range(min(lcp[first][j] for j in subset), -1, -1):
-                    m = 0
-                    for j in subset:
-                        m |= mask(j, cut)
-                    if not m & ~allowed:
-                        yield tuple(names[j] for j in subset), Word._of(images[first][:cut])
-                        break
+        for allowed in order:
+            subset = [i for i in range(n) if allowed & bits[i]]
+            first = subset[0]
+            for cut in range(min(lcp[first][j] for j in subset), -1, -1):
+                m = 0
+                for j in subset:
+                    m |= mask(j, cut)
+                if not m & ~allowed:
+                    yield tuple(names[j] for j in subset), Word._of(images[first][:cut])
+                    break
 
     return generate()
+
+
+def _closed_subsets(cores: list[int]) -> list[int]:
+    """The proper nonempty subsets S of n letters (letter i is bit n-1-i)
+    that hold ``cores[i]`` for every letter i in S, smallest first, then in
+    `combinations` order.  Bit n in a core stands for a letter outside the
+    basis, which no subset holds.
+
+    Iterating the cores from one letter to a fixpoint gives its least closed
+    subset; a union of closed subsets is closed, and a closed subset is the
+    union of its letters' least ones.  Among subsets of one size, descending
+    integer order is `combinations` order."""
+    n = len(cores)
+    foreign = 1 << n
+    members = [(1 << (n - 1 - i), core) for i, core in enumerate(cores)]
+    closed = {0}
+    for b, _ in members:
+        least, grown = 0, b
+        while grown != least and not grown & foreign:
+            least = grown
+            for member, core in members:
+                if least & member:
+                    grown |= core
+        if not grown & foreign and least not in closed:
+            closed |= {least | s for s in closed}
+    closed -= {0, foreign - 1}
+    order = sorted(closed, reverse=True)
+    order.sort(key=int.bit_count)
+    return order
 
 
 def _common_prefix_length(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> int:
@@ -519,8 +541,10 @@ def invariant_factor_witnesses(f: Automorphism) -> list[tuple[tuple[str, ...], W
 
     The conjugator is the longest prefix, common to all images of B, whose
     stripping achieves purity (empty = syntactic invariance).  A witness
-    certifies reducibility; finding none proves nothing.  The search is
-    exhaustive over the 2^n - 2 subsets (n <= 16).
+    certifies reducibility; finding none proves nothing.  Only subsets
+    holding the cyclic-core letters of their own images can be witnesses,
+    and the search tests exactly those, so it stays exhaustive over the
+    2^n - 2 proper nonempty subsets (n <= 16).
     """
     return list(_witness_search(f))
 

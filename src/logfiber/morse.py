@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .complexes import Square, SquareComplex, union_find
 from .errors import InputError
-from .links import CornerEdge, End, square_corners
+from .links import CornerEdge, End, build_link
 from .words import generator_stem, signed_weight
 
 if TYPE_CHECKING:
@@ -173,7 +173,10 @@ def _graph_stats(vertices: list[End], edges: list[CornerEdge]) -> tuple[bool, in
 
 
 def directional_links(
-    c: SquareComplex, ws: WeightSystem, heights: list[CornerHeights] | None = None
+    c: SquareComplex,
+    ws: WeightSystem,
+    heights: list[CornerHeights] | None = None,
+    corners: list[CornerEdge] | None = None,
 ) -> tuple[DirectionalLink, DirectionalLink]:
     """Ascending and descending links of the vertex.
 
@@ -181,17 +184,18 @@ def directional_links(
     (g, start) for positive weight, (g, end) for negative.  Each square
     contributes its min-corner edge to the ascending link and its max-corner
     edge to the descending link.  ``heights`` skips the admissibility check
-    when the caller already holds the corner heights of ``ws``.
+    when the caller already holds the corner heights of ``ws``; ``corners``
+    are the edges of the vertex link in `links.build_link` order (corner k
+    of square i at 4i + k), taken instead of building each square's again.
     """
     if heights is None:
         heights = require_admissible(c, ws)
+    if corners is None:
+        corners = build_link(c).edges
     asc_vertices = [(g, "-") if ws[g] > 0 else (g, "+") for g in c.generators]
     desc_vertices = [(g, "+") if ws[g] > 0 else (g, "-") for g in c.generators]
-    asc_edges, desc_edges = [], []
-    for sq, h in zip(c.squares, heights):
-        corners = square_corners(sq)
-        asc_edges.append(corners[h.min_corner])
-        desc_edges.append(corners[h.max_corner])
+    asc_edges = [corners[4 * i + h.min_corner] for i, h in enumerate(heights)]
+    desc_edges = [corners[4 * i + h.max_corner] for i, h in enumerate(heights)]
     asc_set, desc_set = set(asc_vertices), set(desc_vertices)
     for e in asc_edges:
         assert set(e.ends) <= asc_set, e
@@ -228,24 +232,27 @@ def _fiber_arcs(c: SquareComplex, ws: WeightSystem) -> tuple[int, list[tuple[int
     each level strictly between corners m and m+2, from the path through
     corner m+1 to the one through m+3; a path meets the levels at its first
     letter's points, the base vertex at its middle corner, then its second
-    letter's points.  Refuses more than `MAX_FIBER_CELLS` vertices plus arcs."""
-    by_level = {}  # generator -> its point ids in increasing height order
-    vertices = 1
-    for g in c.generators:
-        ids = range(vertices, vertices + abs(ws[g]) - 1)
-        by_level[g] = ids if ws[g] > 0 else ids[::-1]
-        vertices += len(ids)
+    letter's points.  Refuses more than `MAX_FIBER_CELLS` vertices plus arcs,
+    counted before any range is built (a range longer than sys.maxsize has
+    no length)."""
     squares = []
     for sq in c.squares:
         g, s = zip(*sq.boundary.letters)
         a, b = s[0] * ws[g[0]], s[1] * ws[g[1]]
         squares.append((sq.index, g, (0, a, a + b, b)))
+    vertices = 1 + sum(abs(ws[g]) - 1 for g in c.generators)
     cells = vertices + sum(abs(h[1]) + abs(h[3]) - 1 for _, _, h in squares)
     if cells > MAX_FIBER_CELLS:
         raise InputError(
             f"fiber graph of {cells} vertices and arcs exceeds the limit of {MAX_FIBER_CELLS};"
             " lower the weights"
         )
+    by_level = {}  # generator -> its point ids in increasing height order
+    start = 1
+    for g in c.generators:
+        ids = range(start, start + abs(ws[g]) - 1)
+        by_level[g] = ids if ws[g] > 0 else ids[::-1]
+        start += len(ids)
     arcs: list[tuple[int, int, int, int]] = []
     for index, g, heights in squares:
         m = heights.index(min(heights))
@@ -290,12 +297,16 @@ def fiber_graph(
 
 class MorseData:
     """Admissibility, corner heights, directional links and fiber graph of
-    one weight system, each computed once on first use."""
+    one weight system, each computed once on first use.  ``corners``, the
+    vertex link's edges when the caller holds them, go to
+    `directional_links`."""
 
-    def __init__(self, c: SquareComplex, ws: WeightSystem):
+    def __init__(self, c: SquareComplex, ws: WeightSystem,
+                 corners: list[CornerEdge] | None = None):
         self.complex = c
         self.weights = dict(ws)
         self.admissibility = check_admissible(c, ws)
+        self._corners = corners
 
     @property
     def heights(self) -> list[CornerHeights]:
@@ -307,7 +318,7 @@ class MorseData:
 
     @cached_property
     def links(self) -> tuple[DirectionalLink, DirectionalLink]:
-        return directional_links(self.complex, self.weights, self.heights)
+        return directional_links(self.complex, self.weights, self.heights, self._corners)
 
     @cached_property
     def fiber(self) -> FiberGraph:

@@ -13,6 +13,7 @@ import pytest
 
 from logfiber.cli import SCHEMAS, main
 from logfiber.complexes import MAX_LOT_K
+from logfiber.morse import MAX_FIBER_CELLS
 
 
 @pytest.fixture()
@@ -286,6 +287,11 @@ def test_huge_weights_are_refused(capsys, torus_file, command):
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert "3999998 vertices and arcs" in err and "internal" not in err
+    # 2 * (10^20 - 1) vertices and arcs: a range that long has no len()
+    assert main([command, torus_file, "--weights", "a=99999999999999999999,b=1"]) == 1
+    err = capsys.readouterr().err
+    assert f"199999999999999999998 vertices and arcs exceeds the limit of {MAX_FIBER_CELLS}" in err
+    assert "Traceback" not in err and "internal" not in err
 
 
 def test_check_flat_large_radius_on_torus(capsys, torus_file):

@@ -37,6 +37,7 @@ from logfiber import (
     unit_weights,
 )
 from logfiber.links import arrival_end, departure_end
+from logfiber.monodromy import _closed_subsets, _cyclic_core
 from logfiber.morse import directional_links
 from logfiber.words import inverse_letter
 
@@ -225,6 +226,68 @@ def test_witnesses_match_reference_after_compose_and_invert(g1, g2):
         g = conjugation_automorphism(t, c, ws)
         for h in (compose(f, g), compose(g, f), invert(f), compose(f, compose(f, g))):
             assert_witnesses_match(h)
+
+
+def test_witnesses_match_reference_when_every_subset_is_closed():
+    # a0 a0^-1 reduces away: every image is its own letter, so all 2^8 - 2
+    # proper subsets are closed and each is a witness
+    c = build_lot_family(8)
+    expected = assert_witnesses_match(conjugation_automorphism("a0 a0^-1", c, unit_weights(c)))
+    assert len(expected) == 254
+
+
+def test_witnesses_match_reference_when_cores_chain():
+    # core(x_i) holds x_(i+1): x0's least closed subset takes three rounds to
+    # reach x3; x6's descends through x5 and x4 to the foreign letter z, so
+    # no closed subset holds x4, x5 or x6
+    images = {"x0": "x0 x1", "x1": "x1 x2", "x2": "x3 x2", "x3": "x3",
+              "x4": "x4 z", "x5": "x4 x5", "x6": "x5^-1 x6", "x7": "x0 x7 x0^-1"}
+    basis = [BasisLoop(i, name, Word(), ()) for i, name in enumerate(images)]
+    f = Automorphism({name: Word.parse(image) for name, image in images.items()},
+                     Word(), "inner", SimpleNamespace(basis=basis))
+    expected = assert_witnesses_match(f)
+    subsets = [subset for subset, _ in expected]
+    assert ("x0", "x1", "x2", "x3") in subsets and ("x7",) in subsets
+    assert not any({"x4", "x5", "x6"} & set(subset) for subset in subsets)
+    # the suffixes of x0 .. x3, each with or without x7, and x7 alone
+    assert len(assert_closed_subsets_match(f)) == 9
+
+
+def reference_closed_subsets(f):
+    """The proper nonempty subsets holding every letter of the cyclically
+    reduced images of their members, smallest first, in `combinations` order."""
+    names = [loop.name for loop in f.basis]
+    core = {}
+    for name in names:
+        letters = list(f.images[name].free_reduce().letters)
+        while len(letters) > 1 and letters[0] == inverse_letter(letters[-1]):
+            letters = letters[1:-1]
+        core[name] = {g for g, _ in letters}
+    return [subset for size in range(1, len(names)) for subset in combinations(names, size)
+            if all(core[name] <= set(subset) for name in subset)]
+
+
+def assert_closed_subsets_match(f):
+    names = [loop.name for loop in f.basis]
+    n = len(names)
+    bit = {name: 1 << (n - 1 - i) for i, name in enumerate(names)}
+    cores = [sum({bit.get(g, 1 << n) for g, _ in _cyclic_core(f.images[name].letters)})
+             for name in names]
+    found = [tuple(name for name in names if s & bit[name]) for s in _closed_subsets(cores)]
+    expected = reference_closed_subsets(f)
+    assert found == expected
+    return expected
+
+
+def test_closed_subsets_match_reference():
+    rng = random.Random(1024)
+    sizes = []
+    for trial in range(120):
+        sizes.append(len(assert_closed_subsets_match(random_automorphism(rng, rng.randint(2, 10)))))
+    c = build_lot_family(8)
+    assert len(assert_closed_subsets_match(
+        conjugation_automorphism("a0 a0^-1", c, unit_weights(c)))) == 254
+    assert min(sizes) == 0 and max(sizes) > 20
 
 
 def random_reduced_word(rng, letters, length, start=()):

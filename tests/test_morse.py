@@ -131,6 +131,19 @@ def test_negation_swaps_ascending_and_descending(g1):
     assert desc.vertices == asc_n.vertices and desc.edges == asc_n.edges
 
 
+def test_analysis_links_reuse_the_vertex_link_edges(g1, g2, mixed):
+    from logfiber.analysis import Analysis
+
+    for c in (g1, g2, mixed):
+        for ws in (unit_weights(c), {g: -w for g, w in unit_weights(c).items()}):
+            a = Analysis(c)
+            asc, desc = a.morse_data(ws).links
+            held = {id(e) for e in a.link.edges}
+            assert all(id(e) in held for e in asc.edges + desc.edges)
+            # the same links as the public function builds without a link
+            assert (asc, desc) == directional_links(c, ws)
+
+
 def test_inadmissible_weights_raise(g1):
     ws = unit_weights(g1)
     ws["b3"] = 0
