@@ -25,40 +25,35 @@ and never affects the mathematics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import InputError
-from .words import Word, check_generator_name, generator_stem
+from .words import Word, check_generator_name, check_generator_names, generator_stem
 
 NAMED_COMPLEXES = ("lot-a", "lot-b", "g1", "gf", "g2", "torus")
 MAX_LOT_K = 100_000  # a larger LOT family is refused before anything is allocated
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(NamedTuple):
     index: int
     boundary: Word
     origin: str = ""
 
 
-@dataclass
 class SquareComplex:
-    generators: list[str]
-    squares: list[Square] = field(default_factory=list)
-    provenance: list[str] = field(default_factory=list)
-    # what `append_square` checks against, kept up to date by it
-    _generators: set[str] = field(init=False, repr=False)
-    _boundaries: set[Word] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        seen = set()
-        for g in self.generators:
-            check_generator_name(g)
-            if g in seen:
-                raise InputError(f"duplicate generator {g!r}")
-            seen.add(g)
-        self._generators = seen
+    def __init__(self, generators: list[str], squares: list[Square] | None = None,
+                 provenance: list[str] | None = None):
+        self.generators = generators
+        self.squares = [] if squares is None else squares
+        self.provenance = [] if provenance is None else provenance
+        # what `append_square` checks against, kept up to date by it
+        self._generators: set[str] = set()
+        check_generator_names(generators, self._generators)
         self._boundaries = {sq.boundary for sq in self.squares}
+
+    def __repr__(self) -> str:
+        return (f"SquareComplex(generators={self.generators!r}, squares={self.squares!r},"
+                f" provenance={self.provenance!r})")
 
     def __eq__(self, other) -> bool:
         # provenance is a build trail, not part of the presentation
@@ -102,9 +97,10 @@ class SquareComplex:
 
 
 def check_boundary(boundary: Word, generators: set[str]) -> None:
-    if len(boundary) != 4:
-        raise InputError(f"square boundary must have length 4, got {len(boundary)}: {boundary}")
-    for g, _ in boundary:
+    letters = boundary.letters
+    if len(letters) != 4:
+        raise InputError(f"square boundary must have length 4, got {len(letters)}: {boundary}")
+    for g, _ in letters:
         if g not in generators:
             raise InputError(f"boundary letter {g!r} is not a declared generator")
     if not boundary.is_cyclically_reduced():
@@ -114,7 +110,7 @@ def check_boundary(boundary: Word, generators: set[str]) -> None:
 def log_square(label: str, src: str, dst: str) -> Word:
     """Boundary of the square for a LOG edge labeled ``label`` from ``src``
     to ``dst``: the conjugation relation label*dst*label^-1 = src."""
-    return Word([(label, 1), (dst, 1), (label, -1), (src, -1)])
+    return Word._of(((label, 1), (dst, 1), (label, -1), (src, -1)))
 
 
 def union_find(vertices, pairs) -> tuple[dict, bool]:
@@ -151,7 +147,7 @@ def _log_shape(vertices: list[str], edges: list[tuple[str, str, str]]) -> str:
 def parse_spec(text: str) -> SquareComplex:
     generators: list[str] = []
     seen: set[str] = set()
-    pending: list[tuple[Word, str]] = []
+    pending: list[tuple[int, Word, str]] = []  # (line number, boundary, origin)
     log_edges: list[tuple[str, str, str]] = []
     provenance: list[str] = []
 
@@ -164,13 +160,13 @@ def parse_spec(text: str) -> SquareComplex:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         try:
-            if head == "generators":
-                for g in rest.split():
-                    check_generator_name(g)
-                    if g in seen:
-                        raise InputError(f"duplicate generator {g!r}")
-                    seen.add(g)
-                    generators.append(g)
+            if head == "square":  # the commonest statement first
+                origin = "added" if comment == "added" else "square-line"
+                pending.append((lineno, Word.parse(rest), origin))
+            elif head == "generators":
+                names = rest.split()
+                check_generator_names(names, seen)
+                generators += names
             elif head == "edge":
                 fields = {}
                 for item in rest.split():
@@ -185,10 +181,8 @@ def parse_spec(text: str) -> SquareComplex:
                     if fields[key] not in seen:
                         raise InputError(f"edge {key} {fields[key]!r} is not a declared generator")
                 log_edges.append((fields["label"], fields["from"], fields["to"]))
-                pending.append((log_square(fields["label"], fields["from"], fields["to"]), "log-edge"))
-            elif head == "square":
-                origin = "added" if comment == "added" else "square-line"
-                pending.append((Word.parse(rest), origin))
+                pending.append((lineno, log_square(fields["label"], fields["from"], fields["to"]),
+                                "log-edge"))
             elif head == "name":
                 provenance.append(f"name: {rest}")
             else:
@@ -199,8 +193,12 @@ def parse_spec(text: str) -> SquareComplex:
     complex_ = SquareComplex(generators, provenance=provenance)
     if log_edges:
         complex_.provenance.append(f"log shape: {_log_shape(generators, log_edges)}")
-    for boundary, origin in pending:
-        complex_.append_square(boundary, origin)
+    # squares are checked once every generator is declared, wherever its line is
+    for lineno, boundary, origin in pending:
+        try:
+            complex_.append_square(boundary, origin)
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
     return complex_
 
 
@@ -270,7 +268,7 @@ def combine(c1: SquareComplex, c2: SquareComplex, relator: Word | str) -> Square
     # the sources' squares are valid and their repeats already recorded in
     # their provenance; disjoint alphabets keep them apart from each other
     squares = list(c1.squares)
-    squares += [replace(sq, index=len(squares) + i) for i, sq in enumerate(c2.squares)]
+    squares += [sq._replace(index=len(squares) + i) for i, sq in enumerate(c2.squares)]
     out = SquareComplex(
         gens,
         squares,

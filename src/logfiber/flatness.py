@@ -36,7 +36,7 @@ runs that one search per seed square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import Analysis
 from .complexes import SquareComplex
@@ -45,8 +45,7 @@ from .links import CornerEdge, LinkGraph, arrival_end, departure_end, square_cor
 from .words import Letter, inverse_letter
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     square: int
     rot: int
     refl: bool
@@ -123,8 +122,7 @@ def disk_cells(radius: int) -> list[tuple[int, int]]:
     return cells
 
 
-@dataclass
-class DiskWitness:
+class DiskWitness(NamedTuple):
     radius: int
     placement: dict[tuple[int, int], tuple[int, int, bool]]  # (x, y) -> (square, rot, refl)
 
@@ -345,8 +343,7 @@ def validate_witness(c: SquareComplex, witness: DiskWitness) -> list[str]:
     return problems
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     tag: str  # NotNPC | HyperbolicCertA | HyperbolicCertB | Inconclusive
     radius: int | None = None
     witness: DiskWitness | None = None

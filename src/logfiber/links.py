@@ -16,8 +16,8 @@ for tiling a flat plane, which is what `flatness` builds on.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import Square, SquareComplex
 from .words import Letter
@@ -39,8 +39,7 @@ def format_end(end: End) -> str:
     return end[0] + end[1]
 
 
-@dataclass(frozen=True)
-class CornerEdge:
+class CornerEdge(NamedTuple):
     """One square corner as a link edge.
 
     ``ends`` is ordered (arrival of the previous letter, departure of the
@@ -70,12 +69,12 @@ def square_corners(sq: Square) -> list[CornerEdge]:
     return corners
 
 
-@dataclass
 class LinkGraph:
-    vertices: list[End]
-    edges: list[CornerEdge]
-    _neighbours: dict[End, dict[End, list[int]]] = field(default_factory=dict, repr=False)
-    _on_four_circuit: list[bool] = field(default_factory=list, repr=False)
+    def __init__(self, vertices: list[End], edges: list[CornerEdge]):
+        self.vertices = vertices
+        self.edges = edges
+        self._neighbours: dict[End, dict[End, list[int]]] = {}
+        self._on_four_circuit: list[bool] = []
 
     def neighbours(self) -> dict[End, dict[End, list[int]]]:
         """Vertex -> {other end of a non-loop edge: its edge indices, ascending}."""
@@ -116,8 +115,7 @@ def build_link(c: SquareComplex) -> LinkGraph:
     return LinkGraph(vertices, edges)
 
 
-@dataclass
-class LargenessReport:
+class LargenessReport(NamedTuple):
     is_large: bool
     girth: int | None  # None means no cycle at all
     violations: list[dict]

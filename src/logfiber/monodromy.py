@@ -43,8 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .analysis import Analysis
 from .complexes import SquareComplex
@@ -59,8 +58,7 @@ _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
 Crossing = tuple[Letter, tuple[Letter, Letter, Letter], Letter]
 
 
-@dataclass(frozen=True)
-class BasisLoop:
+class BasisLoop(NamedTuple):
     square: int
     name: str
     rep: Word  # e2 * e3 of the boundary rotated to start at the min corner
@@ -260,8 +258,7 @@ def _substitute(word: Word, images: dict[str, Word]) -> Word:
     return Word._of(tuple(letters)).free_reduce()
 
 
-@dataclass
-class Automorphism:
+class Automorphism(NamedTuple):
     images: dict[str, Word]  # basis name -> word in basis letters
     conjugator: Word
     tag: str  # "monodromy" (weight +-1) or "inner" (weight 0)
@@ -329,8 +326,7 @@ def invert(f: Automorphism) -> Automorphism:
                                     f.context.weights, context=f.context)
 
 
-@dataclass
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     order: list[str]  # basis names, row/column order
     matrix: tuple[tuple[int, ...], ...]  # entry (i, j) = occurrences of letter i in image of j
     irreducible: bool

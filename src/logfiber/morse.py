@@ -33,12 +33,11 @@ gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, product, repeat
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .complexes import Square, SquareComplex, union_find
 from .errors import InputError
@@ -96,8 +95,7 @@ def unit_weights(c: SquareComplex) -> WeightSystem:
     return {g: 1 for g in c.generators}
 
 
-@dataclass(frozen=True)
-class CornerHeights:
+class CornerHeights(NamedTuple):
     square: int
     heights: tuple[int, int, int, int]  # relative to corner 0
     min_corner: int
@@ -120,8 +118,7 @@ def corner_heights(sq: Square, ws: WeightSystem) -> CornerHeights:
     return CornerHeights(sq.index, heights, min_corner, max_corner)
 
 
-@dataclass
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     admissible: bool
     problems: list[str]
     heights: list[CornerHeights] | None
@@ -157,8 +154,7 @@ def require_admissible(c: SquareComplex, ws: WeightSystem) -> list[CornerHeights
     return MorseData(c, ws).heights
 
 
-@dataclass
-class DirectionalLink:
+class DirectionalLink(NamedTuple):
     side: str  # "ascending" or "descending"
     vertices: list[End]
     edges: list[CornerEdge]
@@ -214,8 +210,7 @@ BASE_VERTEX = ("*", 0)  # the unique vertex of the complex, as a fiber vertex
 FiberVertex = tuple[str, int]
 
 
-@dataclass
-class FiberGraph:
+class FiberGraph(NamedTuple):
     vertices: list[FiberVertex]
     edges: list[tuple[FiberVertex, FiberVertex, int, int]]  # (u, v, square, level)
     chi: int

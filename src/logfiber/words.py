@@ -34,6 +34,20 @@ def check_generator_name(name: str) -> str:
     return name
 
 
+def check_generator_names(names: list[str], seen: set[str]) -> None:
+    """Add ``names`` to ``seen``, refusing the first, in order, that is
+    invalid or already seen; a valid list is checked in one pass of C loops."""
+    fresh = set(names)
+    if len(fresh) == len(names) and fresh.isdisjoint(seen) and all(map(_NAME_RE.match, names)):
+        seen |= fresh
+        return
+    for g in names:
+        check_generator_name(g)
+        if g in seen:
+            raise InputError(f"duplicate generator {g!r}")
+        seen.add(g)
+
+
 def generator_stem(name: str) -> str:
     """The alphabetic part of a generator name: stem of "a0" is "a"."""
     return name.rstrip("0123456789")
@@ -71,13 +85,15 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
+        tokens = text.split()
         letters = []
-        for token in text.split():
-            m = _TOKEN_RE.match(token)
-            if not m:
-                raise InputError(f"cannot parse letter {token!r}")
-            letters.append((m.group(1), -1 if m.group(2) else 1))
-        return cls(letters)
+        for m in map(_TOKEN_RE.match, tokens):
+            if m is None:
+                bad = next(token for token in tokens if not _TOKEN_RE.match(token))
+                raise InputError(f"cannot parse letter {bad!r}")
+            g, inverse = m.groups()
+            letters.append((g, -1 if inverse else 1))
+        return cls._of(tuple(letters))
 
     def __str__(self) -> str:
         return " ".join(format_letter(l) for l in self.letters)
@@ -124,14 +140,12 @@ class Word:
 
     def is_cyclically_reduced(self) -> bool:
         """No cancelling adjacent pair, including the wraparound pair."""
-        n = len(self.letters)
-        if n == 0:
-            return True
-        for i in range(n):
-            g, s = self.letters[i]
-            h, t = self.letters[(i + 1) % n]
+        letters = self.letters
+        h, t = letters[-1] if letters else (None, 0)
+        for g, s in letters:
             if g == h and s == -t:
                 return False
+            h, t = g, s
         return True
 
     def support(self) -> set[str]:

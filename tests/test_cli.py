@@ -84,6 +84,32 @@ def test_undecodable_file_is_an_input_error(tmp_path, capsys, argv):
     assert f"cannot read {bad}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("generators a b\nsquare a b\n", "line 2: square boundary must have length 4, got 2: a b"),
+    ("generators a b\n\nsquare a b a^-1 c^-1\n",
+     "line 3: boundary letter 'c' is not a declared generator"),
+    ("# comment\nsquare a b b^-1 a^-1\ngenerators a b\n",
+     "line 2: square boundary cyclically cancels: a b b^-1 a^-1"),
+    ("generators a b\nedge label=a from=b to=a\n",
+     "line 2: square boundary cyclically cancels: a a a^-1 b^-1"),
+], ids=["length", "undeclared", "cancels", "edge-cancels"])
+def test_square_errors_name_their_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.log"
+    path.write_text(text, encoding="utf-8")
+    assert main(["link", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_squares_may_come_before_their_generators(tmp_path, capsys):
+    reports = []
+    for text in ("square a b a^-1 b^-1\ngenerators a b\n", "generators a b\nsquare a b a^-1 b^-1\n"):
+        path = tmp_path / "torus.log"
+        path.write_text(text, encoding="utf-8")
+        assert main(["link", str(path), "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_combine_and_add_square_roundtrip(tmp_path, capsys):
     assert main(["build", "lot", "--k", "4", "--stem", "a"]) == 0
     a = tmp_path / "a.log"
