@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import flatness, links, monodromy, morse
 from .analysis import Analysis
@@ -373,68 +373,84 @@ def reducible_text(data: dict) -> str:
 # commands
 
 
-def _json_pieces(value, level: int, stream: int) -> Iterator[str]:
+def _json_text(value, level: int) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` for `value` nested
-    ``level`` deep, in pieces: one per item of the outer ``stream`` levels.
-    A container of str, int, bool and None values goes to the C encoder with
-    ``"," + newline + indentation`` as item separator (encoded strings hold
-    no raw newline, so only its outer brackets need laying out).  Other
-    lists, tuples and str-keyed dicts are joined here, scalar items inline;
-    anything else (floats, subclasses, other keys) is the stdlib's text."""
+    ``level`` deep.  A list or tuple of str, int, bool and None goes to the C
+    encoder, if there is one, with ``",\n"`` and indentation as separator
+    (encoded strings hold no raw newline); other ones are joined here, and
+    dicts with str keys fill their `_json_template`; the rest (empty
+    containers, floats, subclasses, other keys) is the stdlib's text."""
     kind = type(value)
-    if kind is list or kind is tuple:
-        head, tail, keys, values = "[", "]", repeat(""), value
-    elif kind is dict and _JSON_STR.issuperset(map(type, value)):
-        head, tail, keys, values = "{", "}", map(_json_key, value), value.values()
-    else:
-        scalar = _JSON_SCALARS.get(kind)
-        yield scalar(value) if scalar else json.dumps(
-            value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
-        return
-    if not value:
-        yield head + tail
-        return
-    inner = "\n" + "  " * (level + 1)
-    if _JSON_FLAT.issuperset(map(type, values)):
-        yield head + inner + "".join(_json_flat(level)(value, 0))[1:-1]
-    else:
-        separator = head + inner
-        for key, item in zip(keys, values):
-            scalar = _JSON_SCALARS.get(type(item))
-            if scalar:
-                yield separator + key + scalar(item)
-            elif stream > 1:
-                yield separator + key
-                yield from _json_pieces(item, level + 1, stream - 1)
-            else:
-                yield separator + key + "".join(_json_pieces(item, level + 1, 0))
-            separator = "," + inner
-    yield "\n" + "  " * level + tail
+    if (kind is list or kind is tuple) and value:
+        inner = "\n" + "  " * (level + 1)
+        if json.encoder.c_make_encoder and _JSON_FLAT.issuperset(map(type, value)):
+            return "[" + inner + "".join(_json_flat(level)(value, 0))[1:-1] + inner[:-2] + "]"
+        return "[" + inner + ("," + inner).join(_json_items(value, level + 1)) + inner[:-2] + "]"
+    if kind is dict and value and (template := _json_template(tuple(value), level)):
+        return template % tuple(_json_items(value.values(), level + 1))
+    scalar = _JSON_SCALARS.get(kind)
+    return scalar(value) if scalar else json.dumps(
+        value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
+
+
+def _json_items(items, level: int) -> list[str]:
+    return [scalar(item) if (scalar := _JSON_SCALARS.get(type(item)))
+            else _json_text(item, level) for item in items]
 
 
 _JSON_STRING = json.encoder.encode_basestring
 _JSON_SCALARS = {str: _JSON_STRING, int: int.__repr__, bool: {True: "true", False: "false"}.get,
                  type(None): lambda _: "null"}
 _JSON_STR, _JSON_FLAT = frozenset((str,)), frozenset(_JSON_SCALARS)
-_json_key = functools.lru_cache(1024)(lambda key: _JSON_STRING(key) + ": ")  # `"key": `
+
+
+@functools.lru_cache(1024)
+def _json_template(keys: tuple, level: int) -> str | None:
+    """The text of a dict with these keys nested ``level`` deep, with ``%s``
+    for each value; None unless all keys are str (keys equal to str keys are
+    str keys, which encode alike)."""
+    if not _JSON_STR.issuperset(map(type, keys)):
+        return None
+    inner = "\n" + "  " * (level + 1)
+    return "{" + inner + ("," + inner).join(
+        _JSON_STRING(key).replace("%", "%%") + ": %s" for key in keys) + inner[:-2] + "}"
 
 
 @functools.cache
 def _json_flat(level: int):
-    """The C encoder for the items of a flat container nested ``level`` deep."""
+    """The C encoder for the items of a flat list nested ``level`` deep."""
     return json.encoder.c_make_encoder(
         None, None, _JSON_STRING, None, ": ", ",\n" + "  " * (level + 1), False, False, True)
 
 
 def _write_json(data) -> None:
-    """Write ``json.dumps(data, indent=2, ensure_ascii=False)`` and a
-    newline to stdout, the items of the outer two levels one at a time."""
-    if json.encoder.c_make_encoder is None:
-        sys.stdout.write(json.dumps(data, indent=2, ensure_ascii=False))
-    else:
-        for piece in _json_pieces(data, 0, 2):
-            sys.stdout.write(piece)
+    """Write ``json.dumps(data, indent=2, ensure_ascii=False)`` and a newline."""
+    _write_items(sys.stdout.write, data, 0, 2)
     sys.stdout.write("\n")
+
+
+def _write_items(write: Callable[[str], object], value, level: int, stream: int) -> None:
+    """Write `_json_text(value, level)`, item by item through ``stream`` levels."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        head, tail, keys, items = "[", "]", repeat(""), value
+    elif kind is dict and _JSON_STR.issuperset(map(type, value)):
+        head, tail, keys, items = "{", "}", map("{}: ".format, map(_JSON_STRING, value)), value.values()
+    else:
+        stream = 0
+    if not (stream and value) or _JSON_FLAT.issuperset(map(type, items)):
+        write(_json_text(value, level))
+        return
+    inner = "\n" + "  " * (level + 1)
+    separator = head + inner
+    for key, item in zip(keys, items):
+        if stream > 1:
+            write(separator + key)
+            _write_items(write, item, level + 1, stream - 1)
+        else:
+            write(separator + key + _json_text(item, level + 1))
+        separator = "," + inner
+    write(inner[:-2] + tail)
 
 
 def cmd_build(args) -> int:

@@ -5,7 +5,10 @@ the end (arrival) direction of ``g`` and ``g-`` for its start (departure)
 direction; all reports use this convention.  Each square contributes four
 link edges, one per corner: the corner between consecutive boundary letters
 ``x`` then ``y`` joins the arrival direction of ``x`` to the departure
-direction of ``y``.
+direction of ``y``.  `LinkGraph` numbers the ends once, by their place in
+its vertex list (from `build_link`, vertex 2i is ``g_i+`` and 2i+1 is
+``g_i-``, ``g_i`` the i-th generator; edge 4s+k is corner k of square s),
+and the link checks run on these numbers.
 
 A corner is *poison* when its link edge lies on no circuit of length four
 (closed 4-edge walks without immediate backtracking; loop edges excluded).
@@ -16,6 +19,7 @@ for tiling a flat plane, which is what `flatness` builds on.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -73,20 +77,19 @@ class LinkGraph:
     def __init__(self, vertices: list[End], edges: list[CornerEdge]):
         self.vertices = vertices
         self.edges = edges
-        self._neighbours: dict[End, dict[End, list[int]]] = {}
+        number = {v: i for i, v in enumerate(vertices)}
+        self.ends = [(number[a], number[b]) for a, b in (e.ends for e in edges)]  # as vertex numbers
         self._on_four_circuit: list[bool] = []
 
-    def neighbours(self) -> dict[End, dict[End, list[int]]]:
+    @cached_property
+    def near(self) -> list[dict[int, list[int]]]:
         """Vertex -> {other end of a non-loop edge: its edge indices, ascending}."""
-        if not self._neighbours:
-            near: dict[End, dict[End, list[int]]] = {v: {} for v in self.vertices}
-            for i, e in enumerate(self.edges):
-                a, b = e.ends
-                if a != b:
-                    near[a].setdefault(b, []).append(i)
-                    near[b].setdefault(a, []).append(i)
-            self._neighbours = near
-        return self._neighbours
+        near: list[dict[int, list[int]]] = [{} for _ in self.vertices]
+        for i, (a, b) in enumerate(self.ends):
+            if a != b:
+                near[a].setdefault(b, []).append(i)
+                near[b].setdefault(a, []).append(i)
+        return near
 
     def on_four_circuit(self) -> list[bool]:
         """Edge index -> is the edge on a closed 4-edge walk without immediate
@@ -94,9 +97,9 @@ class LinkGraph:
         lower-degree end p: a parallel edge f closes e, f, e, f, else p, q, t, r
         needs t near both q and some r near p, probing the smaller neighbour set."""
         if not self._on_four_circuit:
-            near = self.neighbours()
+            near = self.near
             on = [False] * len(self.edges)
-            for p, row in near.items():
+            for p, row in enumerate(near):
                 for q, ids in row.items():
                     far = near[q]
                     if (len(row), p) > (len(far), q):
@@ -122,58 +125,52 @@ class LargenessReport(NamedTuple):
 
 
 def _loops(link: LinkGraph) -> list[CornerEdge]:
-    return [e for e in link.edges if e.ends[0] == e.ends[1]]
+    return [e for e, (a, b) in zip(link.edges, link.ends) if a == b]
 
 
 def _bigons(link: LinkGraph) -> list[tuple[CornerEdge, CornerEdge]]:
-    near, edges = link.neighbours(), link.edges
+    near, edges = link.near, link.edges
     out = []
-    for i, e in enumerate(edges):
-        a, b = e.ends
+    for i, (a, b) in enumerate(link.ends):
         ids = near[a].get(b, ())
         if len(ids) > 1 and ids[0] == i:  # each parallel class once, by its first edge
             out.extend((edges[j], edges[k]) for j, k in combinations(ids, 2))
     return out
 
 
-def _triangles(link: LinkGraph) -> list[tuple[CornerEdge, CornerEdge, CornerEdge]]:
+def _triangles(link: LinkGraph) -> tuple[list[tuple[CornerEdge, CornerEdge, CornerEdge]], bool]:
     """Triangles with edges i < j < k: edge i joins a to b, edge j joins b
-    to a common neighbour c, and edge k joins c back to a.
+    to a common neighbour c, and edge k joins c back to a; and whether the
+    ends of some non-loop edge have a common neighbour (any triangle at all).
 
     Known defect: one condition drops a triangle whose edge on {c, a} comes
     before its edge on {b, c}, so some links with triangles are reported large.
     The bench report hashes (``perfbench/expected.json``) were recorded with
-    this enumeration; `_has_triangle` is the complete check.
+    this enumeration; the returned flag is the complete check.
     """
-    near, edges = link.neighbours(), link.edges
-    out = []
-    for i, e in enumerate(edges):
-        a, b = e.ends
+    near, edges = link.near, link.edges
+    out, spanned = [], False
+    for i, (a, b) in enumerate(link.ends):
         if a == b:
             continue
         found = []
         for c in _common(near[a], near[b]):
+            spanned = True
             for j in near[b][c]:
                 for k in near[c][a]:
                     # known defect: ``j < k`` keeps only the triangles whose edge on
                     # {b, c} comes before their edge on {c, a}; without it all are found
                     if i < min(j, k) and j < k:
                         found.append((min(j, k), max(j, k)))
-        out.extend((e, edges[j], edges[k]) for j, k in sorted(found))
-    return out
+        out.extend((edges[i], edges[j], edges[k]) for j, k in sorted(found))
+    return out, spanned
 
 
-def _common(x: dict[End, list[int]], y: dict[End, list[int]]) -> Iterator[End]:
-    """The ends in both neighbour sets, probing the larger with the smaller."""
+def _common(x: dict[int, list[int]], y: dict[int, list[int]]) -> Iterator[int]:
+    """The vertices in both neighbour sets, probing the larger with the smaller."""
     if len(x) > len(y):
         x, y = y, x
     return (t for t in x if t in y)
-
-
-def _has_triangle(link: LinkGraph) -> bool:
-    """Do some three distinct vertices span a triangle?"""
-    near = link.neighbours()
-    return any(any(_common(row, near[b])) for a, row in near.items() for b in row if a < b)
 
 
 def largeness(link: LinkGraph) -> LargenessReport:
@@ -187,7 +184,7 @@ def largeness(link: LinkGraph) -> LargenessReport:
     for e, f in bigons:
         violations.append({"kind": "bigon", "corners": [(e.square, e.corner), (f.square, f.corner)],
                            "vertices": [format_end(v) for v in e.pair]})
-    triangles = _triangles(link)
+    triangles, spanned = _triangles(link)
     for tri in triangles:
         verts = {v for e in tri for v in e.ends}
         violations.append({"kind": "triangle", "corners": [(e.square, e.corner) for e in tri],
@@ -196,7 +193,7 @@ def largeness(link: LinkGraph) -> LargenessReport:
         girth: int | None = 1
     elif bigons:
         girth = 2
-    elif triangles or _has_triangle(link):
+    elif spanned:
         girth = 3
     elif any(link.on_four_circuit()):
         # with no loops or bigons a closed non-backtracking 4-walk visits four
@@ -217,8 +214,8 @@ def poison_corners(c: SquareComplex, link: LinkGraph | None = None) -> list[Corn
 
 def shortest_cycle_through(link: LinkGraph, edge_index: int) -> int | None:
     """Length of the shortest cycle using this edge instance (None if none)."""
-    near = link.neighbours()
-    a, b = link.edges[edge_index].ends
+    near = link.near
+    a, b = link.ends[edge_index]
     if a == b:
         return 1
     dist = {a: 0}

@@ -19,7 +19,9 @@ other), so one table holds both: each square's max-corner edge (descending
 tree) and min-corner edge (ascending tree), in both directions.  Directed
 edge ``(from, to)`` maps to the letter ``x`` entering ``from``, the other
 three letters of the square's boundary in the order whose product equals
-``x`` (the last one enters ``to``), and the square's signed basis letter.
+``x`` (the last one enters ``to``), and the square's signed basis letter;
+it is built on the first rewrite, so `analyze`, which shows the basis only,
+never builds it.
 
 Each tree is rooted once, on the first route request: the first hop from
 ``u`` toward ``v`` is ``u``'s parent, or the child whose DFS entry interval
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .analysis import Analysis
@@ -95,7 +98,6 @@ class MonodromyContext:
                 f"monodromy needs all weights +-1 (rank-only mode otherwise); got {bad}"
             )
         data.require_fibration()
-        asc, desc = data.links
         self.complex = c
         self.weights = dict(ws)
 
@@ -105,10 +107,6 @@ class MonodromyContext:
         clashes = Counter(names)
         used: set[str] = set()
         self.basis: list[BasisLoop] = []
-        # both trees: end -> {neighbour end: crossing of that directed edge}
-        self._crossings: dict[End, dict[End, Crossing]] = {
-            v: {} for v in (*asc.vertices, *desc.vertices)
-        }
         # by `_tree`: end -> [parent, depth, entry, exit, root, children's entries, children]
         self._rooting: dict[End, list] | None = None
         for sq, h, name in zip(c.squares, heights, names):
@@ -121,16 +119,25 @@ class MonodromyContext:
             m = h.min_corner
             rotated = sq.boundary.letters[m:] + sq.boundary.letters[:m]
             self.basis.append(BasisLoop(sq.index, name, Word._of(rotated[1:3]), rotated))
-            e1, e2, e3, e4 = rotated
-            i1, i2, i3, i4 = map(inverse_letter, rotated)
+
+    @cached_property
+    def _crossings(self) -> dict[End, dict[End, Crossing]]:
+        """Both trees (every end lies in one): end -> {neighbour end: crossing}.
+        Once `require_fibration` has passed, "parallel tree edges" cannot fire: a
+        repeat would be a loop or a parallel edge in one tree (they share no end)."""
+        crossings = {(g, sign): {} for g in self.complex.generators for sign in "+-"}
+        for loop in self.basis:
+            e1, e2, e3, e4 = loop.rotated
+            i1, i2, i3, i4 = map(inverse_letter, loop.rotated)
             # e1 e2 e3 e4 = 1 makes each entering letter x equal to its rest
             # and to loop^s . rest[-1]; the max corner's edge (the first two
             # rows) lies in the descending tree, the min corner's in the ascending
             for x, rest, s in ((e2, (i1, i4, i3), 1), (i3, (e4, e1, e2), -1),
                                (e4, (i3, i2, i1), -1), (i1, (e2, e3, e4), 1)):
                 frm, to = arrival_end(x), arrival_end(rest[-1])
-                assert to not in self._crossings[frm], "parallel tree edges"
-                self._crossings[frm][to] = (x, rest, (name, s))
+                assert to not in crossings[frm], "parallel tree edges"
+                crossings[frm][to] = (x, rest, (loop.name, s))
+        return crossings
 
     def _tree(self, u: End, v: End) -> dict[End, list]:
         """The trees of `_crossings`, rooted on the first call, after checking that

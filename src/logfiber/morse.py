@@ -110,10 +110,10 @@ def corner_heights(sq: Square, ws: WeightSystem) -> CornerHeights:
     letters = sq.boundary.letters
     w = [s * ws[g] for g, s in letters]
     heights = (0, w[0], w[0] + w[1], w[0] + w[1] + w[2])
-    min_corner = min(range(4), key=lambda i: heights[i])
-    max_corner = max(range(4), key=lambda i: heights[i])
+    low, second, third, high = sorted(heights)
+    min_corner, max_corner = heights.index(low), heights.index(high)
     # admissibility puts min and max at unique, opposite corners
-    assert sorted(heights)[0] < sorted(heights)[1] and sorted(heights)[2] < sorted(heights)[3], sq
+    assert low < second and third < high, sq
     assert (max_corner - min_corner) % 4 == 2, sq
     return CornerHeights(sq.index, heights, min_corner, max_corner)
 

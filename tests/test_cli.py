@@ -670,3 +670,19 @@ def test_analyze_roots_no_link_tree(capsys, monkeypatch, g2_file):
 
     monkeypatch.setattr(monodromy.MonodromyContext, "_tree", refuse)
     assert run_json(capsys, ["analyze", g2_file])["monodromy"]["basis"]
+
+
+def test_analyze_builds_no_crossing_table(capsys, monkeypatch, g2_file):
+    # the crossing table is built on the first rewrite, and analyze rewrites nothing
+    from logfiber import monodromy
+
+    contexts = []
+    init = monodromy.MonodromyContext.__init__
+
+    def keep(self, *args):
+        init(self, *args)
+        contexts.append(self)
+
+    monkeypatch.setattr(monodromy.MonodromyContext, "__init__", keep)
+    assert run_json(capsys, ["analyze", g2_file])["monodromy"]["basis"]
+    assert len(contexts) == 1 and "_crossings" not in vars(contexts[0])

@@ -384,6 +384,24 @@ def test_rewrite_matches_reference(name, spec):
     assert weights == {-1, 0, 1}
 
 
+@pytest.mark.parametrize("name, spec", REWRITE_CASES)
+def test_crossing_table_is_built_by_the_first_rewrite(name, spec):
+    c = build_case(name)
+    ws = case_weights(c, spec)
+    ctx, ref = MonodromyContext(c, ws), ReferenceContext(c, ws)
+    assert "_crossings" not in vars(ctx)  # building the basis builds no table
+    t = Word.parse(c.generators[0])
+    auto = conjugation_automorphism(t, c, ws, context=ctx)
+    table = vars(ctx)["_crossings"]
+    for loop in ctx.basis:
+        assert auto.images[loop.name] == ref.rewrite((t * loop.rep * t.inverse()).free_reduce())
+        ctx.rewrite(loop.rep)
+    assert vars(ctx)["_crossings"] is table  # built once, by the first rewrite
+    # one entry per tree edge of either directional link, in each direction
+    assert {end: set(row) for end, row in table.items()} == {
+        end: set(row) for adj in (ref.asc_adj, ref.desc_adj) for end, row in adj.items()}
+
+
 def reference_routes(adj, to):
     """End -> (next end toward ``to``, tree distance to ``to``), from one full
     breadth-first search rooted at ``to``."""
