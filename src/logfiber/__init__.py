@@ -5,8 +5,12 @@ fundamental groups (link largeness, poison corners, bounded flat-disk
 search), certifies free-by-cyclic fiberings over the integers via
 circle-valued Morse theory, and computes explicit monodromy automorphisms
 with transition-matrix classification.
+
+The functions that can share derived work take one source: a `SquareComplex`,
+or an `Analysis` of one that keeps its link, lattice and Morse data across calls.
 """
 
+from .analysis import Analysis
 from .complexes import (
     NAMED_COMPLEXES,
     Square,
@@ -74,6 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport",
+    "Analysis",
     "Automorphism",
     "BasisLoop",
     "CornerEdge",

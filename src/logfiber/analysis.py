@@ -4,8 +4,10 @@ A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
 the weight lattice, each weight system's `morse.MorseData` and the
 directional links of each sign vector are built once; the directional
-links reuse the link's corner edges.  Functions called without one build
-a fresh one.
+links reuse the link's corner edges.  A function that takes a ``source``
+reads a complex or an `Analysis` of one through `Analysis.of`.  Nothing
+cached here holds the `Analysis`, so a dropped one is freed without the
+cycle collector.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ from .complexes import SquareComplex
 
 
 class Analysis:
+    # ``link``: the complex's link when the caller built it (`flatness.eligible_squares`)
     def __init__(self, c: SquareComplex, link: links.LinkGraph | None = None):
         self.complex = c
         if link is not None:
             self.link = link  # fills the cached property
         self._morse: dict[tuple, morse.MorseData] = {}
         self._sign_links: dict[tuple, tuple[morse.DirectionalLink, morse.DirectionalLink]] = {}
+
+    @classmethod
+    def of(cls, source: SquareComplex | Analysis) -> Analysis:
+        """``source`` itself when it is an `Analysis`, else a fresh one of it."""
+        return source if isinstance(source, cls) else cls(source)
 
     @cached_property
     def link(self) -> links.LinkGraph:

@@ -66,7 +66,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ----------------------------------------------------------------------
-# reports (dicts) and their texts; each report reads one `Analysis`
+# reports (dicts) and their texts; each report reads one `Analysis` and
+# passes that `Analysis` itself to every library call, so it reads one complex
 
 
 def _read_complex(path: str) -> SquareComplex:
@@ -146,7 +147,7 @@ def poison_text(data: dict) -> str:
 
 
 def flat_report(a: Analysis, max_radius: int) -> dict:
-    verdict = flatness.hyperbolicity_verdict(a.complex, max_radius, a)
+    verdict = flatness.hyperbolicity_verdict(a, max_radius)
     witness = None
     if verdict.witness is not None:
         witness = [
@@ -246,7 +247,7 @@ def fiberings_report(a: Analysis, bound: int) -> dict:
     return {
         "lattice_rank": len(a.lattice),
         "basis": [dict(b) for b in a.lattice],
-        "table": morse.fibering_scan(a.complex, bound, a),
+        "table": morse.fibering_scan(a, bound),
     }
 
 
@@ -269,7 +270,7 @@ def fiberings_text(data: dict) -> str:
 
 
 def verdict_report(a: Analysis) -> dict:
-    data = morse.infinite_fibering_verdict(a.complex, a)
+    data = morse.infinite_fibering_verdict(a)
     return {**data, "infinite_fibering": "YES" if data["infinite_fibering"] else "NO"}
 
 
@@ -292,16 +293,8 @@ def _basis(ctx: monodromy.MonodromyContext) -> dict:
     }
 
 
-def _automorphism(a: Analysis, ws: morse.WeightSystem, t: str, **options) -> monodromy.Automorphism:
-    """Conjugation by ``t`` over a context built from ``a``.  The conjugator
-    is parsed after the context is built, so an unusable complex is
-    reported before a malformed conjugator."""
-    ctx = monodromy.MonodromyContext(a.complex, ws, a)
-    return monodromy.conjugation_automorphism(t, a.complex, ws, context=ctx, **options)
-
-
 def monodromy_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
-    auto = _automorphism(a, ws, conjugator)
+    auto = monodromy.conjugation_automorphism(conjugator, a, ws)
     return {
         **_basis(auto.context),
         "images": {name: str(word) for name, word in auto.images.items()},
@@ -323,7 +316,7 @@ def monodromy_text(data: dict) -> str:
 
 
 def transition_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
-    tm = monodromy.transition_matrix(_automorphism(a, ws, conjugator))
+    tm = monodromy.transition_matrix(monodromy.conjugation_automorphism(conjugator, a, ws))
     return {
         "basis": tm.order,
         "matrix": [list(row) for row in tm.matrix],
@@ -346,7 +339,7 @@ def transition_text(data: dict) -> str:
 
 
 def reducible_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> dict:
-    auto = _automorphism(a, ws, conjugator, for_witness_search=True)
+    auto = monodromy.conjugation_automorphism(conjugator, a, ws, for_witness_search=True)
     witnesses = [
         {"subset": list(subset), "conjugator": str(word)}
         for subset, word in monodromy.invariant_factor_witnesses(auto)
@@ -454,22 +447,15 @@ def _write_items(write: Callable[[str], object], value, level: int, stream: int)
 
 
 def cmd_build(args) -> int:
-    if args.what == "lot":
+    """Write the complex that ``build``, ``combine`` or ``add-square`` makes."""
+    if args.command == "combine":
+        c = combine(_read_complex(args.file1), _read_complex(args.file2), Word.parse(args.relator))
+    elif args.command == "add-square":
+        c = add_square(_read_complex(args.file), Word.parse(args.relator))
+    elif args.what == "lot":
         c = build_lot_family(args.k, args.stem)
     else:
         c = build_named(args.name)
-    sys.stdout.write(c.render())
-    return 0
-
-
-def cmd_combine(args) -> int:
-    c = combine(_read_complex(args.file1), _read_complex(args.file2), Word.parse(args.relator))
-    sys.stdout.write(c.render())
-    return 0
-
-
-def cmd_add_square(args) -> int:
-    c = add_square(_read_complex(args.file), Word.parse(args.relator))
     sys.stdout.write(c.render())
     return 0
 
@@ -502,7 +488,7 @@ def _analyze_view(a: Analysis, args) -> tuple[dict, Callable[[], str]]:
         views[key] = VIEWS[command](a, args)
     unit = all(abs(w) == 1 for w in ws.values())
     if unit and views["morse"][0]["rank"] is not None:
-        ctx = monodromy.MonodromyContext(a.complex, ws, a)
+        ctx = monodromy.MonodromyContext(a, ws)
         views["monodromy"] = ({**_basis(ctx), "convention": LOOP_CONVENTION}, lambda: (
             "fiber-loop basis: " + " ".join(loop.name for loop in ctx.basis)))
     else:
@@ -535,6 +521,8 @@ def _write_dot(args, a: Analysis) -> None:
 
 
 def _run_view(args) -> int:
+    if getattr(args, "highlight", None) and not args.dot:
+        raise InputError("--highlight needs --dot")
     a = Analysis(_read_complex(args.file))
     if getattr(args, "weights", None) is not None:
         _weights(a, args)  # a bad --weights is the first error, even where it is unused
@@ -589,7 +577,10 @@ FILE_COMMANDS = (
 VIEWS = {command: view for command, _, _, view in FILE_COMMANDS if view is not None}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every `main` call in a process uses: building one costs
+    milliseconds, it has no inputs, and parsing does not change it."""
     parser = _Parser(prog="logfiber", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -607,12 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--relator", required=True)
-    p.set_defaults(func=cmd_combine)
+    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("add-square", help="attach one square to a complex")
     p.add_argument("file")
     p.add_argument("--relator", required=True)
-    p.set_defaults(func=cmd_add_square)
+    p.set_defaults(func=cmd_build)
 
     groups = {}
     for command, help_text, options, view in FILE_COMMANDS:
@@ -632,16 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every `main` call in a process uses: building one costs
-    milliseconds, it has no inputs, and parsing does not change it."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a reader that left early shows here, not at exit
         return status

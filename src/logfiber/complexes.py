@@ -63,9 +63,6 @@ class SquareComplex:
             and [sq.boundary for sq in self.squares] == [sq.boundary for sq in other.squares]
         )
 
-    def generator_set(self) -> set[str]:
-        return set(self.generators)
-
     def stems(self) -> list[str]:
         out: list[str] = []
         for g in self.generators:
@@ -258,12 +255,13 @@ def combine(c1: SquareComplex, c2: SquareComplex, relator: Word | str) -> Square
     alphabets."""
     if isinstance(relator, str):
         relator = Word.parse(relator)
-    collision = c1.generator_set() & c2.generator_set()
+    alphabet1, alphabet2 = set(c1.generators), set(c2.generators)
+    collision = alphabet1 & alphabet2
     if collision:
         raise InputError(f"alphabet collision: {sorted(collision)}")
     gens = list(c1.generators) + list(c2.generators)
     used = relator.support()
-    if not (used & c1.generator_set()) or not (used & c2.generator_set()):
+    if not (used & alphabet1) or not (used & alphabet2):
         raise InputError("combine relator must use generators from both complexes")
     # the sources' squares are valid and their repeats already recorded in
     # their provenance; disjoint alphabets keep them apart from each other

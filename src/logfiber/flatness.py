@@ -31,7 +31,8 @@ given sides, in candidate order.  The radius-r disk is a prefix of the
 radius-R cell order and the checks at a prefix cell do not depend on R, so
 one search at the largest radius finds every smaller radius's first
 witness the first time it has placed that prefix; `hyperbolicity_verdict`
-runs that one search per seed square.
+runs that one search per seed square, over the eligible squares of an
+`Analysis` of its one source.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ def square_tiles(square) -> list[Tile]:
 
 
 def eligible_squares(c: SquareComplex, link: LinkGraph | None = None) -> list[int]:
-    """Squares with no poison corner: the only candidates for a flat plane."""
+    """Squares with no poison corner: the only candidates for a flat plane.
+    ``link`` is the complex's link when the caller holds it;
+    `perfbench/workloads.py` passes one positionally."""
     return Analysis(c, link).eligible
 
 
@@ -266,10 +269,9 @@ class _DiskSearch:
                 for cell, k in zip(self.cells, chosen)}
 
 
-def search_flat_disk(
-    c: SquareComplex, radius: int, analysis: Analysis | None = None
-) -> DiskWitness | None:
-    """Exhaustively try to tile the radius-R disk with eligible squares.
+def search_flat_disk(source: SquareComplex | Analysis, radius: int) -> DiskWitness | None:
+    """Exhaustively try to tile the radius-R disk with eligible squares of
+    ``source``, a complex or its `Analysis`.
 
     Seeds every eligible square at the origin with rotation 0 and no
     reflection (the disk's symmetries make other seeds redundant).  Returns
@@ -278,10 +280,11 @@ def search_flat_disk(
     the cell/placement ordering).
     """
     _check_radius(radius)
-    eligible = (analysis or Analysis(c)).eligible
+    a = Analysis.of(source)
+    eligible = a.eligible
     if not eligible:
         return None
-    search = _DiskSearch(c, eligible, radius)
+    search = _DiskSearch(a.complex, eligible, radius)
     for seed in eligible:
         _, chosen = search.run(seed)
         if chosen is not None:
@@ -351,10 +354,9 @@ class Verdict(NamedTuple):
     details: str = ""
 
 
-def hyperbolicity_verdict(
-    c: SquareComplex, max_radius: int = 3, analysis: Analysis | None = None
-) -> Verdict:
-    """Certify hyperbolicity of the fundamental group.
+def hyperbolicity_verdict(source: SquareComplex | Analysis, max_radius: int = 3) -> Verdict:
+    """Certify hyperbolicity of the fundamental group of ``source``, a
+    complex or its `Analysis`.
 
     NotNPC when the link is not large; HyperbolicCertA when every square has
     a poison corner; HyperbolicCertB(R) at the smallest radius whose disk
@@ -362,16 +364,16 @@ def hyperbolicity_verdict(
     witness (bounded search cannot prove a plane exists).
     """
     _check_radius(max_radius)
-    analysis = analysis or Analysis(c)
-    report = analysis.largeness
+    a = Analysis.of(source)
+    report = a.largeness
     if not report.is_large:
         kinds = sorted({v["kind"] for v in report.violations})
         return Verdict("NotNPC", details=f"link is not large: {', '.join(kinds)}")
-    eligible = analysis.eligible
+    eligible = a.eligible
     if not eligible:
         return Verdict("HyperbolicCertA", eligible=[],
                        details="every square contains a poison corner")
-    search = _DiskSearch(c, eligible, max_radius)
+    search = _DiskSearch(a.complex, eligible, max_radius)
     deepest = 0
     for seed in eligible:
         depth, chosen = search.run(seed)

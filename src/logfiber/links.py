@@ -59,9 +59,6 @@ class CornerEdge(NamedTuple):
         a, b = self.ends
         return (a, b) if a <= b else (b, a)
 
-    def describe(self) -> str:
-        return f"square {self.square} corner {self.corner} ({format_end(self.ends[0])} -- {format_end(self.ends[1])})"
-
 
 def square_corners(sq: Square) -> list[CornerEdge]:
     letters = sq.boundary.letters
@@ -206,7 +203,10 @@ def largeness(link: LinkGraph) -> LargenessReport:
 
 
 def poison_corners(c: SquareComplex, link: LinkGraph | None = None) -> list[CornerEdge]:
-    """Corners whose link edge lies on no length-four circuit."""
+    """Corners whose link edge lies on no length-four circuit.  ``link`` is the
+    complex's link when the caller holds it: `Analysis.poison` passes its own,
+    and this function stays in `links` (which cannot import `Analysis`), where
+    `perfbench/tracing.py` times it."""
     if link is None:
         link = build_link(c)
     return [e for e, on in zip(link.edges, link.on_four_circuit()) if not on]

@@ -32,7 +32,8 @@ holds ``v``; a whole path climbs both ends by depth until they meet.
   lowest; splice the rest of the square of the first edge toward the other
   side over the entering letter, in place, cancelling only at the splice's
   two junctions.  Each step moves the extreme point one tree edge closer;
-  the profile measure strictly decreases.
+  the profile measure strictly decreases.  A word that needs more than
+  `MAX_PEAK_STEPS` steps is refused.
 
 * Phase 2 (harvesting): a flat word is a concatenation of unit peaks
   ``x . y``; walking the descending tree from the reverse direction of
@@ -56,6 +57,10 @@ from .morse import WeightSystem
 from .words import Letter, Word, generator_stem, inverse_letter, signed_weight
 
 _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
+
+# peak steps `MonodromyContext.rewrite` allows one word: a budget, for on LOT k
+# the steps of a fixed-length conjugator's images grow like k^2
+MAX_PEAK_STEPS = 100_000
 
 # (letter entering `from`, the rest of the square's boundary, signed basis letter)
 Crossing = tuple[Letter, tuple[Letter, Letter, Letter], Letter]
@@ -87,10 +92,12 @@ def _loop_name(boundary: Word, greek: dict[str, str]) -> str:
 
 
 class MonodromyContext:
-    """Shared data for rewriting over one complex and unit weight system."""
+    """Shared data for rewriting over one unit weight system of ``source``, a
+    complex or its `Analysis`."""
 
-    def __init__(self, c: SquareComplex, ws: WeightSystem, analysis: Analysis | None = None):
-        data = (analysis or Analysis(c)).morse_data(ws)
+    def __init__(self, source: SquareComplex | Analysis, ws: WeightSystem):
+        a = Analysis.of(source)
+        c, data = a.complex, a.morse_data(ws)
         heights = data.heights
         bad = sorted(g for g in c.generators if abs(ws[g]) != 1)
         if bad:
@@ -198,7 +205,7 @@ class MonodromyContext:
         for g, s in letters:
             h.append(h[-1] + s * weights[g])
         extreme = count = j = 0  # count heights equal the extreme, none left of j
-        for _ in range(100_000):
+        for _ in range(MAX_PEAK_STEPS):
             if count:
                 j = h.index(extreme, j)
             else:
@@ -230,7 +237,8 @@ class MonodromyContext:
                     del h[i:i + 2]
                     j = min(j, i)  # heights left of j are unchanged, so none is the extreme
                     i -= 1
-        raise AssertionError("peak reduction did not terminate")
+        raise InputError(f"peak reduction exceeds the budget of {MAX_PEAK_STEPS} steps;"
+                         " use a shorter conjugator")
 
     def rewrite(self, word: Word) -> Word:
         """Express a weight-zero word in the fiber-loop basis."""
@@ -294,18 +302,21 @@ def rewrite_to_basis(word: Word | str, c: SquareComplex, ws: WeightSystem) -> Wo
 
 def conjugation_automorphism(
     t: Word | str,
-    c: SquareComplex,
+    source: SquareComplex | Analysis,
     ws: WeightSystem,
-    context: MonodromyContext | None = None,
     for_witness_search: bool = False,
 ) -> Automorphism:
-    """The automorphism of the fiber kernel induced by conjugation with a
-    word of weight -1, 0 or +1 (a monodromy for weight +-1, an inner twist
-    of the kernel for weight 0).  ``for_witness_search`` refuses a basis too
-    large for `invariant_factor_witnesses` before rewriting it."""
-    if isinstance(t, str):
-        t = Word.parse(t)
-    ctx = context if context is not None else MonodromyContext(c, ws)
+    """The automorphism of the fiber kernel of ``source`` (a complex or its
+    `Analysis`) induced by conjugation with a word of weight -1, 0 or +1 (a
+    monodromy for weight +-1, an inner twist of the kernel for weight 0).
+    Errors come in order: an unusable complex or weight system, a malformed
+    ``t``, its weight, then (``for_witness_search``) a basis too large for
+    `invariant_factor_witnesses`, before any rewriting."""
+    ctx = MonodromyContext(source, ws)
+    return _conjugate(Word.parse(t) if isinstance(t, str) else t, ctx, for_witness_search)
+
+
+def _conjugate(t: Word, ctx: MonodromyContext, for_witness_search: bool = False) -> Automorphism:
     weight = signed_weight(t, ctx.weights)
     if abs(weight) > 1:
         raise InputError(f"unsupported conjugator {t}: weight {weight} not in -1..1")
@@ -329,8 +340,8 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
 
 
 def invert(f: Automorphism) -> Automorphism:
-    return conjugation_automorphism(f.conjugator.inverse(), f.context.complex,
-                                    f.context.weights, context=f.context)
+    """Conjugation by the inverse conjugator, over ``f``'s own context."""
+    return _conjugate(f.conjugator.inverse(), f.context)
 
 
 class TransitionMatrix(NamedTuple):

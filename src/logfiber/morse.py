@@ -17,7 +17,8 @@ From an admissible weight system we read off:
 * the kernel rank 1 - chi(fiber) when both links are trees and the fiber
   is connected.
 
-`MorseData` holds these for one weight system, each computed once.
+`MorseData` holds these for one weight system, each computed once; the
+scan and the verdict read them from an `Analysis` of their one source.
 `fibering_scan` reads the same values for each lattice vector from closed
 forms and counts fiber components by integer union-find only when a
 directional link is disconnected.
@@ -37,15 +38,13 @@ from functools import cached_property
 from itertools import chain, count, product, repeat
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
+from . import analysis  # a cycle: `analysis` imports this module; read at call time only
 from .complexes import Square, SquareComplex, union_find
 from .errors import InputError
 from .links import CornerEdge, End, build_link
 from .words import generator_stem, signed_weight
-
-if TYPE_CHECKING:
-    from .analysis import Analysis
 
 WeightSystem = dict[str, int]
 
@@ -183,6 +182,7 @@ def directional_links(
     when the caller already holds the corner heights of ``ws``; ``corners``
     are the edges of the vertex link in `links.build_link` order (corner k
     of square i at 4i + k), taken instead of building each square's again.
+    `MorseData` passes both: `perfbench/tracing.py` rebinds this function.
     """
     if heights is None:
         heights = require_admissible(c, ws)
@@ -257,11 +257,13 @@ def _fiber_arcs(c: SquareComplex, ws: WeightSystem) -> tuple[int, list[tuple[int
     return vertices, arcs
 
 
-def fiber_components(c: SquareComplex, ws: WeightSystem, fiber: tuple | None = None) -> int:
-    """Components of the fiber graph of an admissible weight system, by
-    union-find over the integer point ids of `_fiber_arcs` (``fiber``, when
-    the caller holds them)."""
-    vertices, arcs = fiber or _fiber_arcs(c, ws)
+def fiber_components(c: SquareComplex, ws: WeightSystem) -> int:
+    """Components of the fiber graph of an admissible weight system."""
+    return _components(*_fiber_arcs(c, ws))
+
+
+def _components(vertices: int, arcs: list[tuple[int, int, int, int]]) -> int:
+    """Components of a graph on point ids 0 .. vertices-1, by union-find."""
     parent = list(range(vertices))
     for u, v, _, _ in arcs:
         while parent[u] != u:
@@ -280,13 +282,14 @@ def fiber_graph(
     """The preimage of the base point: one vertex per subdivision point of
     the edges plus the vertex itself, and one arc per integer level strictly
     between each square's min and max corner heights, as `_fiber_arcs`
-    lists them.  ``heights`` skips the admissibility check."""
+    lists them.  ``heights`` skips the admissibility check; `MorseData`
+    passes them, as `perfbench/tracing.py` rebinds this function."""
     if heights is None:
         require_admissible(c, ws)
-    fiber = _fiber_arcs(c, ws)
+    count, arcs = _fiber_arcs(c, ws)
     vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
-    edges = [(vertices[u], vertices[v], square, level) for u, v, square, level in fiber[1]]
-    components = fiber_components(c, ws, fiber)
+    edges = [(vertices[u], vertices[v], square, level) for u, v, square, level in arcs]
+    components = _components(count, arcs)
     return FiberGraph(vertices, edges, len(vertices) - len(edges), components == 1, components)
 
 
@@ -294,7 +297,7 @@ class MorseData:
     """Admissibility, corner heights, directional links and fiber graph of
     one weight system, each computed once on first use.  ``corners``, the
     vertex link's edges when the caller holds them, go to
-    `directional_links`."""
+    `directional_links`.  It holds no `Analysis`, which caches it: no cycle."""
 
     def __init__(self, c: SquareComplex, ws: WeightSystem,
                  corners: list[CornerEdge] | None = None):
@@ -466,21 +469,14 @@ def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
     return [dict(zip(c.generators, vec)) for vec in basis]
 
 
-def _analysis_of(c: SquareComplex, analysis: Analysis | None) -> Analysis:
-    if analysis is not None:
-        return analysis
-    from .analysis import Analysis  # imports this module
-
-    return Analysis(c)
-
-
 def _combine_basis(basis: list[WeightSystem], coords: tuple[int, ...], c: SquareComplex) -> WeightSystem:
     return {g: sum(k * b[g] for k, b in zip(coords, basis)) for g in c.generators}
 
 
-def fibering_scan(c: SquareComplex, bound: int, analysis: Analysis | None = None) -> list[dict]:
-    """One row per lattice vector with coordinates in [-bound, bound]
-    (zero-weight vectors excluded), in lexicographic coordinate order.
+def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list[dict]:
+    """One row per lattice vector of ``source``, a complex or its `Analysis`,
+    with coordinates in [-bound, bound] (zero-weight vectors excluded), in
+    lexicographic coordinate order.
 
     Each row costs integer work linear in generators and squares, with the
     same values `MorseData` would give:
@@ -502,8 +498,8 @@ def fibering_scan(c: SquareComplex, bound: int, analysis: Analysis | None = None
     Refuses scans of more than `MAX_SCAN_VECTORS` coordinate vectors."""
     if bound < 1:
         raise InputError("scan bound must be >= 1")
-    analysis = _analysis_of(c, analysis)
-    basis = analysis.lattice
+    a = analysis.Analysis.of(source)
+    c, basis = a.complex, a.lattice
     vectors = (2 * bound + 1) ** len(basis)
     if vectors > MAX_SCAN_VECTORS:
         raise InputError(
@@ -546,7 +542,7 @@ def fibering_scan(c: SquareComplex, bound: int, analysis: Analysis | None = None
                         "components": None, "rank": None})
             rows.append(row)
             continue
-        asc, desc = analysis.sign_links(ws)
+        asc, desc = a.sign_links(ws)
         chi = chi_constant + sum(map(mul, chi_coefficient, map(abs, w)))
         if asc.components == 1 and desc.components == 1:
             components = gcd(*w)
@@ -569,8 +565,8 @@ def fibering_scan(c: SquareComplex, bound: int, analysis: Analysis | None = None
     return rows
 
 
-def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None) -> dict:
-    """Does the complex fiber in infinitely many ways?
+def infinite_fibering_verdict(source: SquareComplex | analysis.Analysis) -> dict:
+    """Does ``source``, a complex or its `Analysis`, fiber in infinitely many ways?
 
     YES when the weight lattice has rank >= 2 and some sign pattern
     (orthant) admits weight systems whose ascending and descending links
@@ -578,8 +574,8 @@ def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None
     per orthant decides the whole orthant.  Refuses lattices with more than
     `MAX_ORTHANTS` orthants.
     """
-    analysis = _analysis_of(c, analysis)
-    basis = analysis.lattice
+    a = analysis.Analysis.of(source)
+    c, basis = a.complex, a.lattice
     rank = len(basis)
     out: dict = {"lattice_rank": rank, "infinite_fibering": False, "orthant": None}
     if rank < 2:
@@ -613,7 +609,7 @@ def infinite_fibering_verdict(c: SquareComplex, analysis: Analysis | None = None
                 break
         if representative is None:
             continue
-        asc, desc = analysis.sign_links(representative)
+        asc, desc = a.sign_links(representative)
         if asc.is_tree and desc.is_tree:
             out["infinite_fibering"] = True
             out["orthant"] = ["+" if s > 0 else "-" for s in signs]

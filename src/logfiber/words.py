@@ -24,12 +24,8 @@ _NAME_RE = re.compile(r"[^\W\d_]+\d*\Z")
 _TOKEN_RE = re.compile(r"([^\W\d_]+\d*)(\^-1|-)?\Z")
 
 
-def is_generator_name(name: str) -> bool:
-    return bool(_NAME_RE.match(name))
-
-
 def check_generator_name(name: str) -> str:
-    if not is_generator_name(name):
+    if not _NAME_RE.match(name):
         raise InputError(f"invalid generator name {name!r} (want letters then optional digits)")
     return name
 
@@ -134,9 +130,6 @@ class Word:
             else:
                 stack.append((g, s))
         return Word._of(tuple(stack))
-
-    def is_reduced(self) -> bool:
-        return len(self.free_reduce()) == len(self)
 
     def is_cyclically_reduced(self) -> bool:
         """No cancelling adjacent pair, including the wraparound pair."""

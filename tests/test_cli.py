@@ -287,6 +287,14 @@ def test_dot_highlight_desc(tmp_path, capsys, g2_file):
     assert "style=bold" in dot.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["link", "analyze"])
+def test_highlight_without_dot_is_refused(capsys, g2_file, command):
+    for mode in ([], ["--json"]):
+        assert main([command, g2_file, "--highlight", "asc"] + mode) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--highlight needs --dot" in captured.err
+
+
 def test_exit_code_two_on_internal_violation(monkeypatch, capsys, g1_file):
     import logfiber.cli as cli
 
@@ -644,6 +652,22 @@ def test_reducible_witness_refuses_a_large_basis_before_rewriting(
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "basis of size 17 is too large for exhaustive search" in captured.err
+
+
+def test_peak_reduction_over_budget_is_an_input_error(tmp_path, capsys, monkeypatch):
+    from logfiber import build_lot_family, monodromy
+
+    path = tmp_path / "lot16.log"
+    path.write_text(build_lot_family(16).render(), encoding="utf-8")
+    argv = ["monodromy", str(path), "--conjugator", "a3 a9 a1 a14^-1 a7^-1", "--json"]
+    assert main(argv) == 0  # at most 285 peak steps per image
+    capsys.readouterr()
+    monkeypatch.setattr(monodromy, "MAX_PEAK_STEPS", 50)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "peak reduction exceeds the budget of 50 steps" in captured.err
+    assert "Traceback" not in captured.err and "internal invariant" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["monodromy", "transition", "reducible-witness"])

@@ -185,7 +185,7 @@ def test_components_are_gcd_when_links_connected():
     checked = 0
     for c in NAMED + RANDOM:
         a = Analysis(c)
-        for row in fibering_scan(c, 3, a):
+        for row in fibering_scan(a, 3):
             if not row["admissible"]:
                 continue
             ws = row["weights"]
@@ -202,7 +202,7 @@ def test_components_are_gcd_when_links_connected():
 def test_links_built_once_per_sign_vector():
     c = triple(4)
     a = Analysis(c)
-    rows = fibering_scan(c, 4, a)
+    rows = fibering_scan(a, 4)
     signs = {tuple(w > 0 for w in r["weights"].values()) for r in rows if r["admissible"]}
     assert len(rows) >= 50 * len(signs)
     assert set(a._sign_links) == signs

@@ -99,7 +99,7 @@ def loop_verdict(c, max_radius):
                        details="every square contains a poison corner")
     witness = None
     for radius in range(1, max_radius + 1):
-        witness = search_flat_disk(c, radius, a)
+        witness = search_flat_disk(a, radius)
         if witness is None:
             return Verdict("HyperbolicCertB", radius=radius, eligible=a.eligible,
                            details=f"no flat disk of radius {radius}")
