@@ -308,7 +308,7 @@ def monodromy_text(data: dict) -> str:
     lines = [f"fiber-loop basis ({len(data['basis'])} loops):"]
     for loop in data["basis"]:
         lines.append(f"  {loop['name']} = loop of square {loop['square']} (rep {loop['rep']})")
-    lines.append(f"conjugation by {data['conjugator']} ({data['tag']}):")
+    lines.append(f"conjugation by {data['conjugator'] or '(empty)'} ({data['tag']}):")
     for loop in data["basis"]:
         name = loop["name"]
         lines.append(f"  {name} -> {data['images'][name]}")
@@ -380,7 +380,11 @@ def _json_text(value, level: int) -> str:
             return "[" + inner + "".join(_json_flat(level)(value, 0))[1:-1] + inner[:-2] + "]"
         return "[" + inner + ("," + inner).join(_json_items(value, level + 1)) + inner[:-2] + "]"
     if kind is dict and value and (template := _json_template(tuple(value), level)):
-        return template % tuple(_json_items(value.values(), level + 1))
+        values = value.values()
+        # exact ints print alike through %s; the last value alone turns most other dicts away
+        if type(next(reversed(values))) is int and _JSON_INT.issuperset(map(type, values)):
+            return template % tuple(values)
+        return template % tuple(_json_items(values, level + 1))
     scalar = _JSON_SCALARS.get(kind)
     return scalar(value) if scalar else json.dumps(
         value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
@@ -394,7 +398,7 @@ def _json_items(items, level: int) -> list[str]:
 _JSON_STRING = json.encoder.encode_basestring
 _JSON_SCALARS = {str: _JSON_STRING, int: int.__repr__, bool: {True: "true", False: "false"}.get,
                  type(None): lambda _: "null"}
-_JSON_STR, _JSON_FLAT = frozenset((str,)), frozenset(_JSON_SCALARS)
+_JSON_STR, _JSON_INT, _JSON_FLAT = frozenset((str,)), frozenset((int,)), frozenset(_JSON_SCALARS)
 
 
 @functools.lru_cache(1024)

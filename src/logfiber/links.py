@@ -18,7 +18,6 @@ for tiling a flat plane, which is what `flatness` builds on.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
@@ -101,8 +100,18 @@ class LinkGraph:
                     far = near[q]
                     if (len(row), p) > (len(far), q):
                         continue
-                    if len(ids) > 1 or any(t != p for r in row if r != q
-                                           for t in _common(near[r], far)):
+                    closed = len(ids) > 1
+                    for r in row:
+                        if closed:
+                            break
+                        if r == q:
+                            continue
+                        small, large = (near[r], far) if len(near[r]) <= len(far) else (far, near[r])
+                        for t in small:
+                            if t != p and t in large:
+                                closed = True
+                                break
+                    if closed:
                         for i in ids:
                             on[i] = True
             self._on_four_circuit = on
@@ -110,8 +119,18 @@ class LinkGraph:
 
 
 def build_link(c: SquareComplex) -> LinkGraph:
+    """The link, with the corners of `square_corners` on the vertex tuples."""
     vertices = [(g, sign) for g in c.generators for sign in ("+", "-")]
-    edges = [corner for sq in c.squares for corner in square_corners(sq)]
+    ends = {}  # letter -> (its arrival end, its departure end)
+    for plus, minus in zip(vertices[::2], vertices[1::2]):
+        ends[plus[0], 1], ends[plus[0], -1] = (plus, minus), (minus, plus)
+    new = tuple.__new__  # CornerEdge's own __new__ is a Python-level call
+    edges = []
+    for sq in c.squares:
+        (a0, d0), (a1, d1), (a2, d2), (a3, d3) = map(ends.__getitem__, sq.boundary.letters)
+        i = sq.index
+        edges += (new(CornerEdge, (i, 0, (a3, d0))), new(CornerEdge, (i, 1, (a0, d1))),
+                  new(CornerEdge, (i, 2, (a1, d2))), new(CornerEdge, (i, 3, (a2, d3))))
     return LinkGraph(vertices, edges)
 
 
@@ -151,7 +170,10 @@ def _triangles(link: LinkGraph) -> tuple[list[tuple[CornerEdge, CornerEdge, Corn
         if a == b:
             continue
         found = []
-        for c in _common(near[a], near[b]):
+        small, large = (near[a], near[b]) if len(near[a]) <= len(near[b]) else (near[b], near[a])
+        for c in small:
+            if c not in large:
+                continue
             spanned = True
             for j in near[b][c]:
                 for k in near[c][a]:
@@ -161,13 +183,6 @@ def _triangles(link: LinkGraph) -> tuple[list[tuple[CornerEdge, CornerEdge, Corn
                         found.append((min(j, k), max(j, k)))
         out.extend((edges[i], edges[j], edges[k]) for j, k in sorted(found))
     return out, spanned
-
-
-def _common(x: dict[int, list[int]], y: dict[int, list[int]]) -> Iterator[int]:
-    """The vertices in both neighbour sets, probing the larger with the smaller."""
-    if len(x) > len(y):
-        x, y = y, x
-    return (t for t in x if t in y)
 
 
 def largeness(link: LinkGraph) -> LargenessReport:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, count, product, repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Iterator, NamedTuple
 
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
@@ -218,61 +218,82 @@ class FiberGraph(NamedTuple):
     components: int
 
 
-def _fiber_arcs(c: SquareComplex, ws: WeightSystem) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Vertex count and arcs (u, v, square, level) of the fiber graph of an
-    admissible weight system over integer point ids: 0 is the base vertex,
-    then the points (g, 1) .. (g, |w_g| - 1) of each generator in order, the
-    height rising with the index when w_g > 0 and falling when w_g < 0.  A
-    square with corner heights (0, a, a+b, b) and min corner m has an arc at
-    each level strictly between corners m and m+2, from the path through
-    corner m+1 to the one through m+3; a path meets the levels at its first
-    letter's points, the base vertex at its middle corner, then its second
-    letter's points.  Refuses more than `MAX_FIBER_CELLS` vertices plus arcs,
-    counted before any range is built (a range longer than sys.maxsize has
-    no length)."""
-    squares = []
+def _fiber_paths(c: SquareComplex, w: list[int]) -> list[tuple[int, int, int, int]]:
+    """Per square, the generator numbers (p, q, r, t) of the letters on its
+    two sides from its min corner m to m+2: letters m, m+1 and m-1, m-2.
+    With corner heights (0, a, a+b, b) for the signed weights a, b of
+    letters 0 and 1, m depends only on the signs of the weights ``w``."""
+    index = {g: i for i, g in enumerate(c.generators)}
+    paths = []
     for sq in c.squares:
-        g, s = zip(*sq.boundary.letters)
-        a, b = s[0] * ws[g[0]], s[1] * ws[g[1]]
-        squares.append((sq.index, g, (0, a, a + b, b)))
-    vertices = 1 + sum(abs(ws[g]) - 1 for g in c.generators)
-    cells = vertices + sum(abs(h[1]) + abs(h[3]) - 1 for _, _, h in squares)
+        g = [index[x] for x, _ in sq.boundary.letters]
+        (_, s0), (_, s1) = sq.boundary.letters[:2]
+        m = (0, 3, 1, 2)[2 * (s0 * w[g[0]] < 0) + (s1 * w[g[1]] < 0)]
+        paths.append((g[m], g[m - 3], g[m - 1], g[m - 2]))
+    return paths
+
+
+def _fiber_sides(w: list[int], paths: list[tuple[int, int, int, int]]
+                 ) -> tuple[int, list[tuple[Iterator[int], Iterator[int]]]]:
+    """Vertex count of the fiber graph of the weights ``w`` and, per square,
+    the point ids its two sides meet at each level strictly between its min
+    and max corners: the first letter's points, the base vertex (point 0),
+    then the second letter's.  The points (g, 1) .. (g, |w_g| - 1) of each
+    generator follow in order, rising with the index when w_g > 0.  Refuses
+    more than `MAX_FIBER_CELLS` vertices plus arcs, counted before any range
+    is built (a range longer than sys.maxsize has no length)."""
+    vertices = 1 + sum(map(abs, w)) - len(w)
+    cells = vertices + sum(abs(w[p]) + abs(w[q]) - 1 for p, q, _, _ in paths)
     if cells > MAX_FIBER_CELLS:
         raise InputError(
             f"fiber graph of {cells} vertices and arcs exceeds the limit of {MAX_FIBER_CELLS};"
             " lower the weights"
         )
-    by_level = {}  # generator -> its point ids in increasing height order
+    by_level = []  # generator number -> its point ids in increasing height order
     start = 1
-    for g in c.generators:
-        ids = range(start, start + abs(ws[g]) - 1)
-        by_level[g] = ids if ws[g] > 0 else ids[::-1]
+    for x in w:
+        ids = range(start, start + abs(x) - 1)
+        by_level.append(ids if x > 0 else ids[::-1])
         start += len(ids)
+    return vertices, [(chain(by_level[p], (0,), by_level[q]), chain(by_level[r], (0,), by_level[t]))
+                      for p, q, r, t in paths]
+
+
+def _fiber_arcs(c: SquareComplex, ws: WeightSystem) -> list[tuple[int, int, int, int]]:
+    """The arcs (u, v, square, level) of the fiber graph of an admissible
+    weight system, over the point ids of `_fiber_sides`: a square has an arc
+    at each level strictly between its min and max corners, from the side
+    through corner m+1 to the one through m+3."""
+    w = [ws[g] for g in c.generators]
+    _, sides = _fiber_sides(w, _fiber_paths(c, w))
     arcs: list[tuple[int, int, int, int]] = []
-    for index, g, heights in squares:
-        m = heights.index(min(heights))
-        up = chain(by_level[g[m]], (0,), by_level[g[m - 3]])
-        down = chain(by_level[g[m - 1]], (0,), by_level[g[m - 2]])
-        arcs.extend(zip(up, down, repeat(index), count(heights[m] + 1)))
-    return vertices, arcs
+    for sq, (up, down) in zip(c.squares, sides):
+        (g0, s0), (g1, s1) = sq.boundary.letters[:2]
+        low = min(0, s0 * ws[g0]) + min(0, s1 * ws[g1])  # the min of (0, a, a+b, b)
+        arcs.extend(zip(up, down, repeat(sq.index), count(low + 1)))
+    return arcs
 
 
 def fiber_components(c: SquareComplex, ws: WeightSystem) -> int:
     """Components of the fiber graph of an admissible weight system."""
-    return _components(*_fiber_arcs(c, ws))
+    w = [ws[g] for g in c.generators]
+    return _path_components(w, _fiber_paths(c, w))
 
 
-def _components(vertices: int, arcs: list[tuple[int, int, int, int]]) -> int:
-    """Components of a graph on point ids 0 .. vertices-1, by union-find."""
+def _path_components(w: list[int], paths: list[tuple[int, int, int, int]]) -> int:
+    """Components of the fiber graph of the weights ``w`` on the square
+    paths ``paths``, by union-find over the point ids its arcs join."""
+    vertices, sides = _fiber_sides(w, paths)
     parent = list(range(vertices))
-    for u, v, _, _ in arcs:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            vertices -= 1
+    for up, down in sides:
+        for u, v in zip(up, down):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                vertices -= 1
     return vertices
 
 
@@ -286,10 +307,10 @@ def fiber_graph(
     passes them, as `perfbench/tracing.py` rebinds this function."""
     if heights is None:
         require_admissible(c, ws)
-    count, arcs = _fiber_arcs(c, ws)
+    arcs = _fiber_arcs(c, ws)
     vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
     edges = [(vertices[u], vertices[v], square, level) for u, v, square, level in arcs]
-    components = _components(count, arcs)
+    components = fiber_components(c, ws)
     return FiberGraph(vertices, edges, len(vertices) - len(edges), components == 1, components)
 
 
@@ -475,25 +496,25 @@ def _combine_basis(basis: list[WeightSystem], coords: tuple[int, ...], c: Square
 
 def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list[dict]:
     """One row per lattice vector of ``source``, a complex or its `Analysis`,
-    with coordinates in [-bound, bound] (zero-weight vectors excluded), in
-    lexicographic coordinate order.
+    with coordinates x in [-bound, bound] (zero-weight vectors excluded), in
+    lexicographic coordinate order, holding the values `MorseData` would
+    give.  What stays fixed over the lattice, or over the weight vectors
+    w = sum_k x_k b_k of one sign vector, is worked out once:
 
-    Each row costs integer work linear in generators and squares, with the
-    same values `MorseData` would give:
-
-    * admissible iff, on every square, both pairs of opposite letters carry
-      negated signed weights (together: zero boundary sum and the affine
-      condition), tested on the vector itself;
-    * the directional links depend only on the signs of the weights
-      (corner heights are (0, a, a+b, b) for the signed weights a, b of
-      letters 0 and 1), so they come from `Analysis.sign_links`, built once
-      per sign vector;
+    * admissibility: each pair of opposite letters must carry negated signed
+      weights (together: zero boundary sum and the affine condition), a
+      linear form in x; a row is admissible iff every nonzero form is zero;
+    * the directional links depend only on the signs of the weights (corner
+      heights are (0, a, a+b, b) for the signed weights a, b of letters 0
+      and 1), so they come from `Analysis.sign_links`;
     * chi = 1 + sum_g (|w_g| - 1) - sum_squares (|a| + |b| - 1), the vertex
-      and arc count of `fiber_graph`;
+      and arc count of `fiber_graph`; with |w_g| = sign(w_g) w_g it is a
+      constant plus one slope per sign vector dotted with x;
     * when both links are connected, every level set of a primitive weight
       map is connected (Bestvina-Brady, Morse lemma), and the fiber of
       d times a primitive map is d disjoint level sets, so it has
-      gcd(weights) components; otherwise `fiber_components` counts them.
+      gcd(weights) components; otherwise union-find counts them on the
+      square paths of `_fiber_paths`.
 
     Refuses scans of more than `MAX_SCAN_VECTORS` coordinate vectors."""
     if bound < 1:
@@ -506,62 +527,62 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
             f"scan of {vectors} vectors ((2*{bound}+1)^{len(basis)}) exceeds the limit of"
             f" {MAX_SCAN_VECTORS}; lower the bound"
         )
+    if not basis:
+        return []  # the zero vector only
     generators = c.generators
-    span = range(-bound, bound + 1)
-    # multiples[i][k + bound] = k times basis vector i, in generator order
-    multiples = [[[k * b[g] for g in generators] for k in span] for b in basis]
-    index = {g: i for i, g in enumerate(generators)}
-    # opposite letters (index, sign, index, sign) whose signed weights must
-    # cancel; a letter against its own inverse always does
-    opposite = []
-    # chi = chi_constant + sum_g chi_coefficient[g] * |w_g|
-    chi_coefficient = [1] * len(generators)
+    column = {g: [b[g] for b in basis] for g in generators}  # w_g = column[g] . x
+    forms = {}  # opposite letters (g, s), (h, t): s w_g + t w_h = (s column[g] + t column[h]) . x
+    chi_coefficient = dict.fromkeys(generators, 1)  # chi = chi_constant + sum_g coefficient |w_g|
     for sq in c.squares:
         (g0, s0), (g1, s1), (g2, s2), (g3, s3) = sq.boundary.letters
         for g, s, h, t in ((g0, s0, g2, s2), (g1, s1, g3, s3)):
-            if g != h or s != -t:
-                opposite.append((index[g], s, index[h], t))
-        chi_coefficient[index[g0]] -= 1
-        chi_coefficient[index[g1]] -= 1
-    opposite = list(dict.fromkeys(opposite))
+            form = tuple(s * x + t * y for x, y in zip(column[g], column[h]))
+            if any(form):
+                forms[form] = None
+        chi_coefficient[g0] -= 1
+        chi_coefficient[g1] -= 1
     chi_constant = 1 - len(generators) + len(c.squares)
+    # sign vector (w_g > 0) -> (asc tree, desc tree, paths if a link is split, chi slope)
+    orthants: dict[tuple[bool, ...], tuple[bool, bool, list | None, list[int]]] = {}
 
+    span = range(-bound, bound + 1)
+    *leading, last = [[[k * b[g] for g in generators] for k in span] for b in basis]
     rows = []
-    for coords, parts in zip(product(span, repeat=len(basis)), product(*multiples)):
-        if not any(coords):
-            continue
-        w = list(map(sum, zip(*parts)))
-        if 0 in w:
-            continue
-        ws = dict(zip(generators, w))
-        row: dict = {"coords": list(coords), "weights": ws}
-        row["admissible"] = all(s * w[i] + t * w[j] == 0 for i, s, j, t in opposite)
-        row["primitive"] = gcd(*coords) == 1
-        if not row["admissible"]:
-            row.update({"asc_tree": None, "desc_tree": None, "chi": None,
-                        "components": None, "rank": None})
-            rows.append(row)
-            continue
-        asc, desc = a.sign_links(ws)
-        chi = chi_constant + sum(map(mul, chi_coefficient, map(abs, w)))
-        if asc.components == 1 and desc.components == 1:
-            components = gcd(*w)
-        else:
-            components = fiber_components(c, ws)
-        row["asc_tree"] = asc.is_tree
-        row["desc_tree"] = desc.is_tree
-        row["chi"] = chi  # vertex count minus arc count of the fiber graph
-        row["components"] = components
-        if asc.is_tree and desc.is_tree and components == 1:
-            row["rank"] = 1 - chi
-        else:
-            row["rank"] = None
+    for head, parts in zip(product(span, repeat=len(leading)), product(*leading)):
+        start = list(map(sum, zip(*parts))) if parts else [0] * len(generators)
+        head_divisor, prefix = gcd(*head), list(head)
+        for k, step in zip(span, last):
+            divisor = gcd(head_divisor, k)
+            if not divisor:
+                continue  # the zero vector
+            w = list(map(add, start, step))
+            if 0 in w:
+                continue
+            coords = prefix + [k]  # sized exactly, unlike [*head, k]
+            ws = dict(zip(generators, w))
+            if forms and any(sum(map(mul, form, coords)) for form in forms):
+                rows.append({"coords": coords, "weights": ws, "admissible": False,
+                             "primitive": divisor == 1, "asc_tree": None, "desc_tree": None,
+                             "chi": None, "components": None, "rank": None})
+                continue
+            signs = tuple(map((0).__lt__, w))
+            if signs not in orthants:
+                asc, desc = a.sign_links(ws)
+                paths = None if asc.components == desc.components == 1 else _fiber_paths(c, w)
+                signed = [f if up else -f for f, up in zip(chi_coefficient.values(), signs)]
+                slope = [sum(map(mul, signed, xs)) for xs in zip(*column.values())]
+                orthants[signs] = (asc.is_tree, desc.is_tree, paths, slope)
+            asc_tree, desc_tree, paths, slope = orthants[signs]
+            chi = chi_constant + sum(map(mul, slope, coords))
+            components = gcd(*w) if paths is None else _path_components(w, paths)
+            row = {"coords": coords, "weights": ws, "admissible": True,
+                   "primitive": divisor == 1, "asc_tree": asc_tree, "desc_tree": desc_tree,
+                   "chi": chi, "components": components,
+                   "rank": 1 - chi if asc_tree and desc_tree and components == 1 else None}
             if components != 1:
-                row["note"] = (
-                    f"disconnected fiber ({components} components);"
-                    " chi is the direct count, no rank claim"
-                )
-        rows.append(row)
+                row["note"] = (f"disconnected fiber ({components} components);"
+                               " chi is the direct count, no rank claim")
+            rows.append(row)
     return rows
 
 

@@ -203,6 +203,14 @@ def test_monodromy_json(capsys, g1_file):
     assert data["images"]["α1"] == "α1 α0"
 
 
+def test_monodromy_text_names_an_empty_conjugator(capsys, g1_file):
+    # "a0 a0^-1" reduces to the empty word: the text says so, the JSON keeps ""
+    assert main(["monodromy", g1_file, "--conjugator", "a0 a0^-1"]) == 0
+    assert "conjugation by (empty) (inner):" in capsys.readouterr().out
+    data = run_json(capsys, ["monodromy", g1_file, "--conjugator", "a0 a0^-1"])
+    assert data["conjugator"] == ""
+
+
 def test_transition_json(capsys, g2_file):
     data = run_json(capsys, ["transition", g2_file, "--conjugator", "a3"])
     assert set(data) == SCHEMAS["transition"]

@@ -233,9 +233,9 @@ def reference_fiber_edges(c, ws):
 
 
 def test_fiber_graph_and_component_count_match_references():
-    # `fiber_graph` takes its arcs and component count from the integer ids
-    # of `morse._fiber_arcs`, so they are checked against the definition and
-    # against a union-find over tuple vertices
+    # `fiber_graph` takes its arcs from the integer ids of `morse._fiber_arcs`
+    # and its component count from `fiber_components`, so they are checked
+    # against the definition and against a union-find over tuple vertices
     gf_rows = g2_mixed_rows = 0
     for c in NAMED + RANDOM:
         for row in fibering_scan(c, 3):

@@ -67,6 +67,12 @@ FLAT_AT_EVERY_DEPTH = {
 @settings(max_examples=250, deadline=None)
 @given(values)
 @example(FLAT_AT_EVERY_DEPTH)
+# the edge of the all-int dict path: a bool or an int subclass among ints, big and
+# negative ints, and all-int dicts two levels deep in a list
+@example({"a": True, "b": 2})
+@example({"a": Number(3), "b": 2})
+@example({"a": 2**80, "b": -(2**80), "c": -1, "d": 0})
+@example([[{"a0": 1, "a1": -2}, {"b": 3}], {"w": {"x": -4}}])
 def test_writer_matches_dumps(value):
     assert written(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
