@@ -2,12 +2,13 @@
 
 A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
-the weight lattice, each weight system's `morse.MorseData` and the
-directional links of each sign vector are built once; the directional
-links reuse the link's corner edges.  A function that takes a ``source``
-reads a complex or an `Analysis` of one through `Analysis.of`.  Nothing
-cached here holds the `Analysis`, so a dropped one is freed without the
-cycle collector.
+the weight lattice and its affine forms, each weight system's
+`morse.MorseData` and the directional links of each sign vector are built
+once.  The directional links reuse the link's corner edges; those of a sign
+vector come from its signs alone, with no `MorseData`.  A function that
+takes a ``source`` reads a complex or an `Analysis` of one through
+`Analysis.of`.  Nothing cached here holds the `Analysis`, so a dropped one
+is freed without the cycle collector.
 """
 
 from __future__ import annotations
@@ -60,14 +61,31 @@ class Analysis:
             self._morse[key] = morse.MorseData(self.complex, ws, self.link.edges)
         return self._morse[key]
 
+    @cached_property
+    def affine_forms(self) -> dict[tuple[int, ...], int]:
+        """The affine condition on the lattice coordinates x: each nonzero
+        form (s b_k[g] + t b_k[h])_k of a square's opposite letters (g, s)
+        and (h, t) at places 0 and 2, with the first square that gives it.
+        A lattice vector meets the condition iff every form is zero at its
+        x; letters 1 and 3 give the negated form, the boundary sum being zero."""
+        forms: dict[tuple[int, ...], int] = {}
+        for sq in self.complex.squares:
+            (g, s), _, (h, t), _ = sq.boundary.letters
+            form = tuple(s * b[g] + t * b[h] for b in self.lattice)
+            if any(form):
+                forms.setdefault(form, sq.index)
+        return forms
+
     def sign_links(self, ws: morse.WeightSystem
                    ) -> tuple[morse.DirectionalLink, morse.DirectionalLink]:
         """Ascending and descending links of an admissible weight system.
 
         Each square's min and max corners, and each direction-end's side,
         depend only on the signs of the weights, so the links are built
-        once per sign vector (from the first weight system seen with it)."""
+        once per sign vector, from its min corners (`morse.min_corners`)
+        and the link's corner edges, with no admissibility check."""
         key = tuple(map((0).__lt__, map(ws.__getitem__, self.complex.generators)))
         if key not in self._sign_links:
-            self._sign_links[key] = self.morse_data(ws).links
+            mins = morse.min_corners(self.complex, ws)
+            self._sign_links[key] = morse.directional_links(self.complex, ws, mins, self.link.edges)
         return self._sign_links[key]

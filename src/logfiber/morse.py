@@ -17,11 +17,13 @@ From an admissible weight system we read off:
 * the kernel rank 1 - chi(fiber) when both links are trees and the fiber
   is connected.
 
-`MorseData` holds these for one weight system, each computed once; the
-scan and the verdict read them from an `Analysis` of their one source.
-`fibering_scan` reads the same values for each lattice vector from closed
-forms and counts fiber components by integer union-find only when a
-directional link is disconnected.
+Min and max corners, and so both directional links, depend only on the
+signs of the weights (`min_corners`).  `MorseData` holds these for one
+weight system, each computed once; the scan and the verdict read each sign
+vector's links and the lattice's affine forms from an `Analysis` of their
+one source.  `fibering_scan` reads the other values for each lattice
+vector from closed forms and counts fiber components by integer
+union-find only when a directional link is disconnected.
 
 The integer lattice of zero-sum weight systems is computed exactly.  A LOG
 square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square whose
@@ -35,10 +37,10 @@ gives.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, count, product, repeat
+from itertools import chain, count, product
 from math import gcd
 from operator import add, mul
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
 from .complexes import Square, SquareComplex, union_find
@@ -74,11 +76,14 @@ def parse_weight_spec(spec: str, c: SquareComplex) -> WeightSystem:
         except ValueError:
             raise InputError(f"bad weight {item!r}") from None
         if key in c.generators:
-            exact_values[key] = number
+            values = exact_values
         elif key in c.stems():
-            stem_values[key] = number
+            values = stem_values
         else:
             raise InputError(f"{key!r} is neither a generator nor a stem of the complex")
+        if key in values:
+            raise InputError(f"weight for {key!r} given more than once")
+        values[key] = number
     ws: WeightSystem = {}
     for g in c.generators:
         if g in exact_values:
@@ -117,6 +122,15 @@ def corner_heights(sq: Square, ws: WeightSystem) -> CornerHeights:
     return CornerHeights(sq.index, heights, min_corner, max_corner)
 
 
+def min_corners(c: SquareComplex, ws: WeightSystem) -> list[int]:
+    """Per square, its min corner under an admissible weight system; its max
+    corner is two round.  The corner heights are (0, a, a+b, b) for the
+    signed weights a, b of letters 0 and 1, so the signs alone decide what
+    `corner_heights` finds by sorting."""
+    return [(0, 3, 1, 2)[2 * (s0 * ws[g0] < 0) + (s1 * ws[g1] < 0)]
+            for (g0, s0), (g1, s1), _, _ in (sq.boundary.letters for sq in c.squares)]
+
+
 class AdmissibilityReport(NamedTuple):
     admissible: bool
     problems: list[str]
@@ -136,8 +150,7 @@ def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
             if total != 0:
                 problems.append(f"square {sq.index}: boundary weight sum {total} != 0")
                 continue
-            letters = sq.boundary.letters
-            w = [s * ws[g] for g, s in letters]
+            w = [s * ws[g] for g, s in sq.boundary.letters]
             if w[0] + w[2] != 0:
                 problems.append(
                     f"square {sq.index}: opposite letters carry weights {w[0]} and {w[2]}"
@@ -170,7 +183,7 @@ def _graph_stats(vertices: list[End], edges: list[CornerEdge]) -> tuple[bool, in
 def directional_links(
     c: SquareComplex,
     ws: WeightSystem,
-    heights: list[CornerHeights] | None = None,
+    mins: list[int] | None = None,
     corners: list[CornerEdge] | None = None,
 ) -> tuple[DirectionalLink, DirectionalLink]:
     """Ascending and descending links of the vertex.
@@ -178,20 +191,21 @@ def directional_links(
     A direction-end ascends when moving into it increases the Morse height:
     (g, start) for positive weight, (g, end) for negative.  Each square
     contributes its min-corner edge to the ascending link and its max-corner
-    edge to the descending link.  ``heights`` skips the admissibility check
-    when the caller already holds the corner heights of ``ws``; ``corners``
-    are the edges of the vertex link in `links.build_link` order (corner k
-    of square i at 4i + k), taken instead of building each square's again.
-    `MorseData` passes both: `perfbench/tracing.py` rebinds this function.
+    edge, two round, to the descending link.  ``mins``, the min corners of
+    an admissible ``ws`` (`min_corners`), skip the admissibility check;
+    ``corners`` are the edges of the vertex link in `links.build_link` order
+    (corner k of square i at 4i + k), taken instead of building each
+    square's again.  `MorseData` and `Analysis.sign_links` pass both:
+    `perfbench/tracing.py` rebinds this function.
     """
-    if heights is None:
-        heights = require_admissible(c, ws)
+    if mins is None:
+        mins = [h.min_corner for h in require_admissible(c, ws)]
     if corners is None:
         corners = build_link(c).edges
     asc_vertices = [(g, "-") if ws[g] > 0 else (g, "+") for g in c.generators]
     desc_vertices = [(g, "+") if ws[g] > 0 else (g, "-") for g in c.generators]
-    asc_edges = [corners[4 * i + h.min_corner] for i, h in enumerate(heights)]
-    desc_edges = [corners[4 * i + h.max_corner] for i, h in enumerate(heights)]
+    asc_edges = [corners[4 * i + m] for i, m in enumerate(mins)]
+    desc_edges = [corners[4 * i + (m + 2) % 4] for i, m in enumerate(mins)]
     asc_set, desc_set = set(asc_vertices), set(desc_vertices)
     for e in asc_edges:
         assert set(e.ends) <= asc_set, e
@@ -218,27 +232,25 @@ class FiberGraph(NamedTuple):
     components: int
 
 
-def _fiber_paths(c: SquareComplex, w: list[int]) -> list[tuple[int, int, int, int]]:
+def _fiber_paths(c: SquareComplex, mins: list[int]) -> list[tuple[int, int, int, int]]:
     """Per square, the generator numbers (p, q, r, t) of the letters on its
-    two sides from its min corner m to m+2: letters m, m+1 and m-1, m-2.
-    With corner heights (0, a, a+b, b) for the signed weights a, b of
-    letters 0 and 1, m depends only on the signs of the weights ``w``."""
+    two sides from its min corner m (``mins``, see `min_corners`) to m+2:
+    letters m, m+1 and m-1, m-2."""
     index = {g: i for i, g in enumerate(c.generators)}
     paths = []
-    for sq in c.squares:
+    for sq, m in zip(c.squares, mins):
         g = [index[x] for x, _ in sq.boundary.letters]
-        (_, s0), (_, s1) = sq.boundary.letters[:2]
-        m = (0, 3, 1, 2)[2 * (s0 * w[g[0]] < 0) + (s1 * w[g[1]] < 0)]
         paths.append((g[m], g[m - 3], g[m - 1], g[m - 2]))
     return paths
 
 
 def _fiber_sides(w: list[int], paths: list[tuple[int, int, int, int]]
-                 ) -> tuple[int, list[tuple[Iterator[int], Iterator[int]]]]:
+                 ) -> tuple[int, list[Iterator[tuple[int, int]]]]:
     """Vertex count of the fiber graph of the weights ``w`` and, per square,
-    the point ids its two sides meet at each level strictly between its min
-    and max corners: the first letter's points, the base vertex (point 0),
-    then the second letter's.  The points (g, 1) .. (g, |w_g| - 1) of each
+    its arcs by rising level: the point ids (u, v) its sides through corners
+    m+1 and m+3 meet at each level strictly between its min and max corners,
+    along a side the first letter's points, the base vertex (point 0), then
+    the second letter's.  The points (g, 1) .. (g, |w_g| - 1) of each
     generator follow in order, rising with the index when w_g > 0.  Refuses
     more than `MAX_FIBER_CELLS` vertices plus arcs, counted before any range
     is built (a range longer than sys.maxsize has no length)."""
@@ -255,38 +267,16 @@ def _fiber_sides(w: list[int], paths: list[tuple[int, int, int, int]]
         ids = range(start, start + abs(x) - 1)
         by_level.append(ids if x > 0 else ids[::-1])
         start += len(ids)
-    return vertices, [(chain(by_level[p], (0,), by_level[q]), chain(by_level[r], (0,), by_level[t]))
-                      for p, q, r, t in paths]
+    return vertices, [zip(chain(by_level[p], (0,), by_level[q]),
+                          chain(by_level[r], (0,), by_level[t])) for p, q, r, t in paths]
 
 
-def _fiber_arcs(c: SquareComplex, ws: WeightSystem) -> list[tuple[int, int, int, int]]:
-    """The arcs (u, v, square, level) of the fiber graph of an admissible
-    weight system, over the point ids of `_fiber_sides`: a square has an arc
-    at each level strictly between its min and max corners, from the side
-    through corner m+1 to the one through m+3."""
-    w = [ws[g] for g in c.generators]
-    _, sides = _fiber_sides(w, _fiber_paths(c, w))
-    arcs: list[tuple[int, int, int, int]] = []
-    for sq, (up, down) in zip(c.squares, sides):
-        (g0, s0), (g1, s1) = sq.boundary.letters[:2]
-        low = min(0, s0 * ws[g0]) + min(0, s1 * ws[g1])  # the min of (0, a, a+b, b)
-        arcs.extend(zip(up, down, repeat(sq.index), count(low + 1)))
-    return arcs
-
-
-def fiber_components(c: SquareComplex, ws: WeightSystem) -> int:
-    """Components of the fiber graph of an admissible weight system."""
-    w = [ws[g] for g in c.generators]
-    return _path_components(w, _fiber_paths(c, w))
-
-
-def _path_components(w: list[int], paths: list[tuple[int, int, int, int]]) -> int:
-    """Components of the fiber graph of the weights ``w`` on the square
-    paths ``paths``, by union-find over the point ids its arcs join."""
-    vertices, sides = _fiber_sides(w, paths)
+def _path_components(vertices: int, sides: Iterable[Iterable[tuple[int, int]]]) -> int:
+    """Components of a fiber graph of ``vertices`` points with the arcs of
+    `_fiber_sides`, by union-find over the point ids they join."""
     parent = list(range(vertices))
-    for up, down in sides:
-        for u, v in zip(up, down):
+    for arcs in sides:
+        for u, v in arcs:
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:
@@ -302,15 +292,19 @@ def fiber_graph(
 ) -> FiberGraph:
     """The preimage of the base point: one vertex per subdivision point of
     the edges plus the vertex itself, and one arc per integer level strictly
-    between each square's min and max corner heights, as `_fiber_arcs`
-    lists them.  ``heights`` skips the admissibility check; `MorseData`
-    passes them, as `perfbench/tracing.py` rebinds this function."""
+    between each square's min and max corner heights, read once from
+    `_fiber_sides` to be both listed and counted into components.  ``heights``
+    skips the admissibility check; `MorseData` passes them, as
+    `perfbench/tracing.py` rebinds this function."""
     if heights is None:
-        require_admissible(c, ws)
-    arcs = _fiber_arcs(c, ws)
+        heights = require_admissible(c, ws)
+    w = [ws[g] for g in c.generators]
+    size, sides = _fiber_sides(w, _fiber_paths(c, [h.min_corner for h in heights]))
+    arcs = [list(side) for side in sides]
     vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
-    edges = [(vertices[u], vertices[v], square, level) for u, v, square, level in arcs]
-    components = fiber_components(c, ws)
+    edges = [(vertices[u], vertices[v], h.square, level) for h, side in zip(heights, arcs)
+             for (u, v), level in zip(side, count(h.heights[h.min_corner] + 1))]
+    components = _path_components(size, arcs)
     return FiberGraph(vertices, edges, len(vertices) - len(edges), components == 1, components)
 
 
@@ -337,7 +331,8 @@ class MorseData:
 
     @cached_property
     def links(self) -> tuple[DirectionalLink, DirectionalLink]:
-        return directional_links(self.complex, self.weights, self.heights, self._corners)
+        mins = [h.min_corner for h in self.heights]
+        return directional_links(self.complex, self.weights, mins, self._corners)
 
     @cached_property
     def fiber(self) -> FiberGraph:
@@ -529,16 +524,9 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
         )
     if not basis:
         return []  # the zero vector only
-    generators = c.generators
-    column = {g: [b[g] for b in basis] for g in generators}  # w_g = column[g] . x
-    forms = {}  # opposite letters (g, s), (h, t): s w_g + t w_h = (s column[g] + t column[h]) . x
+    generators, forms = c.generators, a.affine_forms
     chi_coefficient = dict.fromkeys(generators, 1)  # chi = chi_constant + sum_g coefficient |w_g|
-    for sq in c.squares:
-        (g0, s0), (g1, s1), (g2, s2), (g3, s3) = sq.boundary.letters
-        for g, s, h, t in ((g0, s0, g2, s2), (g1, s1, g3, s3)):
-            form = tuple(s * x + t * y for x, y in zip(column[g], column[h]))
-            if any(form):
-                forms[form] = None
+    for (g0, _), (g1, _), _, _ in (sq.boundary.letters for sq in c.squares):
         chi_coefficient[g0] -= 1
         chi_coefficient[g1] -= 1
     chi_constant = 1 - len(generators) + len(c.squares)
@@ -568,13 +556,14 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
             signs = tuple(map((0).__lt__, w))
             if signs not in orthants:
                 asc, desc = a.sign_links(ws)
-                paths = None if asc.components == desc.components == 1 else _fiber_paths(c, w)
+                paths = (None if asc.components == desc.components == 1
+                         else _fiber_paths(c, min_corners(c, ws)))
                 signed = [f if up else -f for f, up in zip(chi_coefficient.values(), signs)]
-                slope = [sum(map(mul, signed, xs)) for xs in zip(*column.values())]
+                slope = [sum(map(mul, signed, b.values())) for b in basis]  # w_g = sum_k x_k b_k[g]
                 orthants[signs] = (asc.is_tree, desc.is_tree, paths, slope)
             asc_tree, desc_tree, paths, slope = orthants[signs]
             chi = chi_constant + sum(map(mul, slope, coords))
-            components = gcd(*w) if paths is None else _path_components(w, paths)
+            components = gcd(*w) if paths is None else _path_components(*_fiber_sides(w, paths))
             row = {"coords": coords, "weights": ws, "admissible": True,
                    "primitive": divisor == 1, "asc_tree": asc_tree, "desc_tree": desc_tree,
                    "chi": chi, "components": components,
@@ -602,15 +591,11 @@ def infinite_fibering_verdict(source: SquareComplex | analysis.Analysis) -> dict
     if rank < 2:
         out["reason"] = "weight lattice has rank < 2"
         return out
-    # the affine condition is linear, so it holds lattice-wide iff it holds on
-    # every basis vector; with no zero weight it makes a representative admissible
-    for sq in c.squares:
-        letters = sq.boundary.letters
-        for b in basis:
-            w = [s * b[g] for g, s in letters]
-            if w[0] + w[2] != 0:
-                out["reason"] = f"square {sq.index} admits no affine extension on the lattice"
-                return out
+    # the affine condition holds lattice-wide iff no affine form is left; with
+    # no zero weight it then makes a representative admissible
+    for square in a.affine_forms.values():  # the first square with a form, if any
+        out["reason"] = f"square {square} admits no affine extension on the lattice"
+        return out
     # a generator that weighs zero on every basis vector weighs zero on the
     # whole lattice, so no orthant has a representative to try
     if any(all(b[g] == 0 for b in basis) for g in c.generators):
@@ -622,12 +607,9 @@ def infinite_fibering_verdict(source: SquareComplex | analysis.Analysis) -> dict
             f" the limit of {MAX_ORTHANTS}"
         )
     for signs in product((1, -1), repeat=rank):
-        representative = None
-        for coeffs in product(range(1, 4), repeat=rank):
-            ws = _combine_basis(basis, tuple(s * k for s, k in zip(signs, coeffs)), c)
-            if all(w != 0 for w in ws.values()):
-                representative = ws
-                break
+        candidates = (_combine_basis(basis, tuple(s * k for s, k in zip(signs, coeffs)), c)
+                      for coeffs in product(range(1, 4), repeat=rank))
+        representative = next((ws for ws in candidates if 0 not in ws.values()), None)
         if representative is None:
             continue
         asc, desc = a.sign_links(representative)

@@ -19,12 +19,14 @@ from logfiber import (
     combine,
     fiber_graph,
     fibering_scan,
+    infinite_fibering_verdict,
     parse_spec,
     weight_lattice,
 )
+from logfiber import morse
 from logfiber.analysis import Analysis
 from logfiber.complexes import union_find
-from logfiber.morse import BASE_VERTEX, MorseData, _combine_basis, corner_heights, fiber_components
+from logfiber.morse import BASE_VERTEX, MorseData, _combine_basis, corner_heights, min_corners
 
 
 def reference_scan(c, bound):
@@ -208,6 +210,65 @@ def test_links_built_once_per_sign_vector():
     assert set(a._sign_links) == signs
 
 
+def test_sign_links_build_no_morse_data(monkeypatch):
+    # the scan and the verdict read each sign vector's links from its signs
+    # alone: no per-vector admissibility check and no cached `MorseData`
+    calls = []
+    check = morse.check_admissible
+    monkeypatch.setattr(morse, "check_admissible", lambda *args: calls.append(args) or check(*args))
+    a = Analysis(NAMED[1])  # g2
+    assert fibering_scan(a, 3)
+    assert infinite_fibering_verdict(a)["infinite_fibering"]
+    assert a._sign_links and not a._morse and not calls
+
+
+def test_min_corners_match_sorted_corner_heights():
+    # `min_corners` reads each square's min corner from the signs; the sort
+    # in `corner_heights` stays the reference
+    rows = 0
+    for c in NAMED + RANDOM:
+        for row in fibering_scan(c, 3):
+            if not row["admissible"]:
+                continue
+            ws = row["weights"]
+            for sq, m in zip(c.squares, min_corners(c, ws), strict=True):
+                h = corner_heights(sq, ws)
+                assert (h.min_corner, h.max_corner) == (m, (m + 2) % 4), (c.render(), ws)
+            rows += 1
+    assert rows >= 1000
+
+
+def reference_affine_reason(c, basis):
+    """The verdict's per-basis affine check as it was: the first square
+    whose opposite letters 0 and 2 carry unequal weights on some basis vector."""
+    for sq in c.squares:
+        letters = sq.boundary.letters
+        for b in basis:
+            w = [s * b[g] for g, s in letters]
+            if w[0] + w[2] != 0:
+                return f"square {sq.index} admits no affine extension on the lattice"
+    return None
+
+
+def test_affine_reason_matches_per_basis_loop():
+    rng = random.Random(7)
+    drawn = [random_square_complex(rng) for _ in range(3000)]
+    squares = set()
+    for c in NAMED + RANDOM + drawn:
+        basis = weight_lattice(c)
+        if len(basis) < 2:
+            continue  # the verdict stops at the rank first
+        reason = infinite_fibering_verdict(c).get("reason")
+        expected = reference_affine_reason(c, basis)
+        if expected is None:
+            assert reason is None or "affine" not in reason, c.render()
+        else:
+            assert reason == expected, c.render()
+            squares.add(int(expected.split()[1]))
+    # the first failing square is not always square 0
+    assert squares == {0, 1, 2}
+
+
 def reference_fiber_edges(c, ws):
     """Each arc of the fiber graph from its definition: at every integer
     level strictly between a square's min and max corner heights, the
@@ -233,9 +294,9 @@ def reference_fiber_edges(c, ws):
 
 
 def test_fiber_graph_and_component_count_match_references():
-    # `fiber_graph` takes its arcs from the integer ids of `morse._fiber_arcs`
-    # and its component count from `fiber_components`, so they are checked
-    # against the definition and against a union-find over tuple vertices
+    # `fiber_graph` takes its arcs and its component count from the integer
+    # ids of `morse._fiber_sides`, so they are checked against the definition
+    # and against a union-find over tuple vertices
     gf_rows = g2_mixed_rows = 0
     for c in NAMED + RANDOM:
         for row in fibering_scan(c, 3):
@@ -246,7 +307,7 @@ def test_fiber_graph_and_component_count_match_references():
             assert fiber.edges == reference_fiber_edges(c, ws), (c.render(), ws)
             root, _ = union_find(fiber.vertices, ((u, v) for u, v, _, _ in fiber.edges))
             components = len(set(root.values()))
-            assert fiber_components(c, ws) == components == row["components"], (c.render(), ws)
+            assert fiber.components == components == row["components"], (c.render(), ws)
             gf_rows += c is NAMED[2]
             g2_mixed_rows += c is NAMED[1] and len({w > 0 for w in ws.values()}) == 2
     # every admissible gf row and every mixed-sign g2 row at bound 3

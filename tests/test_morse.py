@@ -82,6 +82,10 @@ def test_weight_spec_parsing(g1):
         parse_weight_spec("a=1,b=1,z=2", g1)
     with pytest.raises(InputError):
         parse_weight_spec("a=x,b=1", g1)
+    # a repeated stem or generator is refused by name, not read as its last value
+    for spec, key in (("a=1,a=2,b=1", "'a'"), ("a=1,b=1,a0=2,a0=3", "'a0'")):
+        with pytest.raises(InputError, match=f"weight for {key} given more than once"):
+            parse_weight_spec(spec, g1)
 
 
 # -- directional links -------------------------------------------------
@@ -140,8 +144,9 @@ def test_analysis_links_reuse_the_vertex_link_edges(g1, g2, mixed):
             asc, desc = a.morse_data(ws).links
             held = {id(e) for e in a.link.edges}
             assert all(id(e) in held for e in asc.edges + desc.edges)
-            # the same links as the public function builds without a link
-            assert (asc, desc) == directional_links(c, ws)
+            # the same links as the public function builds without a link,
+            # and as the sign vector's links read from the signs alone
+            assert (asc, desc) == directional_links(c, ws) == a.sign_links(ws)
 
 
 def test_inadmissible_weights_raise(g1):
