@@ -7,7 +7,8 @@ circle-valued Morse theory, and computes explicit monodromy automorphisms
 with transition-matrix classification.
 
 The functions that can share derived work take one source: a `SquareComplex`,
-or an `Analysis` of one that keeps its link, lattice and Morse data across calls.
+or an `Analysis` of one that keeps its link, lattice and directional links
+across calls.
 """
 
 from .analysis import Analysis
@@ -75,60 +76,3 @@ from .morse import (
 from .words import Word, signed_weight
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityReport",
-    "Analysis",
-    "Automorphism",
-    "BasisLoop",
-    "CornerEdge",
-    "CornerHeights",
-    "DirectionalLink",
-    "DiskWitness",
-    "FiberGraph",
-    "InputError",
-    "LinkGraph",
-    "MonodromyContext",
-    "NAMED_COMPLEXES",
-    "Square",
-    "SquareComplex",
-    "TransitionMatrix",
-    "Verdict",
-    "Word",
-    "add_square",
-    "build_link",
-    "build_lot_family",
-    "build_named",
-    "check_admissible",
-    "combine",
-    "compose",
-    "conjugation_automorphism",
-    "corner_heights",
-    "directional_links",
-    "disk_cells",
-    "eligible_squares",
-    "export_dot",
-    "fiber_graph",
-    "fibering_scan",
-    "hyperbolicity_verdict",
-    "infinite_fibering_verdict",
-    "invariant_factor_witness",
-    "invariant_factor_witnesses",
-    "invert",
-    "kernel_basis",
-    "kernel_rank",
-    "largeness",
-    "parse_spec",
-    "parse_weight_spec",
-    "poison_corners",
-    "rewrite_to_basis",
-    "search_flat_disk",
-    "shortest_cycle_through",
-    "signed_weight",
-    "square_corners",
-    "square_tiles",
-    "transition_matrix",
-    "unit_weights",
-    "validate_witness",
-    "weight_lattice",
-]

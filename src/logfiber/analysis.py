@@ -2,13 +2,12 @@
 
 A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
-the weight lattice and its affine forms, each weight system's
-`morse.MorseData` and the directional links of each sign vector are built
-once.  The directional links reuse the link's corner edges; those of a sign
-vector come from its signs alone, with no `MorseData`.  A function that
-takes a ``source`` reads a complex or an `Analysis` of one through
-`Analysis.of`.  Nothing cached here holds the `Analysis`, so a dropped one
-is freed without the cycle collector.
+the weight lattice and its affine forms and the directional links of each
+sign vector are built once.  The directional links come from the signs
+alone and reuse the link's corner edges; `sign_links` is their only cache.
+A function that takes a ``source`` reads a complex or an `Analysis` of one
+through `Analysis.of`.  Nothing cached here holds the `Analysis`, so a
+dropped one is freed without the cycle collector.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class Analysis:
         self.complex = c
         if link is not None:
             self.link = link  # fills the cached property
-        self._morse: dict[tuple, morse.MorseData] = {}
         self._sign_links: dict[tuple, tuple[morse.DirectionalLink, morse.DirectionalLink]] = {}
 
     @classmethod
@@ -54,12 +52,6 @@ class Analysis:
     @cached_property
     def lattice(self) -> list[morse.WeightSystem]:
         return morse.weight_lattice(self.complex)
-
-    def morse_data(self, ws: morse.WeightSystem) -> morse.MorseData:
-        key = tuple(sorted(ws.items()))
-        if key not in self._morse:
-            self._morse[key] = morse.MorseData(self.complex, ws, self.link.edges)
-        return self._morse[key]
 
     @cached_property
     def affine_forms(self) -> dict[tuple[int, ...], int]:

@@ -184,16 +184,15 @@ def morse_report(a: Analysis, ws: morse.WeightSystem) -> dict:
         "lattice_rank": len(a.lattice),
         "basis": [dict(b) for b in a.lattice],
     }
-    weights = a.morse_data(ws)
-    report = weights.admissibility
+    report = morse.check_admissible(a.complex, ws)
     data["admissible"] = report.admissible
     data["problems"] = report.problems
     if not report.admissible:
         data.update({"asc": None, "desc": None, "fiber": None, "chi": None, "rank": None,
                      "rank_blocked_by": "inadmissible weight system"})
         return data
-    asc, desc = weights.links
-    fiber = weights.fiber
+    asc, desc = a.sign_links(ws)
+    fiber = morse.fiber_graph(a.complex, ws, morse.min_corners(a.complex, ws))
     for side, name in ((asc, "asc"), (desc, "desc")):
         data[name] = {
             "vertices": len(side.vertices),
@@ -208,7 +207,7 @@ def morse_report(a: Analysis, ws: morse.WeightSystem) -> dict:
         "components": fiber.components,
     }
     data["chi"] = fiber.chi
-    failures = [condition for condition, _ in weights.fibration_failures()]
+    failures = [condition for condition, _ in morse.fibration_failures((asc, desc), fiber)]
     data["rank"] = None if failures else 1 - fiber.chi
     data["rank_blocked_by"] = "; ".join(failures) if failures else None
     return data
@@ -511,7 +510,9 @@ def _write_dot(args, a: Analysis) -> None:
     if args.highlight == "poison":
         highlight_edges = {(e.square, e.corner) for e in a.poison}
     elif args.highlight in ("asc", "desc"):
-        asc, desc = a.morse_data(_weights(a, args)).links
+        ws = _weights(a, args)
+        morse.require_admissible(a.complex, ws)
+        asc, desc = a.sign_links(ws)
         side = asc if args.highlight == "asc" else desc
         highlight_edges = {(e.square, e.corner) for e in side.edges}
         highlight_vertices = set(side.vertices)

@@ -53,7 +53,7 @@ from .analysis import Analysis
 from .complexes import SquareComplex
 from .errors import InputError
 from .links import End, arrival_end, departure_end
-from .morse import WeightSystem
+from .morse import WeightSystem, require_admissible, require_fibration
 from .words import Letter, Word, generator_stem, inverse_letter, signed_weight
 
 _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
@@ -97,14 +97,15 @@ class MonodromyContext:
 
     def __init__(self, source: SquareComplex | Analysis, ws: WeightSystem):
         a = Analysis.of(source)
-        c, data = a.complex, a.morse_data(ws)
-        heights = data.heights
+        c = a.complex
+        mins = require_admissible(c, ws)
         bad = sorted(g for g in c.generators if abs(ws[g]) != 1)
         if bad:
             raise InputError(
                 f"monodromy needs all weights +-1 (rank-only mode otherwise); got {bad}"
             )
-        data.require_fibration()
+        # at unit weights the fiber is a one-vertex bouquet, always connected
+        require_fibration(a.sign_links(ws))
         self.complex = c
         self.weights = dict(ws)
 
@@ -116,14 +117,13 @@ class MonodromyContext:
         self.basis: list[BasisLoop] = []
         # by `_tree`: end -> [parent, depth, entry, exit, root, children's entries, children]
         self._rooting: dict[End, list] | None = None
-        for sq, h, name in zip(c.squares, heights, names):
+        for sq, m, name in zip(c.squares, mins, names):
             # disambiguate clashes deterministically by square id
             if clashes[name] > 1 or name in used:
                 name = f"{name}{sq.index}"
                 while name in used:
                     name += "x"
             used.add(name)
-            m = h.min_corner
             rotated = sq.boundary.letters[m:] + sq.boundary.letters[:m]
             self.basis.append(BasisLoop(sq.index, name, Word._of(rotated[1:3]), rotated))
 

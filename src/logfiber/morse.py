@@ -18,10 +18,11 @@ From an admissible weight system we read off:
   is connected.
 
 Min and max corners, and so both directional links, depend only on the
-signs of the weights (`min_corners`).  `MorseData` holds these for one
-weight system, each computed once; the scan and the verdict read each sign
-vector's links and the lattice's affine forms from an `Analysis` of their
-one source.  `fibering_scan` reads the other values for each lattice
+signs of the weights (`min_corners`); `require_admissible` checks a weight
+system and returns its min corners, which `directional_links` and
+`fiber_graph` take.  Every command reads a sign vector's links, and the
+scan and the verdict the lattice's affine forms, from an `Analysis` of
+their one source.  `fibering_scan` reads the other values for each lattice
 vector from closed forms and counts fiber components by integer
 union-find only when a directional link is disconnected.
 
@@ -36,7 +37,6 @@ gives.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, count, product
 from math import gcd
 from operator import add, mul
@@ -134,7 +134,6 @@ def min_corners(c: SquareComplex, ws: WeightSystem) -> list[int]:
 class AdmissibilityReport(NamedTuple):
     admissible: bool
     problems: list[str]
-    heights: list[CornerHeights] | None
 
 
 def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
@@ -156,14 +155,16 @@ def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
                     f"square {sq.index}: opposite letters carry weights {w[0]} and {w[2]}"
                     " (no affine extension)"
                 )
-    if problems:
-        return AdmissibilityReport(False, problems, None)
-    heights = [corner_heights(sq, ws) for sq in c.squares]
-    return AdmissibilityReport(True, [], heights)
+    return AdmissibilityReport(not problems, problems)
 
 
-def require_admissible(c: SquareComplex, ws: WeightSystem) -> list[CornerHeights]:
-    return MorseData(c, ws).heights
+def require_admissible(c: SquareComplex, ws: WeightSystem) -> list[int]:
+    """The min corners (`min_corners`) of an admissible ``ws``; InputError
+    naming every problem otherwise."""
+    report = check_admissible(c, ws)
+    if not report.admissible:
+        raise InputError("inadmissible weight system: " + "; ".join(report.problems))
+    return min_corners(c, ws)
 
 
 class DirectionalLink(NamedTuple):
@@ -195,11 +196,11 @@ def directional_links(
     an admissible ``ws`` (`min_corners`), skip the admissibility check;
     ``corners`` are the edges of the vertex link in `links.build_link` order
     (corner k of square i at 4i + k), taken instead of building each
-    square's again.  `MorseData` and `Analysis.sign_links` pass both:
-    `perfbench/tracing.py` rebinds this function.
+    square's again.  `Analysis.sign_links` passes both: `perfbench/tracing.py`
+    rebinds this function.
     """
     if mins is None:
-        mins = [h.min_corner for h in require_admissible(c, ws)]
+        mins = require_admissible(c, ws)
     if corners is None:
         corners = build_link(c).edges
     asc_vertices = [(g, "-") if ws[g] > 0 else (g, "+") for g in c.generators]
@@ -287,73 +288,45 @@ def _path_components(vertices: int, sides: Iterable[Iterable[tuple[int, int]]]) 
     return vertices
 
 
-def fiber_graph(
-    c: SquareComplex, ws: WeightSystem, heights: list[CornerHeights] | None = None
-) -> FiberGraph:
+def fiber_graph(c: SquareComplex, ws: WeightSystem, mins: list[int] | None = None) -> FiberGraph:
     """The preimage of the base point: one vertex per subdivision point of
     the edges plus the vertex itself, and one arc per integer level strictly
     between each square's min and max corner heights, read once from
-    `_fiber_sides` to be both listed and counted into components.  ``heights``
-    skips the admissibility check; `MorseData` passes them, as
-    `perfbench/tracing.py` rebinds this function."""
-    if heights is None:
-        heights = require_admissible(c, ws)
+    `_fiber_sides` to be both listed and counted into components.  A
+    square's first arc sits at level 1 + the signed weight of its letters
+    before its min corner.  ``mins``, the min corners of an admissible
+    ``ws`` (`min_corners`), skip the admissibility check."""
+    if mins is None:
+        mins = require_admissible(c, ws)
     w = [ws[g] for g in c.generators]
-    size, sides = _fiber_sides(w, _fiber_paths(c, [h.min_corner for h in heights]))
+    size, sides = _fiber_sides(w, _fiber_paths(c, mins))
     arcs = [list(side) for side in sides]
     vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
-    edges = [(vertices[u], vertices[v], h.square, level) for h, side in zip(heights, arcs)
-             for (u, v), level in zip(side, count(h.heights[h.min_corner] + 1))]
+    edges = [(vertices[u], vertices[v], sq.index, level)
+             for sq, m, side in zip(c.squares, mins, arcs)
+             for (u, v), level in zip(side, count(1 + sum(
+                 s * ws[g] for g, s in sq.boundary.letters[:m])))]
     components = _path_components(size, arcs)
     return FiberGraph(vertices, edges, len(vertices) - len(edges), components == 1, components)
 
 
-class MorseData:
-    """Admissibility, corner heights, directional links and fiber graph of
-    one weight system, each computed once on first use.  ``corners``, the
-    vertex link's edges when the caller holds them, go to
-    `directional_links`.  It holds no `Analysis`, which caches it: no cycle."""
+def fibration_failures(links: tuple[DirectionalLink, DirectionalLink],
+                       fiber: FiberGraph | None = None) -> list[tuple[str, int]]:
+    """The failed conditions for a kernel rank, in order, each with its
+    component count: tree ascending and descending ``links`` and, when
+    ``fiber`` is given, a connected fiber."""
+    failures = [(f"{side.side} link is not a tree", side.components)
+                for side in links if not side.is_tree]
+    if fiber is not None and not fiber.connected:
+        failures.append(("fiber is disconnected", fiber.components))
+    return failures
 
-    def __init__(self, c: SquareComplex, ws: WeightSystem,
-                 corners: list[CornerEdge] | None = None):
-        self.complex = c
-        self.weights = dict(ws)
-        self.admissibility = check_admissible(c, ws)
-        self._corners = corners
 
-    @property
-    def heights(self) -> list[CornerHeights]:
-        report = self.admissibility
-        if not report.admissible:
-            raise InputError("inadmissible weight system: " + "; ".join(report.problems))
-        assert report.heights is not None
-        return report.heights
-
-    @cached_property
-    def links(self) -> tuple[DirectionalLink, DirectionalLink]:
-        mins = [h.min_corner for h in self.heights]
-        return directional_links(self.complex, self.weights, mins, self._corners)
-
-    @cached_property
-    def fiber(self) -> FiberGraph:
-        return fiber_graph(self.complex, self.weights, self.heights)
-
-    def fibration_failures(self) -> Iterator[tuple[str, int]]:
-        """The failed conditions for a kernel rank, in order, each with its
-        component count: tree ascending and descending links and a connected
-        fiber.  The fiber is built only when asked for its condition."""
-        asc, desc = self.links
-        if not asc.is_tree:
-            yield "ascending link is not a tree", asc.components
-        if not desc.is_tree:
-            yield "descending link is not a tree", desc.components
-        if not self.fiber.connected:
-            yield "fiber is disconnected", self.fiber.components
-
-    def require_fibration(self) -> None:
-        """Raise InputError naming the first failed condition for a kernel rank."""
-        for condition, components in self.fibration_failures():
-            raise InputError(f"{condition} ({components} components)")
+def require_fibration(links: tuple[DirectionalLink, DirectionalLink],
+                      fiber: FiberGraph | None = None) -> None:
+    """Raise InputError naming the first of `fibration_failures`."""
+    for condition, components in fibration_failures(links, fiber):
+        raise InputError(f"{condition} ({components} components)")
 
 
 def kernel_rank(c: SquareComplex, ws: WeightSystem) -> int:
@@ -361,11 +334,14 @@ def kernel_rank(c: SquareComplex, ws: WeightSystem) -> int:
 
     Requires an admissible weight system whose ascending and descending
     links are trees and whose fiber is connected; failures name the broken
-    condition.
+    condition, a link's before the fiber is built.
     """
-    data = MorseData(c, ws)
-    data.require_fibration()
-    return 1 - data.fiber.chi
+    mins = require_admissible(c, ws)
+    links = directional_links(c, ws, mins)
+    require_fibration(links)
+    fiber = fiber_graph(c, ws, mins)
+    require_fibration(links, fiber)
+    return 1 - fiber.chi
 
 
 # ----------------------------------------------------------------------
@@ -492,8 +468,8 @@ def _combine_basis(basis: list[WeightSystem], coords: tuple[int, ...], c: Square
 def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list[dict]:
     """One row per lattice vector of ``source``, a complex or its `Analysis`,
     with coordinates x in [-bound, bound] (zero-weight vectors excluded), in
-    lexicographic coordinate order, holding the values `MorseData` would
-    give.  What stays fixed over the lattice, or over the weight vectors
+    lexicographic coordinate order, holding the values `check_admissible`,
+    `directional_links` and `fiber_graph` give.  What stays fixed over the lattice, or over the weight vectors
     w = sum_k x_k b_k of one sign vector, is worked out once:
 
     * admissibility: each pair of opposite letters must carry negated signed

@@ -383,6 +383,24 @@ def test_analyze_builds_each_piece_once(tmp_path, capsys, monkeypatch, complex_a
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
 
 
+@pytest.mark.parametrize("name", ["g1", "g2"])
+def test_analyze_builds_directional_links_once(tmp_path, capsys, monkeypatch, name):
+    # the morse view and the monodromy basis read the one sign vector's links
+    assert main(["build", "named", name]) == 0
+    path = tmp_path / f"{name}.log"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    calls = count_calls(monkeypatch, "morse", "directional_links")
+    assert run_json(capsys, ["analyze", str(path)])["monodromy"]["basis"]
+    assert len(calls) == 1
+
+
+def test_monodromy_builds_no_fiber_graph(capsys, monkeypatch, g2_file):
+    # at unit weights the fiber is a one-vertex bouquet, so only the links are checked
+    calls = count_calls(monkeypatch, "morse", "fiber_graph")
+    assert run_json(capsys, ["monodromy", g2_file, "--conjugator", "a3"])
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv, reports", [
     (["link", "{g1}"], ["link_report"]),
     (["check", "large", "{g1}"], ["link_report"]),
@@ -611,6 +629,14 @@ def test_link_rejects_a_bad_weight_spec(capsys, g2_file):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'zz' is neither a generator nor a stem of the complex" in captured.err
+
+
+def test_link_highlight_refuses_inadmissible_weights(tmp_path, capsys, torus_file):
+    dot = tmp_path / "x.dot"
+    assert main(["link", torus_file, "--dot", str(dot), "--highlight", "asc",
+                 "--weights", "a=1,b=0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: inadmissible weight system: zero weight on generator b\n"
 
 
 def test_link_output_does_not_depend_on_a_valid_weight_spec(capsys, g2_file):

@@ -1,10 +1,10 @@
 """The closed-form fibering scan against the per-vector Morse data loop.
 
-`reference_scan` builds a full `MorseData` for every lattice vector, with
-the admissibility check, the corner heights of every square, both
-directional links and the explicit fiber graph.  It is slow and reads each
-value straight from its definition, so `fibering_scan` must give exactly its
-rows, key order included.
+`reference_scan` runs, for every lattice vector and with no cache, the
+admissibility check, both directional links and the explicit fiber graph,
+each from the weights alone.  It is slow and reads each value straight from
+its definition, so `fibering_scan` must give exactly its rows, key order
+included.
 """
 
 import json
@@ -16,7 +16,9 @@ from logfiber import (
     add_square,
     build_lot_family,
     build_named,
+    check_admissible,
     combine,
+    directional_links,
     fiber_graph,
     fibering_scan,
     infinite_fibering_verdict,
@@ -26,7 +28,7 @@ from logfiber import (
 from logfiber import morse
 from logfiber.analysis import Analysis
 from logfiber.complexes import union_find
-from logfiber.morse import BASE_VERTEX, MorseData, _combine_basis, corner_heights, min_corners
+from logfiber.morse import BASE_VERTEX, _combine_basis, corner_heights, min_corners
 
 
 def reference_scan(c, bound):
@@ -39,16 +41,15 @@ def reference_scan(c, bound):
         if any(w == 0 for w in ws.values()):
             continue
         row = {"coords": list(coords), "weights": dict(ws)}
-        data = MorseData(c, ws)
-        row["admissible"] = data.admissibility.admissible
+        row["admissible"] = check_admissible(c, ws).admissible
         row["primitive"] = gcd(*coords) == 1
         if not row["admissible"]:
             row.update({"asc_tree": None, "desc_tree": None, "chi": None,
                         "components": None, "rank": None})
             rows.append(row)
             continue
-        asc, desc = data.links
-        fiber = data.fiber
+        asc, desc = directional_links(c, ws)
+        fiber = fiber_graph(c, ws)
         row["asc_tree"] = asc.is_tree
         row["desc_tree"] = desc.is_tree
         row["chi"] = fiber.chi
@@ -191,7 +192,7 @@ def test_components_are_gcd_when_links_connected():
             if not row["admissible"]:
                 continue
             ws = row["weights"]
-            asc, desc = MorseData(c, ws).links
+            asc, desc = directional_links(c, ws)
             fiber = fiber_graph(c, ws)
             assert row["chi"] == fiber.chi
             assert row["components"] == fiber.components
@@ -212,14 +213,14 @@ def test_links_built_once_per_sign_vector():
 
 def test_sign_links_build_no_morse_data(monkeypatch):
     # the scan and the verdict read each sign vector's links from its signs
-    # alone: no per-vector admissibility check and no cached `MorseData`
+    # alone: no per-vector admissibility check
     calls = []
     check = morse.check_admissible
     monkeypatch.setattr(morse, "check_admissible", lambda *args: calls.append(args) or check(*args))
     a = Analysis(NAMED[1])  # g2
     assert fibering_scan(a, 3)
     assert infinite_fibering_verdict(a)["infinite_fibering"]
-    assert a._sign_links and not a._morse and not calls
+    assert a._sign_links and not calls
 
 
 def test_min_corners_match_sorted_corner_heights():

@@ -11,6 +11,7 @@ from logfiber import (
     Automorphism,
     BasisLoop,
     InputError,
+    MonodromyContext,
     Word,
     compose,
     conjugation_automorphism,
@@ -97,6 +98,16 @@ def test_basis_requires_unit_weights(g1):
 def test_basis_requires_trees(gf):
     with pytest.raises(InputError):
         kernel_basis(gf, unit_weights(gf))
+
+
+def test_context_refuses_in_order(g2):
+    # inadmissible, then not +-1, then not a tree: each case also fails the later checks
+    for spec, message in (("a=2,b=-1,a1=3", "inadmissible weight system: square"),
+                          ("a=2,b=-1", "monodromy needs all weights +-1"),
+                          ("a=1,b=-1", "ascending link is not a tree (2 components)")):
+        with pytest.raises(InputError) as raised:
+            MonodromyContext(g2, parse_weight_spec(spec, g2))
+        assert str(raised.value).startswith(message), spec
 
 
 # -- rewriting ----------------------------------------------------------

@@ -32,9 +32,9 @@ def closed_form_chi(c, ws):
 
 
 def test_g1_unit_weights_admissible(g1):
-    report = check_admissible(g1, unit_weights(g1))
-    assert report.admissible
-    added = report.heights[8]
+    ws = unit_weights(g1)
+    assert check_admissible(g1, ws).admissible
+    added = corner_heights(g1.squares[8], ws)
     assert added.heights == (0, 1, 2, 1)
     assert (added.max_corner - added.min_corner) % 4 == 2
 
@@ -43,7 +43,7 @@ def test_g1_heights_at_2_3(g1):
     ws = parse_weight_spec("a=2,b=3", g1)
     report = check_admissible(g1, ws)
     assert report.admissible
-    assert report.heights[8].heights == (0, 2, 5, 3)
+    assert corner_heights(g1.squares[8], ws).heights == (0, 2, 5, 3)
 
 
 def test_zero_weight_is_inadmissible(g1):
@@ -141,12 +141,11 @@ def test_analysis_links_reuse_the_vertex_link_edges(g1, g2, mixed):
     for c in (g1, g2, mixed):
         for ws in (unit_weights(c), {g: -w for g, w in unit_weights(c).items()}):
             a = Analysis(c)
-            asc, desc = a.morse_data(ws).links
+            asc, desc = a.sign_links(ws)
             held = {id(e) for e in a.link.edges}
             assert all(id(e) in held for e in asc.edges + desc.edges)
-            # the same links as the public function builds without a link,
-            # and as the sign vector's links read from the signs alone
-            assert (asc, desc) == directional_links(c, ws) == a.sign_links(ws)
+            # the same links as the public function builds without a link
+            assert (asc, desc) == directional_links(c, ws)
 
 
 def test_inadmissible_weights_raise(g1):
@@ -206,6 +205,13 @@ def test_huge_fibers_are_refused_before_building(torus, monkeypatch):
     monkeypatch.setattr(morse, "MAX_FIBER_CELLS", 11)
     with pytest.raises(InputError, match="12 vertices and arcs"):
         fiber_graph(torus, ws)
+
+
+def test_kernel_rank_names_a_failed_link_before_building_the_fiber(g2):
+    # this fiber would have about 1.2 M vertices and arcs, over MAX_FIBER_CELLS
+    ws = parse_weight_spec("a=-200000,b=100000", g2)
+    with pytest.raises(InputError, match=r"^ascending link is not a tree \(2 components\)$"):
+        kernel_rank(g2, ws)
 
 
 def test_rank_equals_edges_minus_vertices_plus_one(g2):

@@ -97,7 +97,7 @@ def test_a_dropped_analysis_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         a = Analysis(c)
-        a.morse_data(ws).fiber
+        a.sign_links(ws)
         fibering_scan(a, 1)
         hyperbolicity_verdict(a, 2)
         infinite_fibering_verdict(a)
