@@ -2,12 +2,13 @@
 
 A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
-the weight lattice and its affine forms and the directional links of each
-sign vector are built once.  The directional links come from the signs
-alone and reuse the link's corner edges; `sign_links` is their only cache.
-A function that takes a ``source`` reads a complex or an `Analysis` of one
-through `Analysis.of`.  Nothing cached here holds the `Analysis`, so a
-dropped one is freed without the cycle collector.
+the weight lattice and its affine forms, the admissibility of each weight
+system and the directional links of each sign vector are built once.  The
+directional links come from the signs alone and reuse the link's corner
+edges; `sign_links` is their only cache.  A function that takes a
+``source`` reads a complex or an `Analysis` of one through `Analysis.of`.
+Nothing cached here holds the `Analysis`, so a dropped one is freed
+without the cycle collector.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class Analysis:
         if link is not None:
             self.link = link  # fills the cached property
         self._sign_links: dict[tuple, tuple[morse.DirectionalLink, morse.DirectionalLink]] = {}
+        self._admissibility: dict[tuple, morse.AdmissibilityReport] = {}
 
     @classmethod
     def of(cls, source: SquareComplex | Analysis) -> Analysis:
@@ -67,6 +69,13 @@ class Analysis:
             if any(form):
                 forms.setdefault(form, sq.index)
         return forms
+
+    def admissibility(self, ws: morse.WeightSystem) -> morse.AdmissibilityReport:
+        """`morse.check_admissible` of ``ws``, run once per weight system."""
+        key = tuple(map(ws.get, self.complex.generators))
+        if key not in self._admissibility:
+            self._admissibility[key] = morse.check_admissible(self.complex, ws)
+        return self._admissibility[key]
 
     def sign_links(self, ws: morse.WeightSystem
                    ) -> tuple[morse.DirectionalLink, morse.DirectionalLink]:

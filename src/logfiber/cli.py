@@ -184,7 +184,7 @@ def morse_report(a: Analysis, ws: morse.WeightSystem) -> dict:
         "lattice_rank": len(a.lattice),
         "basis": [dict(b) for b in a.lattice],
     }
-    report = morse.check_admissible(a.complex, ws)
+    report = a.admissibility(ws)
     data["admissible"] = report.admissible
     data["problems"] = report.problems
     if not report.admissible:

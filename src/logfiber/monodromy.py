@@ -23,9 +23,10 @@ three letters of the square's boundary in the order whose product equals
 it is built on the first rewrite, so `analyze`, which shows the basis only,
 never builds it.
 
-Each tree is rooted once, on the first route request: the first hop from
-``u`` toward ``v`` is ``u``'s parent, or the child whose DFS entry interval
-holds ``v``; a whole path climbs both ends by depth until they meet.
+Each tree is rooted once, on the first route request; an end's record holds
+its parent, depth, DFS entry interval and the basis letters for crossing up
+to its parent and down from it.  The first hop from ``u`` toward ``v`` is
+``u``'s parent, or the child whose entry interval holds ``v``.
 
 * Phase 1 (flattening): while the height profile leaves {0, 1}, take the
   leftmost highest point while the top is at least 2, else the leftmost
@@ -36,10 +37,10 @@ holds ``v``; a whole path climbs both ends by depth until they meet.
   `MAX_PEAK_STEPS` steps is refused.
 
 * Phase 2 (harvesting): a flat word is a concatenation of unit peaks
-  ``x . y``; walking the descending tree from the reverse direction of
-  ``x`` to the direction of ``y`` emits the basis letter of each edge
-  crossed and leaves by its replacement's last letter, until the pair
-  cancels.
+  ``x . y``; climbing the deeper of the arrival end of ``x`` and the
+  departure end of ``y`` until they meet gives the first's up letters, then
+  the second's down letters reversed.  A tree path crosses each square
+  once, so only the junctions between peaks cancel (`join_reduced`).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .complexes import SquareComplex
 from .errors import InputError
 from .links import End, arrival_end, departure_end
 from .morse import WeightSystem, require_admissible, require_fibration
-from .words import Letter, Word, generator_stem, inverse_letter, signed_weight
+from .words import Letter, Word, generator_stem, inverse_letter, join_reduced, signed_weight
 
 _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
 
@@ -98,7 +99,7 @@ class MonodromyContext:
     def __init__(self, source: SquareComplex | Analysis, ws: WeightSystem):
         a = Analysis.of(source)
         c = a.complex
-        mins = require_admissible(c, ws)
+        mins = require_admissible(c, ws, a.admissibility(ws))
         bad = sorted(g for g in c.generators if abs(ws[g]) != 1)
         if bad:
             raise InputError(
@@ -115,7 +116,8 @@ class MonodromyContext:
         clashes = Counter(names)
         used: set[str] = set()
         self.basis: list[BasisLoop] = []
-        # by `_tree`: end -> [parent, depth, entry, exit, root, children's entries, children]
+        # by `_tree`: end -> [parent, depth, entry, exit, root, children's entries, children,
+        # basis letter crossing up to the parent, basis letter crossing down from it]
         self._rooting: dict[End, list] | None = None
         for sq, m, name in zip(c.squares, mins, names):
             # disambiguate clashes deterministically by square id
@@ -152,22 +154,30 @@ class MonodromyContext:
         rooting = self._rooting
         if rooting is None:
             rooting = self._rooting = {}
+            crossings = self._crossings
             order: list[End] = []
-            for root in self._crossings:
+            for root in crossings:
                 stack = [] if root in rooting else [(root, None)]
                 while stack:
                     w, p = stack.pop()
                     # a root hangs below a placeholder of depth -1 that names it
-                    up = rooting[p] if p is not None else (None, -1, 0, 0, w, [], [])
-                    rooting[w] = [p, up[1] + 1, len(order), len(order) + 1, up[4], [], []]
-                    up[5].append(len(order))
-                    up[6].append(w)
+                    above = rooting[p] if p is not None else (None, -1, 0, 0, w, [], [])
+                    rooting[w] = [p, above[1] + 1, len(order), len(order) + 1, above[4],
+                                  [], [], None, None]
+                    above[5].append(len(order))
+                    above[6].append(w)
                     order.append(w)
-                    stack += [(z, w) for z in self._crossings[w] if z not in rooting]
+                    stack += [(z, w) for z in crossings[w] if z not in rooting]
             for w in reversed(order):  # a subtree's exit is its last descendant's
                 p = rooting[w][0]
                 if p is not None:
                     rooting[p][3] = max(rooting[p][3], rooting[w][3])
+                    # every climb hop is one of these crossings, so checking here that each
+                    # enters and leaves at the edge's ends chains a peak's letters x..y^-1
+                    (x, rest, up), (y, back, down) = crossings[w][p], crossings[p][w]
+                    assert arrival_end(x) == w and arrival_end(rest[-1]) == p, ("up", w, x)
+                    assert arrival_end(y) == p and arrival_end(back[-1]) == w, ("down", w, y)
+                    rooting[w][7:] = up, down
         if rooting[u][4] != rooting[v][4]:
             raise AssertionError(f"no tree path from {u} to {v}")
         return rooting
@@ -176,24 +186,25 @@ class MonodromyContext:
         """The next end after ``u`` toward ``v != u``: the parent, unless ``u`` is
         a proper ancestor of ``v``; then the child whose subtree holds ``v``."""
         rooting = self._tree(u, v)
-        parent, _, entry, exit_, _, entries, children = rooting[u]
+        parent, _, entry, exit_, _, entries, children, _, _ = rooting[u]
         at = rooting[v][2]
         if entry < at < exit_:
             return children[bisect_right(entries, at) - 1]
         return parent
 
-    def _path(self, u: End, v: End) -> list[End]:
-        """The ends after ``u`` on the tree path to ``v``: the deeper end
+    def _climb(self, u: End, v: End) -> list[Letter]:
+        """The basis letters of the tree path from ``u`` to ``v``: the deeper end
         climbs until both meet."""
         rooting = self._tree(u, v)
+        at_u, at_v = rooting[u], rooting[v]
         up, down = [], []
-        while u != v:
-            if rooting[u][1] >= rooting[v][1]:
-                u = rooting[u][0]
-                up.append(u)
+        while at_u is not at_v:
+            if at_u[1] >= at_v[1]:
+                up.append(at_u[7])
+                at_u = rooting[at_u[0]]
             else:
-                down.append(v)
-                v = rooting[v][0]
+                down.append(at_v[8])
+                at_v = rooting[at_v[0]]
         return up + down[::-1]
 
     # -- peak reduction ------------------------------------------------
@@ -245,18 +256,8 @@ class MonodromyContext:
         if signed_weight(word, self.weights) != 0:
             raise InputError(f"cannot rewrite {word}: weight is nonzero")
         letters = self._flatten(list(word))
-        out: list[Letter] = []
-        for i in range(0, len(letters), 2):
-            x, y = letters[i], letters[i + 1]
-            d_left, d_right = arrival_end(x), departure_end(y)
-            # each corner crossed moves d_left one tree edge closer to d_right
-            for hop in self._path(d_left, d_right):
-                entering, rest, letter = self._crossings[d_left][hop]
-                assert x == entering, (x, entering)
-                out.append(letter)
-                x, d_left = rest[-1], hop
-            assert d_left == d_right and x == inverse_letter(y), (x, y)
-        return Word._of(tuple(out)).free_reduce()
+        return join_reduced([self._climb(arrival_end(x), departure_end(y))
+                             for x, y in zip(letters[::2], letters[1::2])])
 
     def push_to_generators(self, basis_word: Word) -> Word:
         """Substitute each basis letter by its representative (free-reduced)."""
@@ -265,12 +266,11 @@ class MonodromyContext:
 
 def _substitute(word: Word, images: dict[str, Word]) -> Word:
     """Each letter of ``word`` replaced by its image (inverted for an
-    inverse letter), free-reduced."""
-    letters: list[Letter] = []
-    for name, s in word:
-        image = images[name]
-        letters += image.letters if s > 0 else image.inverse().letters
-    return Word._of(tuple(letters)).free_reduce()
+    inverse letter), free-reduced; the images must be reduced."""
+    pieces = {(name, 1): image.letters for name, image in images.items()}
+    for name, _ in set(word.letters) - pieces.keys():
+        pieces[name, -1] = images[name].inverse().letters
+    return join_reduced(map(pieces.__getitem__, word.letters))
 
 
 class Automorphism(NamedTuple):
@@ -322,11 +322,11 @@ def _conjugate(t: Word, ctx: MonodromyContext, for_witness_search: bool = False)
         raise InputError(f"unsupported conjugator {t}: weight {weight} not in -1..1")
     if for_witness_search:
         _require_searchable(len(ctx.basis))
-    t_inv = t.inverse()
-    images = {
-        loop.name: ctx.rewrite((t * loop.rep * t_inv).free_reduce()) for loop in ctx.basis
-    }
-    return Automorphism(images, t.free_reduce(), "monodromy" if weight else "inner", ctx)
+    t = t.free_reduce()
+    t_inv = t.inverse().letters
+    images = {loop.name: ctx.rewrite(join_reduced((t.letters, loop.rep.letters, t_inv)))
+              for loop in ctx.basis}
+    return Automorphism(images, t, "monodromy" if weight else "inner", ctx)
 
 
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:
@@ -334,7 +334,7 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     if [l.name for l in f.basis] != [l.name for l in g.basis]:
         raise InputError("cannot compose automorphisms over different bases")
     images = {name: _substitute(word, f.images) for name, word in g.images.items()}
-    conjugator = (f.conjugator * g.conjugator).free_reduce()
+    conjugator = join_reduced((f.conjugator.letters, g.conjugator.letters))
     weight = signed_weight(conjugator, f.context.weights)
     return Automorphism(images, conjugator, "monodromy" if weight else "inner", f.context)
 

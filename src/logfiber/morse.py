@@ -158,10 +158,12 @@ def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
     return AdmissibilityReport(not problems, problems)
 
 
-def require_admissible(c: SquareComplex, ws: WeightSystem) -> list[int]:
+def require_admissible(c: SquareComplex, ws: WeightSystem,
+                       report: AdmissibilityReport | None = None) -> list[int]:
     """The min corners (`min_corners`) of an admissible ``ws``; InputError
-    naming every problem otherwise."""
-    report = check_admissible(c, ws)
+    naming every problem otherwise.  ``report``: its `check_admissible`."""
+    if report is None:
+        report = check_admissible(c, ws)
     if not report.admissible:
         raise InputError("inadmissible weight system: " + "; ".join(report.problems))
     return min_corners(c, ws)

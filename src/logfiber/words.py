@@ -145,6 +145,19 @@ class Word:
         return {g for g, _ in self.letters}
 
 
+def join_reduced(pieces: Iterable[tuple[Letter, ...] | list[Letter]]) -> Word:
+    """The free reduction of the concatenation of ``pieces``, each already reduced:
+    letters cancel only where a piece meets what is left of those before it."""
+    out: list[Letter] = []
+    for piece in pieces:
+        i = 0
+        while out and i < len(piece) and out[-1] == (piece[i][0], -piece[i][1]):
+            out.pop()
+            i += 1
+        out += piece[i:]
+    return Word._of(tuple(out))
+
+
 def signed_weight(word: Word, weights: dict[str, int]) -> int:
     """Sum of sign * weight over the letters of ``word``.
 

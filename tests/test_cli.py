@@ -394,6 +394,13 @@ def test_analyze_builds_directional_links_once(tmp_path, capsys, monkeypatch, na
     assert len(calls) == 1
 
 
+def test_analyze_checks_admissibility_once(capsys, monkeypatch, g2_file):
+    # the morse view and the monodromy basis read one check of the one weight system
+    calls = count_calls(monkeypatch, "morse", "check_admissible")
+    assert run_json(capsys, ["analyze", g2_file])["monodromy"]["basis"]
+    assert len(calls) == 1
+
+
 def test_monodromy_builds_no_fiber_graph(capsys, monkeypatch, g2_file):
     # at unit weights the fiber is a one-vertex bouquet, so only the links are checked
     calls = count_calls(monkeypatch, "morse", "fiber_graph")

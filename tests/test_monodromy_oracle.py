@@ -8,12 +8,14 @@ fresh breadth-first search for every tree hop, rebuilds each peak's or
 valley's replacement from the square's rotated boundary, free-reduces the
 whole word after every step, and walks the harvest until the two directions
 meet.  `reference_routes` is one full breadth-first search per target end.
+`reference_compose` substitutes every letter and free-reduces the whole word.
 All are slow and follow the definitions, so the library must give exactly
 their witnesses, routes, flat words and basis words.
 """
 
 import random
 import sys
+from functools import cached_property
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -36,6 +38,7 @@ from logfiber import (
     signed_weight,
     unit_weights,
 )
+from logfiber.cli import main
 from logfiber.links import arrival_end, departure_end
 from logfiber.monodromy import _closed_subsets, _cyclic_core
 from logfiber.morse import directional_links
@@ -336,6 +339,41 @@ def test_witnesses_match_reference_on_random_automorphisms():
     assert found >= 100 and conjugated >= 20
 
 
+def reference_compose(f, g):
+    """f after g by whole-word reduction: each letter of g's images replaced
+    by its image under f (inverted for an inverse letter), then the whole
+    word free-reduced; the conjugators multiplied, then free-reduced."""
+    images = {}
+    for name, word in g.images.items():
+        letters = []
+        for letter, s in word:
+            letters += f.images[letter] if s > 0 else f.images[letter].inverse()
+        images[name] = Word(letters).free_reduce()
+    return images, (f.conjugator * g.conjugator).free_reduce()
+
+
+def test_compose_matches_whole_word_reduction():
+    rng = random.Random(1729)
+    cancelled = 0
+    for trial in range(150):
+        n = rng.randint(1, 8)
+        names = [f"x{i}" for i in range(n)]
+        f, g = random_automorphism(rng, n), random_automorphism(rng, n)
+        context = SimpleNamespace(basis=f.basis,
+                                  weights={name: rng.choice((-1, 0, 1)) for name in names})
+        f, g = (a._replace(conjugator=Word(random_reduced_word(rng, names, rng.randint(0, 4))),
+                           context=context) for a in (f, g))
+        # g's images may hold the foreign letter z: give it an image under f
+        f.images["z"] = Word(random_reduced_word(rng, names + ["z"], rng.randint(0, 5)))
+        images, conjugator = reference_compose(f, g)
+        h = compose(f, g)
+        assert (h.images, h.conjugator) == (images, conjugator), trial
+        assert h.tag == ("monodromy" if signed_weight(conjugator, context.weights) else "inner")
+        cancelled += sum(len(word) < sum(len(f.images[letter]) for letter, _ in g.images[name])
+                         for name, word in images.items())
+    assert cancelled >= 100
+
+
 def conjugated_loops(c, ws, rng, count):
     """Basis-loop reps conjugated by random words of weight -1, 0 and +1."""
     words = []
@@ -364,7 +402,12 @@ REWRITE_CASES = [pytest.param(name, None, id=name)
 ]
 
 
-@pytest.mark.parametrize("name, spec", REWRITE_CASES)
+# LOTs at a=1 and a=-1, whose harvest climbs up to 64 hops
+DEEP_CASES = [pytest.param(f"lot{k}", spec, id=f"lot{k}-{spec}")
+              for k in (32, 64) for spec in ("a=1", "a=-1")]
+
+
+@pytest.mark.parametrize("name, spec", REWRITE_CASES + DEEP_CASES)
 def test_rewrite_matches_reference(name, spec):
     c = build_case(name)
     ws = case_weights(c, spec)
@@ -423,10 +466,18 @@ def reference_routes(adj, to):
 
 # REWRITE_CASES (lot8 among them at unit weights), triple4, and LOTs at
 # a=1 and a=-1 whose trees are deep enough for long ancestor chains
-ROUTE_CASES = REWRITE_CASES + [pytest.param("triple4", None, id="triple4")] + [
-    pytest.param(f"lot{k}", spec, id=f"lot{k}-{spec}")
-    for k, spec in ((8, "a=-1"), (32, "a=1"), (32, "a=-1"), (64, "a=1"), (64, "a=-1"))
-]
+ROUTE_CASES = REWRITE_CASES + [pytest.param("triple4", None, id="triple4"),
+                               pytest.param("lot8", "a=-1", id="lot8-a=-1")] + DEEP_CASES
+
+
+def reference_letter(ref, frm, to):
+    """The signed basis letter for crossing tree edge ``frm`` -> ``to``: +1
+    across a square's max corner from the arrival end of its e2, or across
+    its min corner from the departure end of its e1; -1 the other way."""
+    adj = ref.desc_adj if frm in ref.desc_adj else ref.asc_adj
+    loop = ref.loop_of_square[adj[frm][to]]
+    e1, e2, _, _ = loop.rotated
+    return (loop.name, 1 if frm in (arrival_end(e2), departure_end(e1)) else -1)
 
 
 @pytest.mark.parametrize("name, spec", ROUTE_CASES)
@@ -440,17 +491,17 @@ def test_routes_match_per_target_bfs(name, spec):
             routes = reference_routes(adj, to)
             assert routes.keys() == adj.keys()  # one tree
             for frm in adj:
-                path, at = [], frm
+                letters, at = [], frm
                 while at != to:
+                    letters.append(reference_letter(ref, at, routes[at][0]))
                     at = routes[at][0]
-                    path.append(at)
-                assert ctx._path(frm, to) == path, (frm, to)
-                assert len(path) == routes[frm][1]
+                assert ctx._climb(frm, to) == letters, (frm, to)
+                assert len(letters) == routes[frm][1]
                 if frm != to:
                     assert ctx._first_hop(frm, to) == routes[frm][0], (frm, to)
     for u, v in ((next(iter(ref.asc_adj)), next(iter(ref.desc_adj))),
                  (next(reversed(ref.desc_adj)), next(reversed(ref.asc_adj)))):
-        for route in (ctx._first_hop, ctx._path):
+        for route in (ctx._first_hop, ctx._climb):
             with pytest.raises(AssertionError, match="no tree path"):
                 route(u, v)
 
@@ -560,3 +611,36 @@ def test_flatten_steps_as_the_rescanning_loop(name, spec):
         kept += sum(a == b for a, b in zip(heights, heights[1:]))
         switched += sum((a >= 2) != (b >= 2) for a, b in zip(heights, heights[1:]))
     assert kept and switched
+
+
+def corrupt_first_crossing(monkeypatch):
+    """Make `MonodromyContext._crossings` give its first entry the inverse of
+    its entering letter, a letter that arrives at the wrong end."""
+    build = MonodromyContext._crossings.func
+
+    def corrupted(self):
+        table = build(self)
+        row = next(row for row in table.values() if row)
+        to, (x, rest, letter) = next(iter(row.items()))
+        row[to] = (inverse_letter(x), rest, letter)
+        return table
+
+    table = cached_property(corrupted)
+    table.__set_name__(MonodromyContext, "_crossings")
+    monkeypatch.setattr(MonodromyContext, "_crossings", table)
+
+
+def test_a_bad_crossing_fails_the_rooted_records(monkeypatch, tmp_path, capsys):
+    # the climbs trust the letters of the rooted records, so building them checks each
+    # crossing's entering and last letters against the two ends of its tree edge
+    c = build_named("g2")
+    corrupt_first_crossing(monkeypatch)
+    ctx = MonodromyContext(c, unit_weights(c))
+    end = next(iter(ctx._crossings))
+    with pytest.raises(AssertionError):
+        ctx._tree(end, end)
+    path = tmp_path / "g2.log"
+    path.write_text(c.render(), encoding="utf-8")
+    assert main(["transition", str(path), "--conjugator", "a1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal invariant violation" in captured.err

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logfiber import InputError, Word, signed_weight
+from logfiber.words import join_reduced
 
 
 def test_parse_both_inverse_suffixes():
@@ -93,3 +96,36 @@ def test_constructor_checks_signs_and_derived_words_match():
     assert u.inverse() == Word([("c", -1), ("b", 1), ("a", -1)])
     assert (u * v).free_reduce() == Word([("a", 1), ("a", 1)])
     assert type((u * v).free_reduce().letters) is tuple
+
+
+_LETTERS = st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1)))
+
+
+@st.composite
+def reduced_pieces(draw):
+    """Reduced pieces, empty ones among them; a piece may start with the
+    inverse of a suffix of everything before it, so that its cancellation
+    runs through whole earlier pieces."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 8))):
+        tail = Word(draw(st.lists(_LETTERS, max_size=6)))
+        if pieces and draw(st.booleans()):
+            before = Word([l for piece in pieces for l in piece]).free_reduce()
+            cut = draw(st.integers(0, len(before)))
+            tail = Word(before.letters[cut:]).inverse() * tail
+        pieces.append(tail.free_reduce().letters)
+    return pieces
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_pieces())
+@example([(("a", 1), ("b", 1)), (("c", 1),), (("c", -1), ("b", -1), ("a", 1))])
+@example([(), (("a", 1),), (), (("a", -1),), ()])
+def test_join_reduced_is_free_reduce_of_the_concatenation(pieces):
+    joined = join_reduced(pieces)
+    assert joined == Word([l for piece in pieces for l in piece]).free_reduce()
+    assert type(joined.letters) is tuple
+    # lists are pieces too, and no piece is changed
+    before = [list(piece) for piece in pieces]
+    assert join_reduced(before) == joined
+    assert before == [list(piece) for piece in pieces]
