@@ -511,7 +511,7 @@ def _write_dot(args, a: Analysis) -> None:
         highlight_edges = {(e.square, e.corner) for e in a.poison}
     elif args.highlight in ("asc", "desc"):
         ws = _weights(a, args)
-        morse.require_admissible(a.complex, ws)
+        morse.require_admissible(a.complex, ws, a.admissibility(ws))
         asc, desc = a.sign_links(ws)
         side = asc if args.highlight == "asc" else desc
         highlight_edges = {(e.square, e.corner) for e in side.edges}

@@ -280,16 +280,20 @@ def search_flat_disk(source: SquareComplex | Analysis, radius: int) -> DiskWitne
     the cell/placement ordering).
     """
     _check_radius(radius)
-    a = Analysis.of(source)
-    eligible = a.eligible
-    if not eligible:
-        return None
-    search = _DiskSearch(a.complex, eligible, radius)
-    for seed in eligible:
-        _, chosen = search.run(seed)
+    return _seed_search(Analysis.of(source), radius)[1]
+
+
+def _seed_search(a: Analysis, radius: int) -> tuple[int, DiskWitness | None]:
+    """One `_DiskSearch` of the radius-R disk from each eligible seed in
+    turn: the most cells a seed placed and the first witness, if any."""
+    search = _DiskSearch(a.complex, a.eligible, radius)
+    deepest = 0
+    for seed in a.eligible:
+        depth, chosen = search.run(seed)
         if chosen is not None:
-            return DiskWitness(radius, search.placement(chosen))
-    return None
+            return depth, DiskWitness(radius, search.placement(chosen))
+        deepest = max(deepest, depth)
+    return deepest, None
 
 
 def validate_witness(c: SquareComplex, witness: DiskWitness) -> list[str]:
@@ -373,15 +377,10 @@ def hyperbolicity_verdict(source: SquareComplex | Analysis, max_radius: int = 3)
     if not eligible:
         return Verdict("HyperbolicCertA", eligible=[],
                        details="every square contains a poison corner")
-    search = _DiskSearch(a.complex, eligible, max_radius)
-    deepest = 0
-    for seed in eligible:
-        depth, chosen = search.run(seed)
-        if chosen is not None:
-            witness = DiskWitness(max_radius, search.placement(chosen))
-            return Verdict("Inconclusive", radius=max_radius, witness=witness, eligible=eligible,
-                           details=f"flat disks exist up to radius {max_radius}")
-        deepest = max(deepest, depth)
+    deepest, witness = _seed_search(a, max_radius)
+    if witness is not None:
+        return Verdict("Inconclusive", radius=max_radius, witness=witness, eligible=eligible,
+                       details=f"flat disks exist up to radius {max_radius}")
     # radius r has a witness iff some seed placed all disk_size(r) cells of its prefix
     radius = next(r for r in range(1, max_radius + 1) if disk_size(r) > deepest)
     return Verdict("HyperbolicCertB", radius=radius, eligible=eligible,

@@ -29,10 +29,10 @@ union-find only when a directional link is disconnected.
 The integer lattice of zero-sum weight systems is computed exactly.  A LOG
 square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square whose
 boundary row has exactly one +1 and one -1 entry is contracted by
-union-find first; the Smith diagonalization over the integers then runs on
-the remaining rows, summed over the contracted classes, and the expanded
-kernel is Hermite-reduced to the same canonical basis the full matrix
-gives.
+union-find first.  The integer kernel of the remaining rows, summed over
+the contracted classes, is read off the row echelon form of [A^T | I] and
+put in Hermite normal form; classes are numbered by their first generator,
+so the expanded kernel is the same canonical basis the full matrix gives.
 """
 
 from __future__ import annotations
@@ -350,73 +350,16 @@ def kernel_rank(c: SquareComplex, ws: WeightSystem) -> int:
 # integer lattice of zero-sum weight systems
 
 
-def _kernel_basis_int(rows: list[list[int]], n: int) -> list[list[int]]:
-    """Basis of the integer kernel of the matrix with the given rows.
-
-    Diagonalizes A*V by integer row and column operations, tracking V;
-    kernel = columns of V hitting zero diagonal entries.  The result is a
-    saturated lattice (every integer solution is an integer combination).
-    """
-    a = [row[:] for row in rows]
-    m = len(a)
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # smallest-magnitude pivot in the remaining block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            swap_cols(t, pj)
-        for i in range(t + 1, m):
-            q = a[i][t] // a[t][t]
-            if q:
-                for j in range(n):
-                    a[i][j] -= q * a[t][j]
-        for j in range(t + 1, n):
-            q = a[t][j] // a[t][t]
-            if q:
-                add_col(j, t, q)
-        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
-            continue  # remainders survive; repick a (strictly smaller) pivot
-        t += 1
-
-    basis = []
-    for j in range(t, n):
-        assert all(row[j] == 0 for row in a), "diagonalization left a nonzero column"
-        basis.append([v[i][j] for i in range(n)])
-    return _hermite_rows(basis, n)
-
-
-def _hermite_rows(rows: list[list[int]], n: int) -> list[list[int]]:
-    """Row-style Hermite normal form: canonical basis for the row lattice."""
-    mat = [row[:] for row in rows if any(row)]
-    r = 0
+def _echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form of ``rows`` in their first ``n`` columns,
+    by Euclid's algorithm on whole rows (unimodular row operations only),
+    and its pivot columns: row r has its first nonzero entry at pivots[r],
+    and the rows after the pivot rows are zero in the first n columns."""
+    mat = [row[:] for row in rows]
+    pivots: list[int] = []
     for col in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
@@ -425,14 +368,33 @@ def _hermite_rows(rows: list[list[int]], n: int) -> list[list[int]]:
                 q = mat[r][col] // mat[i][col]
                 mat[r] = [x - q * y for x, y in zip(mat[r], mat[i])]
                 mat[r], mat[i] = mat[i], mat[r]
+        pivots.append(col)
+    return mat, pivots
+
+
+def _hermite_rows(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Row-style Hermite normal form: canonical basis for the row lattice.
+    Each pivot of `_echelon` is made positive and reduces the rows above it."""
+    mat, pivots = _echelon(rows, n)
+    for r, col in enumerate(pivots):
         if mat[r][col] < 0:
             mat[r] = [-x for x in mat[r]]
         for i in range(r):
             q = mat[i][col] // mat[r][col]
             if q:
                 mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return [row for row in mat[:r]]
+    return mat[:len(pivots)]
+
+
+def _kernel_basis_int(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Hermite basis of the integer kernel of the matrix A with the given
+    rows: the right halves of the zero-left rows of the echelon form of
+    [A^T | I] (Cohen, GTM 138, 2.4).  The row operations are unimodular, so
+    the kernel is saturated (every integer solution is a combination)."""
+    m = len(rows)
+    augmented = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    mat, pivots = _echelon(augmented, m)
+    return _hermite_rows([row[m:] for row in mat[len(pivots):]], n)
 
 
 def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
@@ -457,10 +419,10 @@ def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
         for g, k in support.items():
             vec[column[root[g]]] += k
         contracted.append(vec)
+    # classes are numbered by their first generator, so the expanded Hermite
+    # basis is the Hermite basis of the full matrix
     kernel = _kernel_basis_int(contracted, len(column))
-    expanded = [[vec[column[root[g]]] for g in c.generators] for vec in kernel]
-    basis = _hermite_rows(expanded, len(c.generators))
-    return [dict(zip(c.generators, vec)) for vec in basis]
+    return [{g: vec[column[root[g]]] for g in c.generators} for vec in kernel]
 
 
 def _combine_basis(basis: list[WeightSystem], coords: tuple[int, ...], c: SquareComplex) -> WeightSystem:

@@ -401,6 +401,16 @@ def test_analyze_checks_admissibility_once(capsys, monkeypatch, g2_file):
     assert len(calls) == 1
 
 
+def test_analyze_dot_highlight_checks_admissibility_once(tmp_path, capsys, monkeypatch, g2_file):
+    # the DOT highlight reads the check the morse view and the monodromy basis made
+    calls = count_calls(monkeypatch, "morse", "check_admissible")
+    dot = tmp_path / "g2.dot"
+    assert main(["analyze", g2_file, "--dot", str(dot), "--highlight", "asc"]) == 0
+    capsys.readouterr()
+    assert "style=bold" in dot.read_text(encoding="utf-8")
+    assert len(calls) == 1
+
+
 def test_monodromy_builds_no_fiber_graph(capsys, monkeypatch, g2_file):
     # at unit weights the fiber is a one-vertex bouquet, so only the links are checked
     calls = count_calls(monkeypatch, "morse", "fiber_graph")

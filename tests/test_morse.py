@@ -1,6 +1,7 @@
 """Weight systems, directional links, fiber graphs, the weight lattice."""
 
 import random
+from operator import mul
 
 import pytest
 
@@ -250,6 +251,65 @@ def test_negative_weight_fiber(lot_a):
 # -- integer kernel ----------------------------------------------------
 
 
+# A reference for `_kernel_basis_int`, which reads the kernel off the echelon
+# form of [A^T | I]: Smith diagonalization by row and column operations.
+def smith_kernel_basis(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Basis of the integer kernel of the matrix with the given rows.
+
+    Diagonalizes A*V by integer row and column operations, tracking V;
+    kernel = columns of V hitting zero diagonal entries.  The result is a
+    saturated lattice (every integer solution is an integer combination).
+    """
+    a = [row[:] for row in rows]
+    m = len(a)
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(dst, src, q):
+        for row in a:
+            row[dst] -= q * row[src]
+        for row in v:
+            row[dst] -= q * row[src]
+
+    t = 0
+    while t < min(m, n):
+        # smallest-magnitude pivot in the remaining block
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            swap_cols(t, pj)
+        for i in range(t + 1, m):
+            q = a[i][t] // a[t][t]
+            if q:
+                for j in range(n):
+                    a[i][j] -= q * a[t][j]
+        for j in range(t + 1, n):
+            q = a[t][j] // a[t][t]
+            if q:
+                add_col(j, t, q)
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
+            continue  # remainders survive; repick a (strictly smaller) pivot
+        t += 1
+
+    basis = []
+    for j in range(t, n):
+        assert all(row[j] == 0 for row in a), "diagonalization left a nonzero column"
+        basis.append([v[i][j] for i in range(n)])
+    return _hermite_rows(basis, n)
+
+
 def test_kernel_basis_int_small_matrices():
     assert _kernel_basis_int([[1, -1]], 2) == [[1, 1]]
     assert _kernel_basis_int([[2, 3]], 2) == [[3, -2]]
@@ -257,6 +317,24 @@ def test_kernel_basis_int_small_matrices():
     assert _kernel_basis_int([[2, -2]], 2) == [[1, 1]]
     assert _kernel_basis_int([[1, 0], [0, 1]], 2) == []
     assert _kernel_basis_int([[0, 0]], 2) == [[1, 0], [0, 1]]
+
+
+def test_kernel_basis_int_matches_smith_oracle():
+    # entries beyond +-2, more rows than columns, zero rows and zero columns
+    rng = random.Random(19)
+    entries = [0, 0, 0, 1, -1, 2, -2, 3, -5, 7]
+    for trial in range(3000):
+        m, n = rng.randint(0, 8), rng.randint(1, 9)
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+        if m and trial % 3 == 0:
+            rows[rng.randrange(m)] = [0] * n
+        if trial % 5 == 0:
+            dead = rng.randrange(n)
+            for row in rows:
+                row[dead] = 0
+        basis = _kernel_basis_int(rows, n)
+        assert basis == smith_kernel_basis(rows, n), rows
+        assert all(sum(map(mul, row, vec)) == 0 for row in rows for vec in basis), rows
 
 
 def test_kernel_vectors_annihilate_the_matrix(g1, g2, mixed, torus):
@@ -413,7 +491,7 @@ def test_contracted_lattice_matches_dense_smith_form():
         c = parse_spec("generators " + " ".join(gens) + "\n"
                        + "".join(f"square {s}\n" for s in squares))
         n = len(gens)
-        expected = _hermite_rows(_kernel_basis_int(dense_square_rows(c), n), n)
+        expected = smith_kernel_basis(dense_square_rows(c), n)
         assert [[b[g] for g in gens] for b in weight_lattice(c)] == expected, squares
 
 
@@ -423,5 +501,5 @@ def test_contracted_lattice_on_lot_and_wedge():
     for c in (build_lot_family(40),
               combine(build_lot_family(9, "a"), build_lot_family(7, "b"), "a0 b2 a1^-1 b0^-1")):
         n = len(c.generators)
-        expected = _hermite_rows(_kernel_basis_int(dense_square_rows(c), n), n)
+        expected = smith_kernel_basis(dense_square_rows(c), n)
         assert [[b[g] for g in c.generators] for b in weight_lattice(c)] == expected
