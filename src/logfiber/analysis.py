@@ -84,9 +84,9 @@ class Analysis:
         Each square's min and max corners, and each direction-end's side,
         depend only on the signs of the weights, so the links are built
         once per sign vector, from its min corners (`morse.min_corners`)
-        and the link's corner edges, with no admissibility check."""
+        and the link's corners and ends, with no admissibility check."""
         key = tuple(map((0).__lt__, map(ws.__getitem__, self.complex.generators)))
         if key not in self._sign_links:
             mins = morse.min_corners(self.complex, ws)
-            self._sign_links[key] = morse.directional_links(self.complex, ws, mins, self.link.edges)
+            self._sign_links[key] = morse.directional_links(self.complex, ws, mins, self.link)
         return self._sign_links[key]

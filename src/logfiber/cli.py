@@ -192,7 +192,8 @@ def morse_report(a: Analysis, ws: morse.WeightSystem) -> dict:
                      "rank_blocked_by": "inadmissible weight system"})
         return data
     asc, desc = a.sign_links(ws)
-    fiber = morse.fiber_graph(a.complex, ws, morse.min_corners(a.complex, ws))
+    vertices, arcs, components = morse.fiber_counts(
+        a.complex, ws, morse.min_corners(a.complex, ws), (asc, desc))
     for side, name in ((asc, "asc"), (desc, "desc")):
         data[name] = {
             "vertices": len(side.vertices),
@@ -200,15 +201,11 @@ def morse_report(a: Analysis, ws: morse.WeightSystem) -> dict:
             "is_tree": side.is_tree,
             "components": side.components,
         }
-    data["fiber"] = {
-        "vertices": len(fiber.vertices),
-        "edges": len(fiber.edges),
-        "connected": fiber.connected,
-        "components": fiber.components,
-    }
-    data["chi"] = fiber.chi
-    failures = [condition for condition, _ in morse.fibration_failures((asc, desc), fiber)]
-    data["rank"] = None if failures else 1 - fiber.chi
+    data["fiber"] = {"vertices": vertices, "edges": arcs, "connected": components == 1,
+                     "components": components}
+    data["chi"] = vertices - arcs
+    failures = [condition for condition, _ in morse.fibration_failures((asc, desc), components)]
+    data["rank"] = None if failures else 1 - data["chi"]
     data["rank_blocked_by"] = "; ".join(failures) if failures else None
     return data
 
@@ -370,15 +367,17 @@ def _json_text(value, level: int) -> str:
     ``level`` deep.  A list or tuple of str, int, bool and None goes to the C
     encoder, if there is one, with ``",\n"`` and indentation as separator
     (encoded strings hold no raw newline); other ones are joined here, and
-    dicts with str keys fill their `_json_template`; the rest (empty
-    containers, floats, subclasses, other keys) is the stdlib's text."""
+    dicts with str keys fill their `_json_template`, empty ones are ``[]``
+    and ``{}``; the rest (floats, subclasses, other keys) is the stdlib's."""
     kind = type(value)
-    if (kind is list or kind is tuple) and value:
+    if (kind is list or kind is tuple or kind is dict) and not value:
+        return "{}" if kind is dict else "[]"
+    if kind is list or kind is tuple:
         inner = "\n" + "  " * (level + 1)
         if json.encoder.c_make_encoder and _JSON_FLAT.issuperset(map(type, value)):
             return "[" + inner + "".join(_json_flat(level)(value, 0))[1:-1] + inner[:-2] + "]"
         return "[" + inner + ("," + inner).join(_json_items(value, level + 1)) + inner[:-2] + "]"
-    if kind is dict and value and (template := _json_template(tuple(value), level)):
+    if kind is dict and (template := _json_template(tuple(value), level)):
         values = value.values()
         # exact ints print alike through %s; the last value alone turns most other dicts away
         if type(next(reversed(values))) is int and _JSON_INT.issuperset(map(type, values)):

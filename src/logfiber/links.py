@@ -5,10 +5,10 @@ the end (arrival) direction of ``g`` and ``g-`` for its start (departure)
 direction; all reports use this convention.  Each square contributes four
 link edges, one per corner: the corner between consecutive boundary letters
 ``x`` then ``y`` joins the arrival direction of ``x`` to the departure
-direction of ``y``.  `LinkGraph` numbers the ends once, by their place in
-its vertex list (from `build_link`, vertex 2i is ``g_i+`` and 2i+1 is
-``g_i-``, ``g_i`` the i-th generator; edge 4s+k is corner k of square s),
-and the link checks run on these numbers.
+direction of ``y``.  `LinkGraph.ends` holds each edge's ends as their places
+in its vertex list, which `build_link` writes with the corners (vertex 2i
+is ``g_i+`` and 2i+1 is ``g_i-``, ``g_i`` the i-th generator; edge 4s+k is
+corner k of square s); the link checks and `morse`'s links run on them.
 
 A corner is *poison* when its link edge lies on no circuit of length four
 (closed 4-edge walks without immediate backtracking; loop edges excluded).
@@ -70,11 +70,10 @@ def square_corners(sq: Square) -> list[CornerEdge]:
 
 
 class LinkGraph:
-    def __init__(self, vertices: list[End], edges: list[CornerEdge]):
+    def __init__(self, vertices: list[End], edges: list[CornerEdge], ends: list[tuple[int, int]]):
         self.vertices = vertices
         self.edges = edges
-        number = {v: i for i, v in enumerate(vertices)}
-        self.ends = [(number[a], number[b]) for a, b in (e.ends for e in edges)]  # as vertex numbers
+        self.ends = ends
         self._on_four_circuit: list[bool] = []
 
     @cached_property
@@ -121,17 +120,20 @@ class LinkGraph:
 def build_link(c: SquareComplex) -> LinkGraph:
     """The link, with the corners of `square_corners` on the vertex tuples."""
     vertices = [(g, sign) for g in c.generators for sign in ("+", "-")]
-    ends = {}  # letter -> (its arrival end, its departure end)
-    for plus, minus in zip(vertices[::2], vertices[1::2]):
-        ends[plus[0], 1], ends[plus[0], -1] = (plus, minus), (minus, plus)
+    ends = {}  # letter -> (its arrival end, its departure end, their numbers)
+    for i, g in enumerate(c.generators):
+        plus, minus = vertices[2 * i], vertices[2 * i + 1]
+        ends[g, 1], ends[g, -1] = (plus, minus, 2 * i, 2 * i + 1), (minus, plus, 2 * i + 1, 2 * i)
     new = tuple.__new__  # CornerEdge's own __new__ is a Python-level call
-    edges = []
+    edges, numbers = [], []
     for sq in c.squares:
-        (a0, d0), (a1, d1), (a2, d2), (a3, d3) = map(ends.__getitem__, sq.boundary.letters)
+        (a0, d0, p0, q0), (a1, d1, p1, q1), (a2, d2, p2, q2), (a3, d3, p3, q3) = map(
+            ends.__getitem__, sq.boundary.letters)
         i = sq.index
         edges += (new(CornerEdge, (i, 0, (a3, d0))), new(CornerEdge, (i, 1, (a0, d1))),
                   new(CornerEdge, (i, 2, (a1, d2))), new(CornerEdge, (i, 3, (a2, d3))))
-    return LinkGraph(vertices, edges)
+        numbers += ((p3, q0), (p0, q1), (p1, q2), (p2, q3))
+    return LinkGraph(vertices, edges, numbers)
 
 
 class LargenessReport(NamedTuple):

@@ -12,19 +12,20 @@ From an admissible weight system we read off:
 
 * ascending / descending links (one min- resp. max-corner edge per square),
   whose tree property certifies a free-by-cyclic splitting;
-* the fiber graph over the base point, built explicitly with subdivision
-  points on the edges and one arc per integer level crossing each square;
+* the fiber graph over the base point, with subdivision points on the edges
+  and one arc per integer level crossing each square, built explicitly
+  (`fiber_graph`) or counted in closed form (`fiber_counts`);
 * the kernel rank 1 - chi(fiber) when both links are trees and the fiber
   is connected.
 
 Min and max corners, and so both directional links, depend only on the
 signs of the weights (`min_corners`); `require_admissible` checks a weight
-system and returns its min corners, which `directional_links` and
-`fiber_graph` take.  Every command reads a sign vector's links, and the
-scan and the verdict the lattice's affine forms, from an `Analysis` of
-their one source.  `fibering_scan` reads the other values for each lattice
-vector from closed forms and counts fiber components by integer
-union-find only when a directional link is disconnected.
+system and returns its min corners, which the functions after it take.
+Every command reads a sign vector's links, and the scan and the verdict
+the lattice's affine forms, from an `Analysis` of their one source.
+`fibering_scan` and `fiber_counts` read the fiber's values from closed
+forms and count its components by integer union-find only when a
+directional link is disconnected.
 
 The integer lattice of zero-sum weight systems is computed exactly.  A LOG
 square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square whose
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
 from .complexes import Square, SquareComplex, union_find
 from .errors import InputError
-from .links import CornerEdge, End, build_link
+from .links import CornerEdge, End, LinkGraph, build_link
 from .words import generator_stem, signed_weight
 
 WeightSystem = dict[str, int]
@@ -177,17 +178,11 @@ class DirectionalLink(NamedTuple):
     components: int
 
 
-def _graph_stats(vertices: list[End], edges: list[CornerEdge]) -> tuple[bool, int]:
-    root, acyclic = union_find(vertices, (e.ends for e in edges))
-    components = len(set(root.values()))
-    return (acyclic and components == 1), components
-
-
 def directional_links(
     c: SquareComplex,
     ws: WeightSystem,
     mins: list[int] | None = None,
-    corners: list[CornerEdge] | None = None,
+    link: LinkGraph | None = None,
 ) -> tuple[DirectionalLink, DirectionalLink]:
     """Ascending and descending links of the vertex.
 
@@ -195,31 +190,29 @@ def directional_links(
     (g, start) for positive weight, (g, end) for negative.  Each square
     contributes its min-corner edge to the ascending link and its max-corner
     edge, two round, to the descending link.  ``mins``, the min corners of
-    an admissible ``ws`` (`min_corners`), skip the admissibility check;
-    ``corners`` are the edges of the vertex link in `links.build_link` order
-    (corner k of square i at 4i + k), taken instead of building each
-    square's again.  `Analysis.sign_links` passes both: `perfbench/tracing.py`
-    rebinds this function.
+    an admissible ``ws`` (`min_corners`), skip the admissibility check, and
+    ``link`` (`links.build_link`) is not built again; `Analysis.sign_links`
+    passes both: `perfbench/tracing.py` rebinds this function.  A side holds
+    one of the link's integer ends per generator, so `_path_components` over
+    generator numbers counts it, and it is a tree iff connected with n - 1 edges.
     """
     if mins is None:
         mins = require_admissible(c, ws)
-    if corners is None:
-        corners = build_link(c).edges
-    asc_vertices = [(g, "-") if ws[g] > 0 else (g, "+") for g in c.generators]
-    desc_vertices = [(g, "+") if ws[g] > 0 else (g, "-") for g in c.generators]
-    asc_edges = [corners[4 * i + m] for i, m in enumerate(mins)]
-    desc_edges = [corners[4 * i + (m + 2) % 4] for i, m in enumerate(mins)]
-    asc_set, desc_set = set(asc_vertices), set(desc_vertices)
-    for e in asc_edges:
-        assert set(e.ends) <= asc_set, e
-    for e in desc_edges:
-        assert set(e.ends) <= desc_set, e
-    asc_tree, asc_comp = _graph_stats(asc_vertices, asc_edges)
-    desc_tree, desc_comp = _graph_stats(desc_vertices, desc_edges)
-    return (
-        DirectionalLink("ascending", asc_vertices, asc_edges, asc_tree, asc_comp),
-        DirectionalLink("descending", desc_vertices, desc_edges, desc_tree, desc_comp),
-    )
+    if link is None:
+        link = build_link(c)
+    n, corners, ends = len(c.generators), link.edges, link.ends
+    # link vertex 2i is g_i+ and 2i + 1 is g_i-, which ascends iff w_i > 0
+    ascends = [up for g in c.generators for up in (ws[g] < 0, ws[g] > 0)]
+    out = []
+    for side, turn, up in (("ascending", 0, True), ("descending", 2, False)):
+        ids = [4 * i + (m + turn) % 4 for i, m in enumerate(mins)]
+        pairs = [ends[k] for k in ids]
+        assert all(ascends[a] is ascends[b] is up for a, b in pairs), side
+        components = _path_components(n, [[(a >> 1, b >> 1) for a, b in pairs]])
+        out.append(DirectionalLink(side, [v for v, s in zip(link.vertices, ascends) if s is up],
+                                   [corners[k] for k in ids], components == 1 and len(ids) == n - 1,
+                                   components))
+    return out[0], out[1]
 
 
 BASE_VERTEX = ("*", 0)  # the unique vertex of the complex, as a fiber vertex
@@ -248,35 +241,27 @@ def _fiber_paths(c: SquareComplex, mins: list[int]) -> list[tuple[int, int, int,
 
 
 def _fiber_sides(w: list[int], paths: list[tuple[int, int, int, int]]
-                 ) -> tuple[int, list[Iterator[tuple[int, int]]]]:
-    """Vertex count of the fiber graph of the weights ``w`` and, per square,
-    its arcs by rising level: the point ids (u, v) its sides through corners
-    m+1 and m+3 meet at each level strictly between its min and max corners,
-    along a side the first letter's points, the base vertex (point 0), then
-    the second letter's.  The points (g, 1) .. (g, |w_g| - 1) of each
-    generator follow in order, rising with the index when w_g > 0.  Refuses
-    more than `MAX_FIBER_CELLS` vertices plus arcs, counted before any range
-    is built (a range longer than sys.maxsize has no length)."""
-    vertices = 1 + sum(map(abs, w)) - len(w)
-    cells = vertices + sum(abs(w[p]) + abs(w[q]) - 1 for p, q, _, _ in paths)
-    if cells > MAX_FIBER_CELLS:
-        raise InputError(
-            f"fiber graph of {cells} vertices and arcs exceeds the limit of {MAX_FIBER_CELLS};"
-            " lower the weights"
-        )
+                 ) -> list[Iterator[tuple[int, int]]]:
+    """Per square of the fiber graph of the weights ``w``, its arcs by rising
+    level: the point ids (u, v) its sides through corners m+1 and m+3 meet
+    at each level strictly between its min and max corners, along a side
+    the first letter's points, the base vertex (point 0), then the second
+    letter's.  The points (g, 1) .. (g, |w_g| - 1) of each generator follow
+    in order, rising with the index when w_g > 0.  Only for sizes that
+    `_fiber_counts` accepts (a range longer than sys.maxsize has no length)."""
     by_level = []  # generator number -> its point ids in increasing height order
     start = 1
     for x in w:
         ids = range(start, start + abs(x) - 1)
         by_level.append(ids if x > 0 else ids[::-1])
         start += len(ids)
-    return vertices, [zip(chain(by_level[p], (0,), by_level[q]),
-                          chain(by_level[r], (0,), by_level[t])) for p, q, r, t in paths]
+    return [zip(chain(by_level[p], (0,), by_level[q]), chain(by_level[r], (0,), by_level[t]))
+            for p, q, r, t in paths]
 
 
 def _path_components(vertices: int, sides: Iterable[Iterable[tuple[int, int]]]) -> int:
-    """Components of a fiber graph of ``vertices`` points with the arcs of
-    `_fiber_sides`, by union-find over the point ids they join."""
+    """Components of a graph on the points 0 .. ``vertices`` - 1 with the
+    edges of ``sides`` (`_fiber_sides`, a link side), by union-find."""
     parent = list(range(vertices))
     for arcs in sides:
         for u, v in arcs:
@@ -290,44 +275,68 @@ def _path_components(vertices: int, sides: Iterable[Iterable[tuple[int, int]]]) 
     return vertices
 
 
+def _fiber_counts(w: list[int], paths: list[tuple[int, int, int, int]], connected: bool
+                  ) -> tuple[int, int, int]:
+    """Vertices 1 + sum_g (|w_g| - 1), arcs sum_squares (|w_p| + |w_q| - 1)
+    and components of the fiber graph of the weights ``w`` on the square
+    paths ``paths`` (`_fiber_paths`): gcd(w) when both directional links are
+    ``connected`` (see `fibering_scan`), else `_path_components` over
+    `_fiber_sides`.  Refuses more than `MAX_FIBER_CELLS` vertices plus arcs."""
+    vertices = 1 + sum(map(abs, w)) - len(w)
+    arcs = sum(abs(w[p]) + abs(w[q]) - 1 for p, q, _, _ in paths)
+    if vertices + arcs > MAX_FIBER_CELLS:
+        raise InputError(
+            f"fiber graph of {vertices + arcs} vertices and arcs exceeds the limit of"
+            f" {MAX_FIBER_CELLS}; lower the weights"
+        )
+    return vertices, arcs, gcd(*w) if connected else _path_components(vertices, _fiber_sides(w, paths))
+
+
+def fiber_counts(c: SquareComplex, ws: WeightSystem, mins: list[int],
+                 links: tuple[DirectionalLink, DirectionalLink]) -> tuple[int, int, int]:
+    """The vertex, arc and component counts of `fiber_graph` for an
+    admissible ``ws`` with min corners ``mins`` and directional ``links``,
+    read by `_fiber_counts` without building the graph."""
+    connected = links[0].components == links[1].components == 1
+    return _fiber_counts([ws[g] for g in c.generators], _fiber_paths(c, mins), connected)
+
+
 def fiber_graph(c: SquareComplex, ws: WeightSystem, mins: list[int] | None = None) -> FiberGraph:
     """The preimage of the base point: one vertex per subdivision point of
     the edges plus the vertex itself, and one arc per integer level strictly
-    between each square's min and max corner heights, read once from
-    `_fiber_sides` to be both listed and counted into components.  A
+    between each square's min and max corner heights, listed from
+    `_fiber_sides` and counted into components by `_fiber_counts`.  A
     square's first arc sits at level 1 + the signed weight of its letters
     before its min corner.  ``mins``, the min corners of an admissible
     ``ws`` (`min_corners`), skip the admissibility check."""
     if mins is None:
         mins = require_admissible(c, ws)
-    w = [ws[g] for g in c.generators]
-    size, sides = _fiber_sides(w, _fiber_paths(c, mins))
-    arcs = [list(side) for side in sides]
+    w, paths = [ws[g] for g in c.generators], _fiber_paths(c, mins)
+    _, _, components = _fiber_counts(w, paths, False)  # refuses before any arc is listed
     vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
     edges = [(vertices[u], vertices[v], sq.index, level)
-             for sq, m, side in zip(c.squares, mins, arcs)
+             for sq, m, side in zip(c.squares, mins, _fiber_sides(w, paths))
              for (u, v), level in zip(side, count(1 + sum(
                  s * ws[g] for g, s in sq.boundary.letters[:m])))]
-    components = _path_components(size, arcs)
     return FiberGraph(vertices, edges, len(vertices) - len(edges), components == 1, components)
 
 
 def fibration_failures(links: tuple[DirectionalLink, DirectionalLink],
-                       fiber: FiberGraph | None = None) -> list[tuple[str, int]]:
+                       fiber_components: int | None = None) -> list[tuple[str, int]]:
     """The failed conditions for a kernel rank, in order, each with its
     component count: tree ascending and descending ``links`` and, when
-    ``fiber`` is given, a connected fiber."""
+    ``fiber_components`` is given, a connected fiber."""
     failures = [(f"{side.side} link is not a tree", side.components)
                 for side in links if not side.is_tree]
-    if fiber is not None and not fiber.connected:
-        failures.append(("fiber is disconnected", fiber.components))
+    if fiber_components not in (None, 1):
+        failures.append(("fiber is disconnected", fiber_components))
     return failures
 
 
 def require_fibration(links: tuple[DirectionalLink, DirectionalLink],
-                      fiber: FiberGraph | None = None) -> None:
+                      fiber_components: int | None = None) -> None:
     """Raise InputError naming the first of `fibration_failures`."""
-    for condition, components in fibration_failures(links, fiber):
+    for condition, components in fibration_failures(links, fiber_components):
         raise InputError(f"{condition} ({components} components)")
 
 
@@ -336,14 +345,14 @@ def kernel_rank(c: SquareComplex, ws: WeightSystem) -> int:
 
     Requires an admissible weight system whose ascending and descending
     links are trees and whose fiber is connected; failures name the broken
-    condition, a link's before the fiber is built.
+    condition, a link's before the fiber is counted (`fiber_counts`).
     """
     mins = require_admissible(c, ws)
     links = directional_links(c, ws, mins)
     require_fibration(links)
-    fiber = fiber_graph(c, ws, mins)
-    require_fibration(links, fiber)
-    return 1 - fiber.chi
+    vertices, arcs, components = fiber_counts(c, ws, mins, links)
+    require_fibration(links, components)
+    return 1 - vertices + arcs
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +512,7 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
                 orthants[signs] = (asc.is_tree, desc.is_tree, paths, slope)
             asc_tree, desc_tree, paths, slope = orthants[signs]
             chi = chi_constant + sum(map(mul, slope, coords))
-            components = gcd(*w) if paths is None else _path_components(*_fiber_sides(w, paths))
+            components = gcd(*w) if paths is None else _fiber_counts(w, paths, False)[2]
             row = {"coords": coords, "weights": ws, "admissible": True,
                    "primitive": divisor == 1, "asc_tree": asc_tree, "desc_tree": desc_tree,
                    "chi": chi, "components": components,

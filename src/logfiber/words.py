@@ -92,7 +92,7 @@ class Word:
         return cls._of(tuple(letters))
 
     def __str__(self) -> str:
-        return " ".join(format_letter(l) for l in self.letters)
+        return " ".join(map(format_letter, self.letters))
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"

@@ -411,6 +411,77 @@ def test_analyze_dot_highlight_checks_admissibility_once(tmp_path, capsys, monke
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["g1", "g2"])
+def test_analyze_builds_no_fiber_graph(tmp_path, capsys, monkeypatch, name):
+    # the morse view reads the fiber's vertex, arc and component counts in closed form
+    assert main(["build", "named", name]) == 0
+    path = tmp_path / f"{name}.log"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    calls = count_calls(monkeypatch, "morse", "fiber_graph")
+    assert run_json(capsys, ["analyze", str(path)])["morse"]["fiber"]["connected"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, weights", [
+    ("g1", "a=2,b=2"), ("g1", "a=3,b=-4"), ("torus", "a=2,b=4"),  # gcd(weights) components
+    ("g2", "a=-3,b=2"), ("gf", "a=1,b=1"), ("gf", "a=2,b=-2"),  # split links: union-find
+])
+def test_morse_fiber_counts_equal_the_fiber_graph(tmp_path, capsys, name, weights):
+    from logfiber import build_named, fiber_graph, parse_weight_spec
+
+    c = build_named(name)
+    path = tmp_path / f"{name}.log"
+    path.write_text(c.render(), encoding="utf-8")
+    data = run_json(capsys, ["morse", str(path), "--weights", weights])
+    fiber = fiber_graph(c, parse_weight_spec(weights, c))
+    assert data["fiber"] == {"vertices": len(fiber.vertices), "edges": len(fiber.edges),
+                             "connected": fiber.connected, "components": fiber.components}
+    assert data["chi"] == fiber.chi
+
+
+def test_morse_refuses_fibers_over_the_cell_limit_from_the_counts(capsys, monkeypatch, torus_file):
+    # the torus fiber at a=3, b=4 has 6 vertices and 6 arcs
+    from logfiber import morse
+
+    argv = ["morse", torus_file, "--weights", "a=3,b=4"]
+    monkeypatch.setattr(morse, "MAX_FIBER_CELLS", 11)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "fiber graph of 12 vertices and arcs exceeds the limit of 11" in err
+    monkeypatch.setattr(morse, "MAX_FIBER_CELLS", 12)
+    data = run_json(capsys, argv)
+    assert (data["fiber"]["vertices"], data["fiber"]["edges"], data["chi"]) == (6, 6, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{lot}", "--json"],
+    ["transition", "{g2}", "--conjugator", "a1", "--json"],
+    ["reducible-witness", "{g2}", "--conjugator", "a1", "--json"],
+])
+def test_a_second_run_leaves_no_cyclic_garbage(tmp_path, capsys, g2_file, argv):
+    # the JSON writer builds no encoder for empty containers, and a dropped
+    # `Analysis` is freed by reference counting alone
+    import gc
+
+    assert main(["build", "lot", "--k", "32"]) == 0
+    lot = tmp_path / "lot.log"
+    lot.write_text(capsys.readouterr().out, encoding="utf-8")
+    argv = [arg.format(lot=lot, g2=g2_file) for arg in argv]
+    assert main(argv) == 0  # fills the module caches
+    capsys.readouterr()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert garbage == 0
+
+
 def test_monodromy_builds_no_fiber_graph(capsys, monkeypatch, g2_file):
     # at unit weights the fiber is a one-vertex bouquet, so only the links are checked
     calls = count_calls(monkeypatch, "morse", "fiber_graph")

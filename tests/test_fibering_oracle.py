@@ -14,6 +14,7 @@ from math import gcd
 
 from logfiber import (
     add_square,
+    build_link,
     build_lot_family,
     build_named,
     check_admissible,
@@ -23,6 +24,7 @@ from logfiber import (
     fibering_scan,
     infinite_fibering_verdict,
     parse_spec,
+    parse_weight_spec,
     weight_lattice,
 )
 from logfiber import morse
@@ -313,3 +315,62 @@ def test_fiber_graph_and_component_count_match_references():
             g2_mixed_rows += c is NAMED[1] and len({w > 0 for w in ws.values()}) == 2
     # every admissible gf row and every mixed-sign g2 row at bound 3
     assert (gf_rows, g2_mixed_rows) == (36, 18)
+
+
+def admissible_rows(c, a=None):
+    """The admissible rows of the bound-3 scan of ``c``."""
+    return [row for row in fibering_scan(a or c, 3) if row["admissible"]]
+
+
+def test_link_ends_number_the_end_tuples():
+    # `build_link` writes each corner's ends as numbers while it makes the
+    # corners; they must be the places of the end tuples in the vertex list
+    for c in NAMED + RANDOM:
+        link = build_link(c)
+        number = {v: i for i, v in enumerate(link.vertices)}
+        assert link.ends == [(number[a], number[b]) for a, b in (e.ends for e in link.edges)]
+
+
+def test_directional_links_match_union_find_over_end_tuples():
+    # `directional_links` counts on the link's integer ends; the sides'
+    # vertices from the weight signs and a union-find over their end tuples
+    # must give its vertices, tree flags and component counts
+    kinds = set()
+    for c in NAMED + RANDOM:
+        signs = {tuple(w > 0 for w in row["weights"].values()): row["weights"]
+                 for row in admissible_rows(c)}
+        for ws in signs.values():
+            # the ascending side holds g- for positive w_g and g+ for negative
+            for side, (positive, negative) in zip(directional_links(c, ws), ("-+", "+-")):
+                assert side.vertices == [(g, positive if ws[g] > 0 else negative)
+                                         for g in c.generators]
+                root, acyclic = union_find(side.vertices, (e.ends for e in side.edges))
+                components = len(set(root.values()))
+                assert (side.is_tree, side.components) == (acyclic and components == 1, components)
+                kinds.add((side.is_tree, components > 1, acyclic))
+    # trees, forests and connected graphs with a cycle all occur
+    assert {(True, False, True), (False, True, True), (False, False, False)} <= kinds
+
+
+def assert_counts_match_fiber_graph(a, ws):
+    c = a.complex
+    vertices, arcs, components = morse.fiber_counts(c, ws, min_corners(c, ws), a.sign_links(ws))
+    fiber = fiber_graph(c, ws)
+    assert (vertices, arcs, vertices - arcs, components == 1, components) == (
+        len(fiber.vertices), len(fiber.edges), fiber.chi, fiber.connected, fiber.components)
+
+
+def test_closed_form_fiber_counts_match_fiber_graph():
+    split = 0
+    for c in NAMED + RANDOM:
+        a = Analysis(c)
+        for row in admissible_rows(c, a):
+            assert_counts_match_fiber_graph(a, row["weights"])
+            asc, desc = a.sign_links(row["weights"])
+            split += not asc.components == desc.components == 1
+    assert split >= 500  # rows counted by union-find, not by gcd
+    # both links of g2 at a=-3, b=2 have two components
+    a = Analysis(NAMED[1])
+    ws = parse_weight_spec("a=-3,b=2", a.complex)
+    assert [side.components for side in a.sign_links(ws)] == [2, 2]
+    assert_counts_match_fiber_graph(a, ws)

@@ -346,7 +346,8 @@ def random_link(rng):
     vertices = [(g, sign) for g in "abcd"[: rng.randint(2, 4)] for sign in "+-"]
     edges = [CornerEdge(n // 4, n % 4, (rng.choice(vertices), rng.choice(vertices)))
              for n in range(rng.randint(2, 12))]
-    return LinkGraph(vertices, edges)
+    number = {v: i for i, v in enumerate(vertices)}
+    return LinkGraph(vertices, edges, [(number[a], number[b]) for a, b in (e.ends for e in edges)])
 
 
 def test_violations_match_reference_enumeration(g1, gf, g2, torus, mixed):
