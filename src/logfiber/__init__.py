@@ -53,17 +53,13 @@ from .monodromy import (
     invariant_factor_witness,
     invariant_factor_witnesses,
     invert,
-    kernel_basis,
-    rewrite_to_basis,
     transition_matrix,
 )
 from .morse import (
     AdmissibilityReport,
-    CornerHeights,
     DirectionalLink,
     FiberGraph,
     check_admissible,
-    corner_heights,
     directional_links,
     fiber_graph,
     fibering_scan,

@@ -25,7 +25,7 @@ and never affects the mathematics.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InputError
 from .words import Word, check_generator_name, check_generator_names, generator_stem
@@ -110,32 +110,32 @@ def log_square(label: str, src: str, dst: str) -> Word:
     return Word._of(((label, 1), (dst, 1), (label, -1), (src, -1)))
 
 
-def union_find(vertices, pairs) -> tuple[dict, bool]:
-    """Join the two ends of every pair.  Returns each vertex's component
-    root and whether no pair closed a cycle (the pairs form a forest)."""
-    parent = {v: v for v in vertices}
-
-    def find(v):
+def union(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
+    """Join the two ends of every pair in the forest ``parent`` over the
+    integers 0 .. n - 1 (``parent[i] == i`` at a root), halving paths, and
+    return how many pairs joined two trees: on n singletons the pairs leave
+    n - joins components, and they form a forest iff every one joined.  A
+    root is the least number in its tree, so ``parent[i] <= i`` throughout."""
+    joins = 0
+    for u, v in pairs:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
         while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    acyclic = True
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            acyclic = False
-        else:
-            parent[ra] = rb
-    return {v: find(v) for v in vertices}, acyclic
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if u < v:
+                u, v = v, u
+            parent[u] = v
+            joins += 1
+    return joins
 
 
 def _log_shape(vertices: list[str], edges: list[tuple[str, str, str]]) -> str:
-    root, acyclic = union_find(vertices, ((u, v) for _, u, v in edges))
-    components = len(set(root.values()))
-    if not acyclic:
+    index = {v: i for i, v in enumerate(vertices)}
+    joins = union(list(range(len(vertices))), ((index[u], index[v]) for _, u, v in edges))
+    if joins < len(edges):
         return "graph with cycles"
+    components = len(vertices) - joins
     if components == 1:
         return "tree"
     return f"forest ({components} components)"

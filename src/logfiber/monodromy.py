@@ -289,17 +289,6 @@ class Automorphism(NamedTuple):
         )
 
 
-def kernel_basis(c: SquareComplex, ws: WeightSystem) -> list[BasisLoop]:
-    """One fiber loop per square, in square-id order, with display names."""
-    return MonodromyContext(c, ws).basis
-
-
-def rewrite_to_basis(word: Word | str, c: SquareComplex, ws: WeightSystem) -> Word:
-    if isinstance(word, str):
-        word = Word.parse(word)
-    return MonodromyContext(c, ws).rewrite(word)
-
-
 def conjugation_automorphism(
     t: Word | str,
     source: SquareComplex | Analysis,

@@ -21,17 +21,18 @@ From an admissible weight system we read off:
 Min and max corners, and so both directional links, depend only on the
 signs of the weights (`min_corners`); `require_admissible` checks a weight
 system and returns its min corners, which the functions after it take.
-Every command reads a sign vector's links, and the scan and the verdict
-the lattice's affine forms, from an `Analysis` of their one source.
-`fibering_scan` and `fiber_counts` read the fiber's values from closed
-forms and count its components by integer union-find only when a
-directional link is disconnected.
+Every command and `kernel_rank` read a sign vector's links, and the scan
+and the verdict the lattice's affine forms, from an `Analysis` of their one
+source.  Each directional link is counted by the one integer union-find,
+`complexes.union`; `fibering_scan` and `fiber_counts` read the fiber's
+values from closed forms and count its components by that union-find only
+when a directional link is disconnected.
 
 The integer lattice of zero-sum weight systems is computed exactly.  A LOG
-square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square whose
-boundary row has exactly one +1 and one -1 entry is contracted by
-union-find first.  The integer kernel of the remaining rows, summed over
-the contracted classes, is read off the row echelon form of [A^T | I] and
+square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square row
+with exactly one +1 and one -1 entry is contracted by `complexes.union`
+first.  The integer kernel of the remaining rows, summed over the
+contracted classes, is read off the row echelon form of [A^T | I] and
 put in Hermite normal form; classes are numbered by their first generator,
 so the expanded kernel is the same canonical basis the full matrix gives.
 """
@@ -41,13 +42,13 @@ from __future__ import annotations
 from itertools import chain, count, product
 from math import gcd
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
-from .complexes import Square, SquareComplex, union_find
+from .complexes import SquareComplex, union
 from .errors import InputError
 from .links import CornerEdge, End, LinkGraph, build_link
-from .words import generator_stem, signed_weight
+from .words import generator_stem
 
 WeightSystem = dict[str, int]
 
@@ -100,34 +101,11 @@ def unit_weights(c: SquareComplex) -> WeightSystem:
     return {g: 1 for g in c.generators}
 
 
-class CornerHeights(NamedTuple):
-    square: int
-    heights: tuple[int, int, int, int]  # relative to corner 0
-    min_corner: int
-    max_corner: int
-
-    @property
-    def span(self) -> int:
-        return self.heights[self.max_corner] - self.heights[self.min_corner]
-
-
-def corner_heights(sq: Square, ws: WeightSystem) -> CornerHeights:
-    letters = sq.boundary.letters
-    w = [s * ws[g] for g, s in letters]
-    heights = (0, w[0], w[0] + w[1], w[0] + w[1] + w[2])
-    low, second, third, high = sorted(heights)
-    min_corner, max_corner = heights.index(low), heights.index(high)
-    # admissibility puts min and max at unique, opposite corners
-    assert low < second and third < high, sq
-    assert (max_corner - min_corner) % 4 == 2, sq
-    return CornerHeights(sq.index, heights, min_corner, max_corner)
-
-
 def min_corners(c: SquareComplex, ws: WeightSystem) -> list[int]:
     """Per square, its min corner under an admissible weight system; its max
     corner is two round.  The corner heights are (0, a, a+b, b) for the
-    signed weights a, b of letters 0 and 1, so the signs alone decide what
-    `corner_heights` finds by sorting."""
+    signed weights a, b of letters 0 and 1, so the signs alone decide which
+    corners are lowest and highest."""
     return [(0, 3, 1, 2)[2 * (s0 * ws[g0] < 0) + (s1 * ws[g1] < 0)]
             for (g0, s0), (g1, s1), _, _ in (sq.boundary.letters for sq in c.squares)]
 
@@ -146,12 +124,11 @@ def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
             problems.append(f"zero weight on generator {g}")
     if not problems:
         for sq in c.squares:
-            total = signed_weight(sq.boundary, ws)
+            w = [s * ws[g] for g, s in sq.boundary.letters]
+            total = sum(w)
             if total != 0:
                 problems.append(f"square {sq.index}: boundary weight sum {total} != 0")
-                continue
-            w = [s * ws[g] for g, s in sq.boundary.letters]
-            if w[0] + w[2] != 0:
+            elif w[0] + w[2] != 0:
                 problems.append(
                     f"square {sq.index}: opposite letters carry weights {w[0]} and {w[2]}"
                     " (no affine extension)"
@@ -193,7 +170,7 @@ def directional_links(
     an admissible ``ws`` (`min_corners`), skip the admissibility check, and
     ``link`` (`links.build_link`) is not built again; `Analysis.sign_links`
     passes both: `perfbench/tracing.py` rebinds this function.  A side holds
-    one of the link's integer ends per generator, so `_path_components` over
+    one of the link's integer ends per generator, so `complexes.union` over
     generator numbers counts it, and it is a tree iff connected with n - 1 edges.
     """
     if mins is None:
@@ -208,7 +185,7 @@ def directional_links(
         ids = [4 * i + (m + turn) % 4 for i, m in enumerate(mins)]
         pairs = [ends[k] for k in ids]
         assert all(ascends[a] is ascends[b] is up for a, b in pairs), side
-        components = _path_components(n, [[(a >> 1, b >> 1) for a, b in pairs]])
+        components = n - union(list(range(n)), [(a >> 1, b >> 1) for a, b in pairs])
         out.append(DirectionalLink(side, [v for v, s in zip(link.vertices, ascends) if s is up],
                                    [corners[k] for k in ids], components == 1 and len(ids) == n - 1,
                                    components))
@@ -259,29 +236,14 @@ def _fiber_sides(w: list[int], paths: list[tuple[int, int, int, int]]
             for p, q, r, t in paths]
 
 
-def _path_components(vertices: int, sides: Iterable[Iterable[tuple[int, int]]]) -> int:
-    """Components of a graph on the points 0 .. ``vertices`` - 1 with the
-    edges of ``sides`` (`_fiber_sides`, a link side), by union-find."""
-    parent = list(range(vertices))
-    for arcs in sides:
-        for u, v in arcs:
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[u] = v
-                vertices -= 1
-    return vertices
-
-
 def _fiber_counts(w: list[int], paths: list[tuple[int, int, int, int]], connected: bool
                   ) -> tuple[int, int, int]:
     """Vertices 1 + sum_g (|w_g| - 1), arcs sum_squares (|w_p| + |w_q| - 1)
     and components of the fiber graph of the weights ``w`` on the square
     paths ``paths`` (`_fiber_paths`): gcd(w) when both directional links are
-    ``connected`` (see `fibering_scan`), else `_path_components` over
-    `_fiber_sides`.  Refuses more than `MAX_FIBER_CELLS` vertices plus arcs."""
+    ``connected`` (see `fibering_scan`), else vertices less the arcs of
+    `_fiber_sides` that `complexes.union` joins.  Refuses more than
+    `MAX_FIBER_CELLS` vertices plus arcs."""
     vertices = 1 + sum(map(abs, w)) - len(w)
     arcs = sum(abs(w[p]) + abs(w[q]) - 1 for p, q, _, _ in paths)
     if vertices + arcs > MAX_FIBER_CELLS:
@@ -289,7 +251,10 @@ def _fiber_counts(w: list[int], paths: list[tuple[int, int, int, int]], connecte
             f"fiber graph of {vertices + arcs} vertices and arcs exceeds the limit of"
             f" {MAX_FIBER_CELLS}; lower the weights"
         )
-    return vertices, arcs, gcd(*w) if connected else _path_components(vertices, _fiber_sides(w, paths))
+    if connected:
+        return vertices, arcs, gcd(*w)
+    return vertices, arcs, vertices - union(list(range(vertices)),
+                                            chain.from_iterable(_fiber_sides(w, paths)))
 
 
 def fiber_counts(c: SquareComplex, ws: WeightSystem, mins: list[int],
@@ -340,17 +305,19 @@ def require_fibration(links: tuple[DirectionalLink, DirectionalLink],
         raise InputError(f"{condition} ({components} components)")
 
 
-def kernel_rank(c: SquareComplex, ws: WeightSystem) -> int:
-    """Rank of the free kernel of the weight homomorphism: 1 - chi(fiber).
+def kernel_rank(source: SquareComplex | analysis.Analysis, ws: WeightSystem) -> int:
+    """Rank of the free kernel of the weight homomorphism of ``source``, a
+    complex or its `Analysis`: 1 - chi(fiber).
 
     Requires an admissible weight system whose ascending and descending
     links are trees and whose fiber is connected; failures name the broken
     condition, a link's before the fiber is counted (`fiber_counts`).
     """
-    mins = require_admissible(c, ws)
-    links = directional_links(c, ws, mins)
+    a = analysis.Analysis.of(source)
+    mins = require_admissible(a.complex, ws, a.admissibility(ws))
+    links = a.sign_links(ws)
     require_fibration(links)
-    vertices, arcs, components = fiber_counts(c, ws, mins, links)
+    vertices, arcs, components = fiber_counts(a.complex, ws, mins, links)
     require_fibration(links, components)
     return 1 - vertices + arcs
 
@@ -410,28 +377,32 @@ def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
     """Basis of the lattice of integer weight systems with zero sum on every
     square boundary (zero weights allowed here; admissibility is separate).
     Rows ``e_u - e_v`` are contracted first, as the module docstring says."""
+    index = {g: i for i, g in enumerate(c.generators)}
     pairs, rows = [], []
     for sq in c.squares:
-        row: dict[str, int] = {}
+        row: dict[int, int] = {}
         for g, s in sq.boundary:
-            row[g] = row.get(g, 0) + s
-        support = {g: k for g, k in row.items() if k}
+            row[index[g]] = row.get(index[g], 0) + s
+        support = {i: k for i, k in row.items() if k}
         if sorted(support.values()) == [-1, 1]:
             pairs.append(tuple(support))
         elif support:
             rows.append(support)
-    root, _ = union_find(c.generators, pairs)
-    column = {r: j for j, r in enumerate(dict.fromkeys(root.values()))}
+    root = list(range(len(index)))
+    union(root, pairs)
+    for i, p in enumerate(root):  # root[p] is final: p <= i is a root or was rooted above
+        root[i] = root[p]
+    column = {r: j for j, r in enumerate(dict.fromkeys(root))}
     contracted = []
     for support in rows:
         vec = [0] * len(column)
-        for g, k in support.items():
-            vec[column[root[g]]] += k
+        for i, k in support.items():
+            vec[column[root[i]]] += k
         contracted.append(vec)
     # classes are numbered by their first generator, so the expanded Hermite
     # basis is the Hermite basis of the full matrix
     kernel = _kernel_basis_int(contracted, len(column))
-    return [{g: vec[column[root[g]]] for g in c.generators} for vec in kernel]
+    return [{g: vec[column[r]] for g, r in zip(c.generators, root)} for vec in kernel]
 
 
 def _combine_basis(basis: list[WeightSystem], coords: tuple[int, ...], c: SquareComplex) -> WeightSystem:

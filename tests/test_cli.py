@@ -169,6 +169,24 @@ def test_morse_requires_weights(capsys, g1_file):
     assert main(["morse", g1_file]) == 1
 
 
+@pytest.mark.parametrize("weights, problem", [
+    ("a=2,b=1,c=1,d=1", "square 0: boundary weight sum 1 != 0"),
+    ("a=2,b=1,c=1,d=2", "square 0: opposite letters carry weights 2 and -1 (no affine extension)"),
+])
+def test_morse_and_kernel_rank_name_each_square_problem(tmp_path, capsys, weights, problem):
+    from logfiber import InputError, kernel_rank, parse_spec, parse_weight_spec
+
+    text = "generators a b c d\nsquare a b c^-1 d^-1\n"
+    path = tmp_path / "square.log"
+    path.write_text(text, encoding="utf-8")
+    data = run_json(capsys, ["morse", str(path), "--weights", weights])
+    assert (data["admissible"], data["problems"]) == (False, [problem])
+    c = parse_spec(text)
+    with pytest.raises(InputError) as raised:
+        kernel_rank(c, parse_weight_spec(weights, c))
+    assert str(raised.value) == f"inadmissible weight system: {problem}"
+
+
 def test_fiberings_json(capsys, g2_file):
     data = run_json(capsys, ["fiberings", g2_file, "--bound", "2"])
     assert set(data) == SCHEMAS["fiberings"]
@@ -480,6 +498,19 @@ def test_a_second_run_leaves_no_cyclic_garbage(tmp_path, capsys, g2_file, argv):
         gc.garbage.clear()
     capsys.readouterr()
     assert garbage == 0
+
+
+def test_kernel_rank_reads_the_link_of_its_analysis(monkeypatch):
+    from logfiber import Analysis, build_named, kernel_rank, unit_weights
+
+    a = Analysis(build_named("g2"))
+    ws = unit_weights(a.complex)
+    assert a.link
+    calls = count_calls(monkeypatch, "links", "build_link")
+    assert kernel_rank(a, ws) == 7
+    assert calls == []
+    assert kernel_rank(a.complex, ws) == 7  # a complex gets a fresh analysis
+    assert len(calls) == 1
 
 
 def test_monodromy_builds_no_fiber_graph(capsys, monkeypatch, g2_file):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from logfiber import (
@@ -11,7 +13,8 @@ from logfiber import (
     signed_weight,
 )
 from logfiber.complexes import MAX_LOT_K
-from logfiber.complexes import log_square
+from logfiber.complexes import log_square, union
+from references import union_find
 
 
 def test_log_edge_expansion():
@@ -99,7 +102,31 @@ def test_log_shape_metadata():
     cyclic = parse_spec(
         "generators a b c\nedge label=c from=a to=b\nedge label=c from=b to=a\n"
     )
-    assert any("cycles" in line for line in cyclic.provenance)
+    assert cyclic.provenance == ["log shape: graph with cycles"]
+    triangle = parse_spec("generators a b c d\nedge label=d from=a to=b\n"
+                          "edge label=d from=b to=c\nedge label=d from=c to=a\n")
+    assert triangle.provenance == ["log shape: graph with cycles"]
+
+
+def test_union_matches_the_dict_union_find():
+    # random pairs over 0 .. n - 1, self-pairs and repeats included
+    rng = random.Random(21)
+    self_pairs = repeats = 0
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        self_pairs += any(u == v for u, v in pairs)
+        repeats += len(set(pairs)) < len(pairs)
+        root, acyclic = union_find(range(n), pairs)
+        parent = list(range(n))
+        joins = union(parent, pairs)
+        assert (n - joins, joins == len(pairs)) == (len(set(root.values())), acyclic), pairs
+        # each root is the least member of its tree
+        assert all(p <= i for i, p in enumerate(parent)), pairs
+        for i, p in enumerate(parent):
+            parent[i] = parent[p]
+        assert parent == [min(v for v in range(n) if root[v] == root[u]) for u in range(n)], pairs
+    assert self_pairs > 100 and repeats > 100
 
 
 def test_lot_family_k4():

@@ -29,8 +29,8 @@ from logfiber import (
 )
 from logfiber import morse
 from logfiber.analysis import Analysis
-from logfiber.complexes import union_find
-from logfiber.morse import BASE_VERTEX, _combine_basis, corner_heights, min_corners
+from logfiber.morse import BASE_VERTEX, _combine_basis, min_corners
+from references import corner_heights, union_find
 
 
 def reference_scan(c, bound):

@@ -18,10 +18,8 @@ from logfiber import (
     invariant_factor_witness,
     invariant_factor_witnesses,
     invert,
-    kernel_basis,
     parse_spec,
     parse_weight_spec,
-    rewrite_to_basis,
     signed_weight,
     transition_matrix,
     unit_weights,
@@ -58,7 +56,7 @@ def relator_rows(c):
 
 
 def test_g1_basis(g1):
-    basis = kernel_basis(g1, unit_weights(g1))
+    basis = MonodromyContext(g1, unit_weights(g1)).basis
     assert [(l.square, l.name, str(l.rep)) for l in basis] == [
         (0, "α1", "a0 a1^-1"),
         (1, "α2", "a1 a2^-1"),
@@ -73,31 +71,31 @@ def test_g1_basis(g1):
 
 
 def test_g2_basis(g2):
-    basis = kernel_basis(g2, unit_weights(g2))
+    basis = MonodromyContext(g2, unit_weights(g2)).basis
     assert [l.name for l in basis] == ["β2", "β3", "β1", "α2", "α3", "α1", "γ"]
     assert {l.name for l in basis} == {"α1", "α2", "α3", "β1", "β2", "β3", "γ"}
 
 
 def test_torus_basis(torus):
-    basis = kernel_basis(torus, unit_weights(torus))
+    basis = MonodromyContext(torus, unit_weights(torus)).basis
     assert len(basis) == 1
 
 
 def test_basis_reps_have_weight_zero(g1, g2):
     for c in (g1, g2):
         ws = unit_weights(c)
-        for loop in kernel_basis(c, ws):
+        for loop in MonodromyContext(c, ws).basis:
             assert signed_weight(loop.rep, ws) == 0
 
 
 def test_basis_requires_unit_weights(g1):
     with pytest.raises(InputError):
-        kernel_basis(g1, parse_weight_spec("a=2,b=1", g1))
+        MonodromyContext(g1, parse_weight_spec("a=2,b=1", g1))
 
 
 def test_basis_requires_trees(gf):
     with pytest.raises(InputError):
-        kernel_basis(gf, unit_weights(gf))
+        MonodromyContext(gf, unit_weights(gf))
 
 
 def test_context_refuses_in_order(g2):
@@ -115,25 +113,24 @@ def test_context_refuses_in_order(g2):
 
 def test_rewrite_round_trip(g1, g2):
     for c in (g1, g2):
-        ws = unit_weights(c)
-        for loop in kernel_basis(c, ws):
-            assert rewrite_to_basis(loop.rep, c, ws) == Word([(loop.name, 1)])
+        ctx = MonodromyContext(c, unit_weights(c))
+        for loop in ctx.basis:
+            assert ctx.rewrite(loop.rep) == Word([(loop.name, 1)])
 
 
 def test_rewrite_empty(g1):
-    assert rewrite_to_basis(Word(), g1, unit_weights(g1)) == Word()
+    assert MonodromyContext(g1, unit_weights(g1)).rewrite(Word()) == Word()
 
 
 def test_rewrite_rejects_nonzero_weight(g1):
     with pytest.raises(InputError):
-        rewrite_to_basis(Word.parse("a0"), g1, unit_weights(g1))
+        MonodromyContext(g1, unit_weights(g1)).rewrite(Word.parse("a0"))
 
 
 def test_rewrite_conjugated_loop(g1):
     # conjugating the first loop by a0 appends the loop of the last a-square
-    ws = unit_weights(g1)
     word = Word.parse("a0 a0 a1^-1 a0^-1")
-    assert str(rewrite_to_basis(word, g1, ws)) == "α1 α0"
+    assert str(MonodromyContext(g1, unit_weights(g1)).rewrite(word)) == "α1 α0"
 
 
 def test_rewrite_abelianization_soundness(g1, g2):
@@ -178,10 +175,10 @@ def test_mixed_sign_unit_weights(g1, g2):
     cases = [(g1, "a=1,b=-1"), (g1, "a=-1,b=1"), (g1, "a=-1,b=-1"), (g2, "a=-1,b=-1")]
     for c, spec in cases:
         ws = parse_weight_spec(spec, c)
-        basis = kernel_basis(c, ws)
-        for loop in basis:
+        ctx = MonodromyContext(c, ws)
+        for loop in ctx.basis:
             assert signed_weight(loop.rep, ws) == 0
-            assert rewrite_to_basis(loop.rep, c, ws) == Word([(loop.name, 1)])
+            assert ctx.rewrite(loop.rep) == Word([(loop.name, 1)])
         for t in ("a1", "b1" if "b1" in c.generators else "b0"):
             auto = conjugation_automorphism(t, c, ws)
             assert compose(auto, invert(auto)).is_identity()

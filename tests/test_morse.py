@@ -9,7 +9,6 @@ from logfiber import (
     InputError,
     build_lot_family,
     check_admissible,
-    corner_heights,
     directional_links,
     fiber_graph,
     fibering_scan,
@@ -20,6 +19,7 @@ from logfiber import (
     weight_lattice,
 )
 from logfiber.morse import _hermite_rows, _kernel_basis_int
+from references import corner_heights
 
 
 def closed_form_chi(c, ws):

@@ -16,11 +16,16 @@ from logfiber import (
     hyperbolicity_verdict,
     infinite_fibering_verdict,
     invert,
+    kernel_rank,
     search_flat_disk,
     unit_weights,
 )
 
 NAMES = ("g1", "g2", "gf", "torus")
+
+
+def complex_of(source):
+    return source.complex if isinstance(source, Analysis) else source
 
 
 def outcome(call, source):
@@ -33,8 +38,7 @@ def outcome(call, source):
 
 def automorphism(t):
     def call(source):
-        c = source.complex if isinstance(source, Analysis) else source
-        auto = conjugation_automorphism(t, source, unit_weights(c))
+        auto = conjugation_automorphism(t, source, unit_weights(complex_of(source)))
         return auto.images, auto.conjugator, auto.tag, auto.basis
 
     return call
@@ -45,8 +49,8 @@ CALLS = {
     "search_flat_disk": lambda s: search_flat_disk(s, 2),
     "fibering_scan": lambda s: fibering_scan(s, 2),
     "infinite_fibering_verdict": infinite_fibering_verdict,
-    "MonodromyContext": lambda s: MonodromyContext(
-        s, unit_weights(s.complex if isinstance(s, Analysis) else s)).basis,
+    "kernel_rank": lambda s: kernel_rank(s, unit_weights(complex_of(s))),
+    "MonodromyContext": lambda s: MonodromyContext(s, unit_weights(complex_of(s))).basis,
     "conjugation_automorphism": automorphism("a0"),
 }
 
