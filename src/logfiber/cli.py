@@ -100,20 +100,21 @@ def complex_text(c: SquareComplex) -> str:
 
 
 def link_report(a: Analysis) -> dict:
+    largeness, vertices, ends = a.largeness, a.link.vertices, a.link.ends  # in report order
+    names = list(map("".join, vertices))  # `links.format_end` of every end, in one C loop
+    poison = []
+    for s, k, _ in a.poison:
+        p, q = ends[4 * s + k]  # edge 4s+k is corner k of square s
+        if vertices[q] < vertices[p]:  # the order of `CornerEdge.pair`
+            p, q = q, p
+        poison.append({"square": s, "corner": k, "endpoints": [names[p], names[q]]})
     return {
-        "vertices": len(a.link.vertices),
+        "vertices": len(vertices),
         "edges": len(a.link.edges),
-        "girth": a.largeness.girth,
-        "is_large": a.largeness.is_large,
-        "violations": a.largeness.violations,
-        "poison": [
-            {
-                "square": e.square,
-                "corner": e.corner,
-                "endpoints": [links.format_end(v) for v in e.pair],
-            }
-            for e in a.poison
-        ],
+        "girth": largeness.girth,
+        "is_large": largeness.is_large,
+        "violations": largeness.violations,
+        "poison": poison,
         "convention": END_CONVENTION,
     }
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
-from .words import Word, check_generator_name, check_generator_names, generator_stem
+from .words import LetterTable, Word, check_generator_name, check_generator_names, generator_stem
 
 NAMED_COMPLEXES = ("lot-a", "lot-b", "g1", "gf", "g2", "torus")
 MAX_LOT_K = 100_000  # a larger LOT family is refused before anything is allocated
@@ -76,7 +76,7 @@ class SquareComplex:
         if boundary in self._boundaries:
             self.provenance.append(f"duplicate square: {boundary}")
         self._boundaries.add(boundary)
-        sq = Square(len(self.squares), boundary, origin)
+        sq = tuple.__new__(Square, (len(self.squares), boundary, origin))  # skips a Python-level __new__
         self.squares.append(sq)
         return sq
 
@@ -147,6 +147,7 @@ def parse_spec(text: str) -> SquareComplex:
     pending: list[tuple[int, Word, str]] = []  # (line number, boundary, origin)
     log_edges: list[tuple[str, str, str]] = []
     provenance: list[str] = []
+    letters = LetterTable()  # each distinct token matched once per call
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line, _, comment = raw.partition("#")
@@ -154,15 +155,16 @@ def parse_spec(text: str) -> SquareComplex:
         comment = comment.strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, *rest = line.split(None, 1)  # the keyword ends at any whitespace
+        rest = rest[0] if rest else ""
         try:
             if head == "square":  # the commonest statement first
                 origin = "added" if comment == "added" else "square-line"
-                pending.append((lineno, Word.parse(rest), origin))
+                pending.append((lineno, Word.parse(rest, letters), origin))
             elif head == "generators":
                 names = rest.split()
                 check_generator_names(names, seen)
+                letters.declare(names)
                 generators += names
             elif head == "edge":
                 fields = {}

@@ -86,6 +86,11 @@ class LinkGraph:
                 near[b].setdefault(a, []).append(i)
         return near
 
+    @cached_property
+    def neighbours(self) -> list[set[int]]:
+        """Vertex -> the set of `near`'s keys, for C-level set tests."""
+        return [set(row) for row in self.near]
+
     def on_four_circuit(self) -> list[bool]:
         """Edge index -> is the edge on a closed 4-edge walk without immediate
         backtracking (never a loop)?  Each end pair is decided once, from its
@@ -160,16 +165,17 @@ def _triangles(link: LinkGraph) -> tuple[list[tuple[CornerEdge, CornerEdge, Corn
     """Triangles with edges i < j < k: edge i joins a to b, edge j joins b
     to a common neighbour c, and edge k joins c back to a; and whether the
     ends of some non-loop edge have a common neighbour (any triangle at all).
+    An edge whose ends' `neighbours` are disjoint is passed over in one C call.
 
     Known defect: one condition drops a triangle whose edge on {c, a} comes
     before its edge on {b, c}, so some links with triangles are reported large.
     The bench report hashes (``perfbench/expected.json``) were recorded with
     this enumeration; the returned flag is the complete check.
     """
-    near, edges = link.near, link.edges
+    near, sets, edges = link.near, link.neighbours, link.edges
     out, spanned = [], False
     for i, (a, b) in enumerate(link.ends):
-        if a == b:
+        if a == b or sets[a].isdisjoint(sets[b]):
             continue
         found = []
         small, large = (near[a], near[b]) if len(near[a]) <= len(near[b]) else (near[b], near[a])

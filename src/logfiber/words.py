@@ -13,6 +13,7 @@ accepted on input; output always uses ``^-1``.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -49,6 +50,23 @@ def generator_stem(name: str) -> str:
     return name.rstrip("0123456789")
 
 
+class LetterTable(dict):
+    """Token -> letter, each distinct token matched once (``a-`` and ``a^-1`` give
+    ``("a", -1)``); `parse_spec` keeps one per call, so nothing outlives a call."""
+
+    def declare(self, names: list[str]) -> None:
+        """Enter ``g`` and ``g^-1`` of each valid name ``g`` with no match."""
+        self.update(zip(names, zip(names, repeat(1))))
+        self.update(zip([g + "^-1" for g in names], zip(names, repeat(-1))))
+
+    def __missing__(self, token: str) -> Letter:
+        m = _TOKEN_RE.match(token)
+        if m is None:
+            raise InputError(f"cannot parse letter {token!r}")
+        letter = self[token] = (m[1], -1 if m[2] else 1)  # m[2]: the inverse suffix, if any
+        return letter
+
+
 def inverse_letter(letter: Letter) -> Letter:
     g, s = letter
     return (g, -s)
@@ -80,16 +98,9 @@ class Word:
         return word
 
     @classmethod
-    def parse(cls, text: str) -> "Word":
-        tokens = text.split()
-        letters = []
-        for m in map(_TOKEN_RE.match, tokens):
-            if m is None:
-                bad = next(token for token in tokens if not _TOKEN_RE.match(token))
-                raise InputError(f"cannot parse letter {bad!r}")
-            g, inverse = m.groups()
-            letters.append((g, -1 if inverse else 1))
-        return cls._of(tuple(letters))
+    def parse(cls, text: str, letters: LetterTable | None = None) -> "Word":
+        lookup = (LetterTable() if letters is None else letters).__getitem__
+        return cls._of(tuple(map(lookup, text.split())))
 
     def __str__(self) -> str:
         return " ".join(map(format_letter, self.letters))

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 Each reads its value the slow, direct way: a union-find over any hashable
-vertices, and each square's corner heights sorted for their min and max.
+vertices, each square's corner heights sorted for their min and max, and a
+link's triangles by probing every edge's ends for common neighbours.
 """
 
 from typing import NamedTuple
@@ -49,3 +50,29 @@ def corner_heights(sq, ws) -> CornerHeights:
     assert low < second and third < high, sq
     assert (max_corner - min_corner) % 4 == 2, sq
     return CornerHeights(sq.index, heights, min_corner, max_corner)
+
+
+def triangles(link) -> tuple[list, bool]:
+    """`links._triangles` as it was before its disjoint-neighbour prefilter:
+    every non-loop edge i = (a, b) probes the larger of its ends' neighbour
+    dicts with the smaller for a common neighbour c, and keeps edges j on
+    {b, c} and k on {c, a} with i < j < k.  The ``j < k`` filter is the known
+    defect that the bench report hashes were recorded with.  Also returns
+    whether any common neighbour was found."""
+    near, edges = link.near, link.edges
+    out, spanned = [], False
+    for i, (a, b) in enumerate(link.ends):
+        if a == b:
+            continue
+        found = []
+        small, large = (near[a], near[b]) if len(near[a]) <= len(near[b]) else (near[b], near[a])
+        for c in small:
+            if c not in large:
+                continue
+            spanned = True
+            for j in near[b][c]:
+                for k in near[c][a]:
+                    if i < min(j, k) and j < k:
+                        found.append((min(j, k), max(j, k)))
+        out.extend((edges[i], edges[j], edges[k]) for j, k in sorted(found))
+    return out, spanned

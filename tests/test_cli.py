@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from logfiber.cli import SCHEMAS, main
-from logfiber.complexes import MAX_LOT_K
+from logfiber.analysis import Analysis
+from logfiber.cli import SCHEMAS, link_report, main
+from logfiber.complexes import MAX_LOT_K, SquareComplex
+from logfiber.links import format_end
 from logfiber.morse import MAX_FIBER_CELLS
+from logfiber.words import Word
 
 
 @pytest.fixture()
@@ -133,6 +137,28 @@ def test_link_json_schema(capsys, g1_file):
     for p in data["poison"]:
         assert set(p) == SCHEMAS["poison_corner"]
     assert data["girth"] == 4 and data["is_large"]
+
+
+def test_poison_rows_match_the_corner_pairs():
+    # generator order differs from string order (a2 before a10, b0 before a1),
+    # so a row's ends are often in the opposite order to their vertex numbers
+    rng = random.Random(22)
+    gens = ["a2", "a10", "b0", "a1"]
+    ends, flipped = set(), 0
+    for _ in range(200):
+        c = SquareComplex(list(gens))
+        while len(c.squares) < rng.randint(1, 4):
+            letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(4)]
+            if all(letters[i - 1] != (g, -s) for i, (g, s) in enumerate(letters)):
+                c.append_square(Word(letters))
+        a = Analysis(c)
+        expected = [{"square": e.square, "corner": e.corner,
+                     "endpoints": [format_end(v) for v in e.pair]} for e in a.poison]
+        assert link_report(a)["poison"] == expected
+        for e in a.poison:
+            ends.update(e.ends)
+            flipped += list(e.pair) != sorted(e.ends, key=a.link.vertices.index)
+    assert len(ends) == 8 and flipped >= 100
 
 
 def test_check_large_and_poison(capsys, g2_file):

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -222,3 +224,64 @@ def test_duplicate_square_flagged():
     assert [sq.index for sq in wedge.squares] == list(range(8))
     wedge = combine(build_named("torus"), parse_spec("generators x y\n"), "a x a^-1 y^-1")
     assert wedge.provenance == ["torus control case", "combined with relator a x a^-1 y^-1"]
+
+
+def test_statement_keyword_ends_at_any_whitespace():
+    text = ("name\tsample\ngenerators\ta b\tc\nsquare\ta b\ta^-1 b^-1\n"
+            "edge\tlabel=c\tfrom=a to=b\n")
+    c = parse_spec(text)
+    assert c.generators == ["a", "b", "c"]
+    assert [str(sq.boundary) for sq in c.squares] == ["a b a^-1 b^-1", "c b c^-1 a^-1"]
+    assert c.provenance[0] == "name: sample"
+    assert c == parse_spec(text.replace("\t", " "))
+
+
+def test_parse_memo_keeps_letters_and_errors():
+    # ``a-`` and ``a^-1`` are one letter, whether or not a generators line came first
+    c = parse_spec("square a b a- b^-1\ngenerators a b\nsquare b a b- a^-1\nsquare a b a^-1 b-\n")
+    assert [str(sq.boundary) for sq in c.squares] == ["a b a^-1 b^-1", "b a b^-1 a^-1",
+                                                      "a b a^-1 b^-1"]
+    # a bad token after memoized good ones is still reported, first of its line
+    text = "generators a b\nsquare a b a^-1 b^-1\nsquare b a b^-1 a^-1\nsquare a b? a^ b^-1\n"
+    with pytest.raises(InputError, match=r"^line 4: cannot parse letter 'b\?'$"):
+        parse_spec(text)
+    with pytest.raises(InputError, match=r"^line 2: cannot parse letter 'a\^'$"):
+        parse_spec("generators a b\nsquare a^ b a^-1 b^-1\nfrobnicate\n")
+    with pytest.raises(InputError, match=r"^line 2: unknown statement 'frobnicate'$"):
+        parse_spec("generators a b\nfrobnicate\nsquare a^ b a^-1 b^-1\n")
+
+
+def module_state(module):
+    """Each global of ``module`` with its identity and, for containers,
+    classes and caches, its size."""
+    def size(v):
+        if isinstance(v, (dict, list, set, tuple)):
+            return len(v)
+        if isinstance(v, type):
+            return len(vars(v))
+        if hasattr(v, "cache_info"):
+            return v.cache_info().currsize
+        return None
+    return {name: (id(v), size(v)) for name, v in vars(module).items()}
+
+
+def test_parse_keeps_no_cache_between_calls():
+    from logfiber import complexes, words
+
+    parse_spec("generators a b\nsquare a b a- b^-1\n")
+    names = [f"fresh{i}" for i in range(2000)]
+    squares = "".join(f"square {g} {h} {g}- {h}^-1\n" for g, h in zip(names, names[1:]))
+    text = "generators " + " ".join(names) + "\n" + squares
+    before = module_state(words), module_state(complexes)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        c = parse_spec(text)
+        assert len(c.squares) == 1999
+        del c
+        gc.collect()
+        # a cache of the 6 000 letters would hold hundreds of KB
+        assert tracemalloc.get_traced_memory()[0] - held < 20_000
+    finally:
+        tracemalloc.stop()
+    assert (module_state(words), module_state(complexes)) == before

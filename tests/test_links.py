@@ -17,7 +17,10 @@ from logfiber import (
     shortest_cycle_through,
     unit_weights,
 )
-from logfiber.links import CornerEdge, LinkGraph, format_end
+from logfiber.complexes import NAMED_COMPLEXES, build_named
+from logfiber.links import CornerEdge, LinkGraph, _triangles, format_end
+
+from references import triangles as reference_triangles
 
 
 def edge_adjacency(link):
@@ -362,6 +365,33 @@ def test_violations_match_reference_enumeration(g1, gf, g2, torus, mixed):
         assert largeness(link).violations == expected
         kinds.update({v["kind"] for v in expected})
     assert kinds["triangle"] >= 1000 and kinds["bigon"] >= 500 and kinds["loop"] >= 100
+
+
+def common_neighbour_exists(link):
+    """Oracle: do the ends of some non-loop edge share a neighbour, read off
+    neighbour sets of the edges' vertex tuples?"""
+    neighbours = {v: set() for v in link.vertices}
+    for a, b in (e.ends for e in link.edges):
+        if a != b:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    return any(a != b and neighbours[a] & neighbours[b] for a, b in (e.ends for e in link.edges))
+
+
+def test_triangles_match_the_enumeration_without_prefilter():
+    rng = random.Random(2222)
+    complexes = [build_named(name) for name in NAMED_COMPLEXES]
+    complexes += [build_lot_family(32), build_lot_family(128), wedge(32)]
+    complexes += [random_log(rng, hub=0.5 * (t % 2)) for t in range(300)]
+    complexes += [random_squares(rng) for _ in range(300)]
+    links = [build_link(c) for c in complexes] + [random_link(rng) for _ in range(300)]
+    spanned = Counter()
+    for link in links:
+        found, flag = _triangles(link)
+        assert (found, flag) == reference_triangles(link)
+        assert flag == common_neighbour_exists(link)
+        spanned[flag] += 1
+    assert spanned[True] >= 100 and spanned[False] >= 100
 
 
 def test_poison_and_girth_match_brute_force_on_hub_and_loop_links():
