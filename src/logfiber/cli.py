@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Callable
 
 from . import flatness, links, monodromy, morse
@@ -379,11 +379,7 @@ def _json_text(value, level: int) -> str:
             return "[" + inner + "".join(_json_flat(level)(value, 0))[1:-1] + inner[:-2] + "]"
         return "[" + inner + ("," + inner).join(_json_items(value, level + 1)) + inner[:-2] + "]"
     if kind is dict and (template := _json_template(tuple(value), level)):
-        values = value.values()
-        # exact ints print alike through %s; the last value alone turns most other dicts away
-        if type(next(reversed(values))) is int and _JSON_INT.issuperset(map(type, values)):
-            return template % tuple(values)
-        return template % tuple(_json_items(values, level + 1))
+        return template % tuple(_json_items(value.values(), level + 1))
     scalar = _JSON_SCALARS.get(kind)
     return scalar(value) if scalar else json.dumps(
         value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
@@ -394,22 +390,29 @@ def _json_items(items, level: int) -> list[str]:
             else _json_text(item, level) for item in items]
 
 
+def _json_join(head: str, tail: str, texts: list[str], level: int) -> str:
+    """Item texts joined into a list or dict nested ``level`` deep."""
+    inner = "\n" + "  " * (level + 1)
+    return head + inner + ("," + inner).join(texts) + inner[:-2] + tail if texts else head + tail
+
+
 _JSON_STRING = json.encoder.encode_basestring
 _JSON_SCALARS = {str: _JSON_STRING, int: int.__repr__, bool: {True: "true", False: "false"}.get,
                  type(None): lambda _: "null"}
-_JSON_STR, _JSON_INT, _JSON_FLAT = frozenset((str,)), frozenset((int,)), frozenset(_JSON_SCALARS)
+_JSON_STR, _JSON_FLAT = frozenset((str,)), frozenset(_JSON_SCALARS)
+_TABLE_BLOCK = 64  # rows of a table laid out, and written, at once
 
 
 @functools.lru_cache(1024)
-def _json_template(keys: tuple, level: int) -> str | None:
-    """The text of a dict with these keys nested ``level`` deep, with ``%s``
-    for each value; None unless all keys are str (keys equal to str keys are
-    str keys, which encode alike)."""
-    if not _JSON_STR.issuperset(map(type, keys)):
+def _json_template(keys: tuple, level: int, values: tuple = ()) -> str | None:
+    """The text of a dict with these keys nested ``level`` deep, with the
+    texts ``values`` (``%s`` each by default) for its values; None if a value
+    is None or a key not a str (keys equal to str keys are str keys, which
+    encode alike)."""
+    if None in values or not _JSON_STR.issuperset(map(type, keys)):
         return None
-    inner = "\n" + "  " * (level + 1)
-    return "{" + inner + ("," + inner).join(
-        _JSON_STRING(key).replace("%", "%%") + ": %s" for key in keys) + inner[:-2] + "}"
+    return _json_join("{", "}", [_JSON_STRING(key).replace("%", "%%") + ": " + value
+                                 for key, value in zip(keys, values or repeat("%s"))], level)
 
 
 @functools.cache
@@ -419,33 +422,79 @@ def _json_flat(level: int):
         None, None, _JSON_STRING, None, ": ", ",\n" + "  " * (level + 1), False, False, True)
 
 
+def _json_rows(rows: list[dict], level: int):
+    """The texts of ``rows``, dicts of one key tuple nested ``level`` deep, by
+    one C encoder call over all cells (an encoded cell holds no ``",\n"``) and
+    the key tuple's `_json_template`; if the first row is not flat, a column of
+    lists of one length or of dicts of one key tuple is first split into one
+    column per item.  None for other cells or keys, no cells or no C encoder."""
+    values, cells = (), list(chain.from_iterable(map(dict.values, rows)))
+    if not _JSON_FLAT.issuperset(map(type, rows[0].values())):
+        columns, values = [], []
+        for column in zip(*map(dict.values, rows)):
+            kinds = set(map(type, column))
+            if kinds <= {list, tuple} and len(sizes := set(map(len, column))) == 1:
+                values.append(_json_join("[", "]", ["%s"] * sizes.pop(), level + 1))
+                columns += zip(*column)
+            elif kinds == {dict} and len(keys := set(map(tuple, column))) == 1:
+                values.append(_json_template(keys.pop(), level + 1))
+                columns += zip(*map(dict.values, column))
+            elif kinds <= _JSON_FLAT:
+                values.append("%s")
+                columns.append(column)
+            else:
+                return None
+        cells, values = list(chain.from_iterable(zip(*columns))), tuple(values)
+    template = _json_template(tuple(rows[0]), level, values)
+    if not (cells and template and json.encoder.c_make_encoder
+            and _JSON_FLAT.issuperset(map(type, cells))):
+        return None
+    texts = "".join(_json_flat(-1)(cells, 0))[1:-1].split(",\n")  # level -1: no indent
+    return map(template.__mod__, zip(*[iter(texts)] * (len(cells) // len(rows))))
+
+
+def _json_block(rows: list[dict], level: int):
+    """The texts of ``rows``, dicts nested ``level`` deep, in order: each key
+    tuple's rows by `_json_rows`, or one by one by `_json_text` where that fails."""
+    order = list(map(tuple, rows))
+    groups = {keys: list(compress(rows, map(keys.__eq__, order))) for keys in dict.fromkeys(order)}
+    texts = [_json_rows(group, level) or _json_items(group, level) for group in groups.values()]
+    nexts = dict(zip(groups, map(iter, texts)))
+    return texts[0] if len(texts) == 1 else map(next, map(nexts.__getitem__, order))
+
+
 def _write_json(data) -> None:
     """Write ``json.dumps(data, indent=2, ensure_ascii=False)`` and a newline."""
     _write_items(sys.stdout.write, data, 0, 2)
     sys.stdout.write("\n")
 
 
-def _write_items(write: Callable[[str], object], value, level: int, stream: int) -> None:
-    """Write `_json_text(value, level)`, item by item through ``stream`` levels."""
+def _write_items(write: Callable[[str], object], value, level: int, stream: int, prefix="") -> None:
+    """Write ``prefix`` and `_json_text(value, level)` in pieces: a table (a
+    list of dicts) one `_json_block` of `_TABLE_BLOCK` rows per write, other
+    lists and dicts item by item through ``stream`` levels, the rest at once."""
     kind = type(value)
     if kind is list or kind is tuple:
         head, tail, keys, items = "[", "]", repeat(""), value
     elif kind is dict and _JSON_STR.issuperset(map(type, value)):
         head, tail, keys, items = "{", "}", map("{}: ".format, map(_JSON_STRING, value)), value.values()
     else:
-        stream = 0
-    if not (stream and value) or _JSON_FLAT.issuperset(map(type, items)):
-        write(_json_text(value, level))
+        head = items = ()
+    table = head == "[" and value and type(value[0]) is dict and {dict}.issuperset(map(type, value))
+    if not table and (not (stream and items) or _JSON_FLAT.issuperset(map(type, items))):
+        write(prefix + _json_text(value, level))
         return
     inner = "\n" + "  " * (level + 1)
-    separator = head + inner
-    for key, item in zip(keys, items):
-        if stream > 1:
-            write(separator + key)
-            _write_items(write, item, level + 1, stream - 1)
-        else:
-            write(separator + key + _json_text(item, level + 1))
-        separator = "," + inner
+    separator = prefix + head + inner
+    if table:
+        for start in range(0, len(value), _TABLE_BLOCK):
+            block = _json_block(value[start:start + _TABLE_BLOCK], level + 1)
+            write(separator + ("," + inner).join(block))
+            separator = "," + inner
+    else:
+        for key, item in zip(keys, items):
+            _write_items(write, item, level + 1, stream - 1, separator + key)
+            separator = "," + inner
     write(inner[:-2] + tail)
 
 

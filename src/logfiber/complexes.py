@@ -49,7 +49,7 @@ class SquareComplex:
         # what `append_square` checks against, kept up to date by it
         self._generators: set[str] = set()
         check_generator_names(generators, self._generators)
-        self._boundaries = {sq.boundary for sq in self.squares}
+        self._boundaries = dict.fromkeys(sq.boundary for sq in self.squares)
 
     def __repr__(self) -> str:
         return (f"SquareComplex(generators={self.generators!r}, squares={self.squares!r},"
@@ -73,10 +73,10 @@ class SquareComplex:
 
     def append_square(self, boundary: Word, origin: str = "") -> Square:
         check_boundary(boundary, self._generators)
-        if boundary in self._boundaries:
+        n = len(self.squares)
+        if self._boundaries.setdefault(boundary, n) != n:  # one hash; a repeat keeps its old value
             self.provenance.append(f"duplicate square: {boundary}")
-        self._boundaries.add(boundary)
-        sq = tuple.__new__(Square, (len(self.squares), boundary, origin))  # skips a Python-level __new__
+        sq = tuple.__new__(Square, (n, boundary, origin))  # skips a Python-level __new__
         self.squares.append(sq)
         return sq
 

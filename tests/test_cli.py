@@ -694,17 +694,24 @@ def test_json_output_is_byte_identical_to_dumps(tmp_path, text, bound):
     assert out == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
     if "β" in text:
         assert "β1" in out
-    else:  # written row by row, never as one string
-        assert stdout.writes > len(data["table"])
+    else:  # written one block of rows per write, never as one string
+        rows, block, separator = data["table"], cli._TABLE_BLOCK, ",\n    "
+        assert stdout.writes >= -(-len(rows) // block)
+        texts = [json.dumps(row, indent=2, ensure_ascii=False).replace("\n", "\n    ")
+                 for row in rows]
+        longest = max(len(separator.join(texts[i:i + block])) for i in range(0, len(rows), block))
+        # a block's write adds its separator, the first block's the table's key and bracket
+        assert stdout.longest <= longest + len(',\n  "table": [\n    ')
 
 
 class CountingStdout(io.StringIO):
-    """A stdout that counts its `write` calls."""
+    """A stdout that counts its `write` calls and keeps the longest one's length."""
 
-    writes = 0
+    writes = longest = 0
 
     def write(self, text):
         self.writes += 1
+        self.longest = max(self.longest, len(text))
         return super().write(text)
 
 
