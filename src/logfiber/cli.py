@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from itertools import chain, compress, repeat
+from operator import not_
 from typing import Callable
 
 from . import flatness, links, monodromy, morse
@@ -399,7 +400,7 @@ def _json_join(head: str, tail: str, texts: list[str], level: int) -> str:
 _JSON_STRING = json.encoder.encode_basestring
 _JSON_SCALARS = {str: _JSON_STRING, int: int.__repr__, bool: {True: "true", False: "false"}.get,
                  type(None): lambda _: "null"}
-_JSON_STR, _JSON_FLAT = frozenset((str,)), frozenset(_JSON_SCALARS)
+_JSON_STR, _JSON_INT, _JSON_FLAT = frozenset((str,)), frozenset((int,)), frozenset(_JSON_SCALARS)
 _TABLE_BLOCK = 64  # rows of a table laid out, and written, at once
 
 
@@ -424,12 +425,16 @@ def _json_flat(level: int):
 
 def _json_rows(rows: list[dict], level: int):
     """The texts of ``rows``, dicts of one key tuple nested ``level`` deep, by
-    one C encoder call over all cells (an encoded cell holds no ``",\n"``) and
-    the key tuple's `_json_template`; if the first row is not flat, a column of
-    lists of one length or of dicts of one key tuple is first split into one
-    column per item.  None for other cells or keys, no cells or no C encoder."""
-    values, cells = (), list(chain.from_iterable(map(dict.values, rows)))
-    if not _JSON_FLAT.issuperset(map(type, rows[0].values())):
+    one C encoder call over their cells (an encoded cell holds no ``",\n"``)
+    and the key tuple's `_json_template`: row by row if the first row is
+    flat, else by column, a column of lists of one length or of dicts of one
+    key tuple split into one column per item, and a column of exact ints,
+    whose ``%s`` is their JSON text, not encoded.  None for other cells or
+    keys, no cells or no C encoder."""
+    if _JSON_FLAT.issuperset(map(type, rows[0].values())):
+        columns = values = ()
+        cells = list(chain.from_iterable(map(dict.values, rows)))
+    else:
         columns, values = [], []
         for column in zip(*map(dict.values, rows)):
             kinds = set(map(type, column))
@@ -444,13 +449,17 @@ def _json_rows(rows: list[dict], level: int):
                 columns.append(column)
             else:
                 return None
-        cells, values = list(chain.from_iterable(zip(*columns))), tuple(values)
-    template = _json_template(tuple(rows[0]), level, values)
-    if not (cells and template and json.encoder.c_make_encoder
+        exact = [_JSON_INT.issuperset(map(type, column)) for column in columns]
+        cells = list(chain.from_iterable(compress(columns, map(not_, exact))))
+    template = _json_template(tuple(rows[0]), level, tuple(values))
+    if not ((cells or columns) and template and json.encoder.c_make_encoder
             and _JSON_FLAT.issuperset(map(type, cells))):
         return None
-    texts = "".join(_json_flat(-1)(cells, 0))[1:-1].split(",\n")  # level -1: no indent
-    return map(template.__mod__, zip(*[iter(texts)] * (len(cells) // len(rows))))
+    texts = "".join(_json_flat(-1)(cells, 0))[1:-1].split(",\n") if cells else ()  # no indent
+    if not columns:
+        return map(template.__mod__, zip(*[iter(texts)] * (len(cells) // len(rows))))
+    encoded = zip(*[iter(texts)] * len(rows))  # one tuple of texts per encoded column
+    return map(template.__mod__, zip(*[c if e else next(encoded) for c, e in zip(columns, exact)]))
 
 
 def _json_block(rows: list[dict], level: int):

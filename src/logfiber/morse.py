@@ -39,9 +39,9 @@ so the expanded kernel is the same canonical basis the full matrix gives.
 
 from __future__ import annotations
 
-from itertools import chain, count, product
+from itertools import chain, count, islice, product
 from math import gcd
-from operator import add, mul
+from operator import add, mul, neg
 from typing import Iterator, NamedTuple
 
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
@@ -55,7 +55,7 @@ WeightSystem = dict[str, int]
 # `fibering_scan` refuses lattices with more coordinate vectors than this
 MAX_SCAN_VECTORS = 100_000
 # `infinite_fibering_verdict` refuses lattices with more orthants than this
-# (rank 13, about a second when no orthant fibers)
+# (rank 13; when no orthant fibers it tries the half with a leading +, well under a second)
 MAX_ORTHANTS = 2**13
 # the fiber graph functions refuse fibers with more vertices plus arcs than
 # this (the torus at weights 10^5 has about 4 * 10^5 and takes about a second)
@@ -431,6 +431,13 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
       gcd(weights) components; otherwise union-find counts them on the
       square paths of `_fiber_paths`.
 
+    The span is symmetric, so -x sits at the mirrored place of x, with the
+    zero vector at the centre; only the vectors before it are computed.
+    The row of -x is that of x with coords and weights negated and the
+    tree flags swapped: the forms are linear, |w| and gcd(w) keep their
+    values, the min and max corners swap (so the ascending link of -w is
+    the descending link of w), and -w has the same fiber as w.
+
     Refuses scans of more than `MAX_SCAN_VECTORS` coordinate vectors."""
     if bound < 1:
         raise InputError("scan bound must be >= 1")
@@ -455,43 +462,49 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
 
     span = range(-bound, bound + 1)
     *leading, last = [[[k * b[g] for g in generators] for k in span] for b in basis]
-    rows = []
-    for head, parts in zip(product(span, repeat=len(leading)), product(*leading)):
+    heads = (2 * bound + 1) ** len(leading) // 2 + 1  # up to the zero head, the centre's
+    rows, mirrors = [], []
+    for head, parts in islice(zip(product(span, repeat=len(leading)), product(*leading)), heads):
         start = list(map(sum, zip(*parts))) if parts else [0] * len(generators)
         head_divisor, prefix = gcd(*head), list(head)
         for k, step in zip(span, last):
             divisor = gcd(head_divisor, k)
             if not divisor:
-                continue  # the zero vector
+                break  # the zero vector, the centre: the rest mirror the rows before it
             w = list(map(add, start, step))
             if 0 in w:
                 continue
             coords = prefix + [k]  # sized exactly, unlike [*head, k]
             ws = dict(zip(generators, w))
             if forms and any(sum(map(mul, form, coords)) for form in forms):
-                rows.append({"coords": coords, "weights": ws, "admissible": False,
-                             "primitive": divisor == 1, "asc_tree": None, "desc_tree": None,
-                             "chi": None, "components": None, "rank": None})
-                continue
-            signs = tuple(map((0).__lt__, w))
-            if signs not in orthants:
-                asc, desc = a.sign_links(ws)
-                paths = (None if asc.components == desc.components == 1
-                         else _fiber_paths(c, min_corners(c, ws)))
-                signed = [f if up else -f for f, up in zip(chi_coefficient.values(), signs)]
-                slope = [sum(map(mul, signed, b.values())) for b in basis]  # w_g = sum_k x_k b_k[g]
-                orthants[signs] = (asc.is_tree, desc.is_tree, paths, slope)
-            asc_tree, desc_tree, paths, slope = orthants[signs]
-            chi = chi_constant + sum(map(mul, slope, coords))
-            components = gcd(*w) if paths is None else _fiber_counts(w, paths, False)[2]
-            row = {"coords": coords, "weights": ws, "admissible": True,
-                   "primitive": divisor == 1, "asc_tree": asc_tree, "desc_tree": desc_tree,
-                   "chi": chi, "components": components,
-                   "rank": 1 - chi if asc_tree and desc_tree and components == 1 else None}
-            if components != 1:
-                row["note"] = (f"disconnected fiber ({components} components);"
-                               " chi is the direct count, no rank claim")
+                row = {"coords": coords, "weights": ws, "admissible": False,
+                       "primitive": divisor == 1, "asc_tree": None, "desc_tree": None,
+                       "chi": None, "components": None, "rank": None}
+            else:
+                signs = tuple(map((0).__lt__, w))
+                if signs not in orthants:
+                    asc, desc = a.sign_links(ws)
+                    paths = (None if asc.components == desc.components == 1
+                             else _fiber_paths(c, min_corners(c, ws)))
+                    signed = [f if up else -f for f, up in zip(chi_coefficient.values(), signs)]
+                    # w_g = sum_k x_k b_k[g]
+                    slope = [sum(map(mul, signed, b.values())) for b in basis]
+                    orthants[signs] = (asc.is_tree, desc.is_tree, paths, slope)
+                asc_tree, desc_tree, paths, slope = orthants[signs]
+                chi = chi_constant + sum(map(mul, slope, coords))
+                components = gcd(*w) if paths is None else _fiber_counts(w, paths, False)[2]
+                row = {"coords": coords, "weights": ws, "admissible": True,
+                       "primitive": divisor == 1, "asc_tree": asc_tree, "desc_tree": desc_tree,
+                       "chi": chi, "components": components,
+                       "rank": 1 - chi if asc_tree and desc_tree and components == 1 else None}
+                if components != 1:
+                    row["note"] = (f"disconnected fiber ({components} components);"
+                                   " chi is the direct count, no rank claim")
             rows.append(row)
+            mirrors.append({**row, "coords": list(map(neg, coords)),
+                            "weights": dict(zip(generators, map(neg, w))),
+                            "asc_tree": row["desc_tree"], "desc_tree": row["asc_tree"]})
+    rows += reversed(mirrors)
     return rows
 
 
@@ -501,8 +514,9 @@ def infinite_fibering_verdict(source: SquareComplex | analysis.Analysis) -> dict
     YES when the weight lattice has rank >= 2 and some sign pattern
     (orthant) admits weight systems whose ascending and descending links
     are trees.  Tree-ness depends only on the signs, so one representative
-    per orthant decides the whole orthant.  Refuses lattices with more than
-    `MAX_ORTHANTS` orthants.
+    per orthant decides the whole orthant, and an orthant and its negation
+    alike, so only orthants with a leading + are tried.  Refuses lattices
+    with more than `MAX_ORTHANTS` orthants.
     """
     a = analysis.Analysis.of(source)
     c, basis = a.complex, a.lattice
@@ -526,7 +540,9 @@ def infinite_fibering_verdict(source: SquareComplex | analysis.Analysis) -> dict
             f"infinite-fibering search over {2**rank} orthants (lattice rank {rank}) exceeds"
             f" the limit of {MAX_ORTHANTS}"
         )
-    for signs in product((1, -1), repeat=rank):
+    # the negated pattern has the negated representative, whose links are
+    # these swapped: patterns with a leading + come first and decide alone
+    for signs in islice(product((1, -1), repeat=rank), 2 ** (rank - 1)):
         candidates = (_combine_basis(basis, tuple(s * k for s, k in zip(signs, coeffs)), c)
                       for coeffs in product(range(1, 4), repeat=rank))
         representative = next((ws for ws in candidates if 0 not in ws.values()), None)

@@ -1,11 +1,15 @@
 """Reference implementations the tests compare the library against.
 
 Each reads its value the slow, direct way: a union-find over any hashable
-vertices, each square's corner heights sorted for their min and max, and a
-link's triangles by probing every edge's ends for common neighbours.
+vertices, each square's corner heights sorted for their min and max, a
+link's triangles by probing every edge's ends for common neighbours, and
+the infinite-fibering orthant by trying all 2^rank sign patterns.
 """
 
+from itertools import product
 from typing import NamedTuple
+
+from logfiber import directional_links
 
 
 def union_find(vertices, pairs) -> tuple[dict, bool]:
@@ -76,3 +80,22 @@ def triangles(link) -> tuple[list, bool]:
                         found.append((min(j, k), max(j, k)))
         out.extend((edges[i], edges[j], edges[k]) for j, k in sorted(found))
     return out, spanned
+
+
+def fibering_orthant(c, basis) -> list[str] | None:
+    """The first sign pattern in `itertools.product` order over all 2^rank
+    of them whose first representative with no zero weight, among the
+    combinations of the ``basis`` with coefficients 1-3 signed by the
+    pattern, has tree ascending and descending links, each link built from
+    the weights with its admissibility check; None if there is none.  For
+    complexes whose affine condition holds on the whole lattice."""
+    for signs in product((1, -1), repeat=len(basis)):
+        for coeffs in product(range(1, 4), repeat=len(basis)):
+            ws = {g: sum(s * k * b[g] for s, k, b in zip(signs, coeffs, basis))
+                  for g in c.generators}
+            if 0 not in ws.values():
+                asc, desc = directional_links(c, ws)
+                if asc.is_tree and desc.is_tree:
+                    return ["+" if s > 0 else "-" for s in signs]
+                break
+    return None

@@ -30,7 +30,7 @@ from logfiber import (
 from logfiber import morse
 from logfiber.analysis import Analysis
 from logfiber.morse import BASE_VERTEX, _combine_basis, min_corners
-from references import corner_heights, union_find
+from references import corner_heights, fibering_orthant, union_find
 
 
 def reference_scan(c, bound):
@@ -159,20 +159,49 @@ def test_named_complexes_match_reference():
 
 def test_random_complexes_match_reference():
     inadmissible = non_tree = disconnected = fallback = 0
+    mirrored = {"inadmissible": 0, "split link": 0, "note": 0}
     for c in RANDOM:
         for bound in (1, 2, 3, 4):
-            for row in assert_same_rows(c, bound):
+            rows = assert_same_rows(c, bound)
+            for row in rows:
                 if not row["admissible"]:
                     inadmissible += 1
                     continue
                 non_tree += not (row["asc_tree"] and row["desc_tree"])
                 disconnected += row["components"] != 1
                 fallback += row["components"] != gcd(*row["weights"].values())
+            a = Analysis(c)
+            for row in rows[len(rows) // 2:]:  # the mirrored half
+                mirrored["inadmissible"] += not row["admissible"]
+                mirrored["note"] += "note" in row
+                if row["admissible"]:
+                    asc, desc = a.sign_links(row["weights"])
+                    mirrored["split link"] += not asc.components == desc.components == 1
     # the corpus reaches every branch of the scan
     assert inadmissible >= 1000 and non_tree >= 1000 and disconnected >= 1000
     # rows whose links are not both connected and whose fiber does not have
     # gcd(weights) components: the fiber graph must count these
     assert fallback >= 500
+    # and the mirrored half reaches the inadmissible rows, the fibers counted
+    # by union-find over a split link, and the notes
+    assert min(mirrored.values()) >= 100, mirrored
+
+
+def test_rows_mirror_about_the_centre():
+    # the row of -x is the row of x with coords and weights negated and the
+    # tree flags swapped, at the mirrored place
+    checked = 0
+    for c in NAMED + RANDOM:
+        for bound in (2, 3):
+            rows = fibering_scan(c, bound)
+            assert len(rows) % 2 == 0
+            for i, row in enumerate(rows[:len(rows) // 2]):
+                mirror = {**row, "coords": [-x for x in row["coords"]],
+                          "weights": {g: -w for g, w in row["weights"].items()},
+                          "asc_tree": row["desc_tree"], "desc_tree": row["asc_tree"]}
+                assert json.dumps(rows[-1 - i]) == json.dumps(mirror), (c.render(), bound)
+                checked += row["asc_tree"] is not row["desc_tree"]
+    assert checked >= 100  # rows whose swap shows
 
 
 def test_affine_condition_decided_per_vector():
@@ -210,7 +239,28 @@ def test_links_built_once_per_sign_vector():
     rows = fibering_scan(a, 4)
     signs = {tuple(w > 0 for w in r["weights"].values()) for r in rows if r["admissible"]}
     assert len(rows) >= 50 * len(signs)
-    assert set(a._sign_links) == signs
+    # the links are built in the scan's first half only: each sign vector of
+    # the second half is the complement of one of the first
+    built = set(a._sign_links)
+    assert built <= signs
+    assert all(s in built or tuple(not x for x in s) in built for s in signs)
+    assert len(built) < len(signs)
+
+
+def test_verdict_matches_the_search_over_every_orthant():
+    # the verdict tries the orthants with a leading + only; the first
+    # pattern in product order over all 2^rank of them must be the one it names
+    found = set()
+    for c in NAMED + RANDOM:
+        verdict = infinite_fibering_verdict(c)
+        if verdict["lattice_rank"] < 2 or "affine" in verdict.get("reason", ""):
+            continue
+        orthant = fibering_orthant(c, weight_lattice(c))
+        assert verdict["orthant"] == orthant, c.render()
+        assert verdict["infinite_fibering"] == (orthant is not None)
+        found.add(None if orthant is None else "".join(orthant))
+    # NO, YES in the first orthant and YES in a later one all occur
+    assert {None, "++", "+-"} <= found, found
 
 
 def test_sign_links_build_no_morse_data(monkeypatch):

@@ -29,6 +29,11 @@ class Number(int):
     pass
 
 
+class Loud(int):
+    def __str__(self):  # what ``%s`` would print; JSON prints int.__repr__
+        return "loud"
+
+
 strings = st.text(st.sampled_from('"\\\x00\x07\n\x1f\x7f[]{},: aβ \U0001F600')
                   | st.characters(), max_size=6)
 scalars = st.one_of(
@@ -140,6 +145,18 @@ def shape_cells(shape):
 @example([{"a": [1, 2], "b": {"x": 1}}] * 3 + [{"a": [1, 2], "b": {"y": 1}}])
 @example([{"a": [1], "c": 1}] * 2 + [{"a": [[1]], "c": 1}] + [{"a": [1], "c": [[]]}])
 @example([{"c": 1}, {"c": [[1]]}, {"c": 1.5}, {"c": Text("t")}, {"c": Number(2)}])
+# exact-int columns skip the encoder: all of them, next to bool columns and
+# a column of ints and bools, an int subclass with its own str, negative
+# and big ints, and ints in a fixed-key dict column shaped like `weights`
+@example([{"coords": [k, -k], "weights": {"a": 3, "b": -k}, "chi": k} for k in range(5)])
+@example([{"c": [1, True], "n": 2, "ok": False}, {"c": [0, 2], "n": -1, "ok": True}])
+@example([{"c": [1], "n": Loud(3)}, {"c": [2], "n": 4}])
+@example([{"c": [Loud(1), 2], "n": 5}] * 2)
+@example([{"c": [-(2**70), 2**64 + 1], "n": -5}, {"c": [2**64, -1], "n": -(2**64)}])
+@example([{"coords": [1, 0], "weights": {"a0": 1, "a1": -1, "b": 2**65}, "admissible": True,
+           "chi": None},
+          {"coords": [0, -1], "weights": {"a0": -2, "a1": 7, "b": -(2**65)}, "admissible": False,
+           "chi": -3}])
 def test_tables_match_dumps(value):
     assert written(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
