@@ -325,14 +325,17 @@ def transition_report(a: Analysis, ws: morse.WeightSystem, conjugator: str) -> d
 
 
 def transition_text(data: dict) -> str:
-    lines = [f"transition matrix over basis {' '.join(data['basis'])}:"]
+    lines = ["transition matrix M (letter counts of the images) over basis"
+             f" {' '.join(data['basis'])}:"]
     for row in data["matrix"]:
         lines.append("  " + " ".join(f"{x:2d}" for x in row))
-    lines.append(f"irreducible: {'yes' if data['irreducible'] else 'no'}")
+    lines.append("of M, the matrix of this representative on the rose of basis loops,"
+                 " not of the automorphism:")
+    lines.append(f"  irreducible: {'yes' if data['irreducible'] else 'no'}")
     if data["primitive"]:
-        lines.append(f"primitive: yes (M^{data['witness_power']} is entrywise positive)")
+        lines.append(f"  primitive: yes (M^{data['witness_power']} is entrywise positive)")
     else:
-        lines.append("primitive: no")
+        lines.append("  primitive: no")
     return "\n".join(lines)
 
 
@@ -366,17 +369,23 @@ def reducible_text(data: dict) -> str:
 
 def _json_text(value, level: int) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` for `value` nested
-    ``level`` deep.  A list or tuple of str, int, bool and None goes to the C
-    encoder, if there is one, with ``",\n"`` and indentation as separator
-    (encoded strings hold no raw newline); other ones are joined here, and
-    dicts with str keys fill their `_json_template`, empty ones are ``[]``
-    and ``{}``; the rest (floats, subclasses, other keys) is the stdlib's."""
+    ``level`` deep.  A list or tuple of exact ints is joined from `_INT_TEXTS`
+    (one scan of its types keeps bools and int subclasses out); one of str,
+    int, bool and None goes to the C encoder, if there is one, with
+    ``",\n"`` and indentation as separator (encoded strings hold no raw
+    newline); other ones are joined here, and dicts with str keys fill their
+    `_json_template`, empty ones are ``[]`` and ``{}``; the rest (floats,
+    subclasses, other keys) is the stdlib's."""
     kind = type(value)
     if (kind is list or kind is tuple or kind is dict) and not value:
         return "{}" if kind is dict else "[]"
     if kind is list or kind is tuple:
         inner = "\n" + "  " * (level + 1)
-        if json.encoder.c_make_encoder and _JSON_FLAT.issuperset(map(type, value)):
+        kinds = set(map(type, value))
+        if kinds == _JSON_INT:
+            texts = map(_INT_TEXTS.__getitem__, value)
+            return "[" + inner + ("," + inner).join(texts) + inner[:-2] + "]"
+        if json.encoder.c_make_encoder and kinds <= _JSON_FLAT:
             return "[" + inner + "".join(_json_flat(level)(value, 0))[1:-1] + inner[:-2] + "]"
         return "[" + inner + ("," + inner).join(_json_items(value, level + 1)) + inner[:-2] + "]"
     if kind is dict and (template := _json_template(tuple(value), level)):
@@ -402,6 +411,17 @@ _JSON_SCALARS = {str: _JSON_STRING, int: int.__repr__, bool: {True: "true", Fals
                  type(None): lambda _: "null"}
 _JSON_STR, _JSON_INT, _JSON_FLAT = frozenset((str,)), frozenset((int,)), frozenset(_JSON_SCALARS)
 _TABLE_BLOCK = 64  # rows of a table laid out, and written, at once
+_TABLE_MIN = 12  # fewer rows are written row by row: laying out columns costs more
+
+
+class _IntTexts(dict):
+    """Exact int -> its JSON text: a table of the small ones, `int.__repr__` for the rest."""
+
+    def __missing__(self, value: int) -> str:
+        return int.__repr__(value)
+
+
+_INT_TEXTS = _IntTexts(zip(range(-256, 256), map(int.__repr__, range(-256, 256))))
 
 
 @functools.lru_cache(1024)
@@ -428,14 +448,16 @@ def _json_rows(rows: list[dict], level: int):
     one C encoder call over their cells (an encoded cell holds no ``",\n"``)
     and the key tuple's `_json_template`: row by row if the first row is
     flat, else by column, a column of lists of one length or of dicts of one
-    key tuple split into one column per item, and a column of exact ints,
-    whose ``%s`` is their JSON text, not encoded.  None for other cells or
-    keys, no cells or no C encoder."""
+    key tuple split into one column per item.  A column of exact ints is not
+    encoded (``%s`` is their JSON text), nor is any other column, such as
+    lists of several lengths: its cells are their `_json_text`.  None for a
+    row after a flat first row that is not flat, keys that are not str, no
+    cells or no C encoder."""
     if _JSON_FLAT.issuperset(map(type, rows[0].values())):
         columns = values = ()
         cells = list(chain.from_iterable(map(dict.values, rows)))
     else:
-        columns, values = [], []
+        columns, values, rendered = [], [], []
         for column in zip(*map(dict.values, rows)):
             kinds = set(map(type, column))
             if kinds <= {list, tuple} and len(sizes := set(map(len, column))) == 1:
@@ -447,9 +469,12 @@ def _json_rows(rows: list[dict], level: int):
             elif kinds <= _JSON_FLAT:
                 values.append("%s")
                 columns.append(column)
-            else:
-                return None
-        exact = [_JSON_INT.issuperset(map(type, column)) for column in columns]
+            else:  # lists of several lengths and the rest: each cell's own text
+                values.append("%s")
+                rendered.append(len(columns))
+                columns.append(list(map(_json_text, column, repeat(level + 1))))
+        exact = [i in rendered or _JSON_INT.issuperset(map(type, column))
+                 for i, column in enumerate(columns)]
         cells = list(chain.from_iterable(compress(columns, map(not_, exact))))
     template = _json_template(tuple(rows[0]), level, tuple(values))
     if not ((cells or columns) and template and json.encoder.c_make_encoder
@@ -464,7 +489,10 @@ def _json_rows(rows: list[dict], level: int):
 
 def _json_block(rows: list[dict], level: int):
     """The texts of ``rows``, dicts nested ``level`` deep, in order: each key
-    tuple's rows by `_json_rows`, or one by one by `_json_text` where that fails."""
+    tuple's rows by `_json_rows`, or one by one by `_json_text` where that
+    fails or there are fewer than `_TABLE_MIN` rows."""
+    if len(rows) < _TABLE_MIN:
+        return _json_items(rows, level)
     order = list(map(tuple, rows))
     groups = {keys: list(compress(rows, map(keys.__eq__, order))) for keys in dict.fromkeys(order)}
     texts = [_json_rows(group, level) or _json_items(group, level) for group in groups.values()]

@@ -41,14 +41,17 @@ class Square(NamedTuple):
 
 
 class SquareComplex:
+    # ``checked``: the set of ``generators``, from a caller that has already
+    # checked the names (`parse_spec`), so they are not checked again
     def __init__(self, generators: list[str], squares: list[Square] | None = None,
-                 provenance: list[str] | None = None):
+                 provenance: list[str] | None = None, *, checked: set[str] | None = None):
         self.generators = generators
         self.squares = [] if squares is None else squares
         self.provenance = [] if provenance is None else provenance
-        # what `append_square` checks against, kept up to date by it
-        self._generators: set[str] = set()
-        check_generator_names(generators, self._generators)
+        if checked is None:
+            checked = set()
+            check_generator_names(generators, checked)
+        self._generators = checked  # what `append_square` checks against
         self._boundaries = dict.fromkeys(sq.boundary for sq in self.squares)
 
     def __repr__(self) -> str:
@@ -189,7 +192,7 @@ def parse_spec(text: str) -> SquareComplex:
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
 
-    complex_ = SquareComplex(generators, provenance=provenance)
+    complex_ = SquareComplex(generators, provenance=provenance, checked=seen)
     if log_edges:
         complex_.provenance.append(f"log shape: {_log_shape(generators, log_edges)}")
     # squares are checked once every generator is declared, wherever its line is

@@ -13,7 +13,10 @@ Greek letter in order of first appearance, digits kept), e.g. the square
 letters (the attached relator squares) are named γ.
 
 Rewriting a weight-zero word into the basis is peak reduction driven by
-the directional-link trees.  Their vertex sets are disjoint (a
+the directional-link trees.  Direction-ends are numbered as in
+`links.LinkGraph`: 2i is ``g_i+`` and 2i+1 is ``g_i-`` for the i-th
+generator ``g_i``, and one table per context gives each letter the numbers
+of its arrival and departure ends.  The trees' vertex sets are disjoint (a
 direction-end ascends for one sign of its weight and descends for the
 other), so one table holds both: each square's max-corner edge (descending
 tree) and min-corner edge (ascending tree), in both directions.  Directed
@@ -23,10 +26,11 @@ three letters of the square's boundary in the order whose product equals
 it is built on the first rewrite, so `analyze`, which shows the basis only,
 never builds it.
 
-Each tree is rooted once, on the first route request; an end's record holds
-its parent, depth, DFS entry interval and the basis letters for crossing up
-to its parent and down from it.  The first hop from ``u`` toward ``v`` is
-``u``'s parent, or the child whose entry interval holds ``v``.
+Each tree is rooted once, on the first route request, into flat lists
+indexed by end number: parent, depth, DFS entry and exit, root, children,
+and the basis letters for crossing up to the parent and down from it.  The
+first hop from ``u`` toward ``v`` is ``u``'s parent, or the child whose
+entry interval holds ``v``.
 
 * Phase 1 (flattening): while the height profile leaves {0, 1}, take the
   leftmost highest point while the top is at least 2, else the leftmost
@@ -47,13 +51,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress, repeat
+from operator import itemgetter, or_
 from typing import Iterator, NamedTuple
 
 from .analysis import Analysis
 from .complexes import SquareComplex
 from .errors import InputError
-from .links import End, arrival_end, departure_end
 from .morse import WeightSystem, require_admissible, require_fibration
 from .words import Letter, Word, generator_stem, inverse_letter, join_reduced, signed_weight
 
@@ -116,9 +121,7 @@ class MonodromyContext:
         clashes = Counter(names)
         used: set[str] = set()
         self.basis: list[BasisLoop] = []
-        # by `_tree`: end -> [parent, depth, entry, exit, root, children's entries, children,
-        # basis letter crossing up to the parent, basis letter crossing down from it]
-        self._rooting: dict[End, list] | None = None
+        self._rooting: tuple[list, ...] | None = None  # by `_tree`
         for sq, m, name in zip(c.squares, mins, names):
             # disambiguate clashes deterministically by square id
             if clashes[name] > 1 or name in used:
@@ -130,11 +133,20 @@ class MonodromyContext:
             self.basis.append(BasisLoop(sq.index, name, Word._of(rotated[1:3]), rotated))
 
     @cached_property
-    def _crossings(self) -> dict[End, dict[End, Crossing]]:
+    def _letter_ends(self) -> dict[Letter, tuple[int, int]]:
+        """Letter -> (number of its arrival end, of its departure end)."""
+        table = {}
+        for i, g in enumerate(self.complex.generators):
+            table[g, 1], table[g, -1] = (2 * i, 2 * i + 1), (2 * i + 1, 2 * i)
+        return table
+
+    @cached_property
+    def _crossings(self) -> list[dict[int, Crossing]]:
         """Both trees (every end lies in one): end -> {neighbour end: crossing}.
         Once `require_fibration` has passed, "parallel tree edges" cannot fire: a
         repeat would be a loop or a parallel edge in one tree (they share no end)."""
-        crossings = {(g, sign): {} for g in self.complex.generators for sign in "+-"}
+        ends = self._letter_ends
+        crossings: list[dict[int, Crossing]] = [{} for _ in range(len(ends))]
         for loop in self.basis:
             e1, e2, e3, e4 = loop.rotated
             i1, i2, i3, i4 = map(inverse_letter, loop.rotated)
@@ -143,74 +155,91 @@ class MonodromyContext:
             # rows) lies in the descending tree, the min corner's in the ascending
             for x, rest, s in ((e2, (i1, i4, i3), 1), (i3, (e4, e1, e2), -1),
                                (e4, (i3, i2, i1), -1), (i1, (e2, e3, e4), 1)):
-                frm, to = arrival_end(x), arrival_end(rest[-1])
+                frm, to = ends[x][0], ends[rest[-1]][0]
                 assert to not in crossings[frm], "parallel tree edges"
                 crossings[frm][to] = (x, rest, (loop.name, s))
         return crossings
 
-    def _tree(self, u: End, v: End) -> dict[End, list]:
+    def _tree(self, u: int, v: int) -> tuple[list, ...]:
         """The trees of `_crossings`, rooted on the first call, after checking that
-        ``u`` and ``v`` share one.  Entries are DFS preorder: ``w``'s subtree is entry..exit-1."""
+        ``u`` and ``v`` share one: lists indexed by end of its parent (-1 at a
+        root), depth, DFS preorder entry and exit (the subtree is entry..exit-1),
+        root, children in entry order, and the basis letters for crossing up to
+        the parent and down from it."""
         rooting = self._rooting
         if rooting is None:
-            rooting = self._rooting = {}
-            crossings = self._crossings
-            order: list[End] = []
-            for root in crossings:
-                stack = [] if root in rooting else [(root, None)]
-                while stack:
-                    w, p = stack.pop()
-                    # a root hangs below a placeholder of depth -1 that names it
-                    above = rooting[p] if p is not None else (None, -1, 0, 0, w, [], [])
-                    rooting[w] = [p, above[1] + 1, len(order), len(order) + 1, above[4],
-                                  [], [], None, None]
-                    above[5].append(len(order))
-                    above[6].append(w)
-                    order.append(w)
-                    stack += [(z, w) for z in crossings[w] if z not in rooting]
-            for w in reversed(order):  # a subtree's exit is its last descendant's
-                p = rooting[w][0]
-                if p is not None:
-                    rooting[p][3] = max(rooting[p][3], rooting[w][3])
-                    # every climb hop is one of these crossings, so checking here that each
-                    # enters and leaves at the edge's ends chains a peak's letters x..y^-1
-                    (x, rest, up), (y, back, down) = crossings[w][p], crossings[p][w]
-                    assert arrival_end(x) == w and arrival_end(rest[-1]) == p, ("up", w, x)
-                    assert arrival_end(y) == p and arrival_end(back[-1]) == w, ("down", w, y)
-                    rooting[w][7:] = up, down
-        if rooting[u][4] != rooting[v][4]:
-            raise AssertionError(f"no tree path from {u} to {v}")
+            rooting = self._rooting = self._root()
+        root = rooting[4]
+        if root[u] != root[v]:
+            raise AssertionError(f"no tree path from end {u} to end {v}")
         return rooting
 
-    def _first_hop(self, u: End, v: End) -> End:
+    def _root(self) -> tuple[list, ...]:
+        crossings, ends = self._crossings, self._letter_ends
+        n = len(crossings)
+        parent, depth, entry, exit_, root = [-1] * n, [0] * n, [0] * n, [0] * n, [-1] * n
+        children: list[list[int]] = [[] for _ in range(n)]
+        up: list[Letter | None] = [None] * n  # the basis letter for crossing to the parent
+        down: list[Letter | None] = [None] * n  # and for crossing back
+        order: list[int] = []
+        for r in range(n):
+            if root[r] >= 0:
+                continue
+            root[r], stack = r, [r]
+            while stack:
+                w = stack.pop()
+                entry[w] = len(order)
+                exit_[w] = len(order) + 1
+                order.append(w)
+                if parent[w] >= 0:
+                    children[parent[w]].append(w)
+                for z in crossings[w]:
+                    if root[z] < 0:
+                        root[z], parent[z], depth[z] = r, w, depth[w] + 1
+                        stack.append(z)
+        for w in reversed(order):  # a subtree's exit is its last descendant's
+            p = parent[w]
+            if p >= 0:
+                exit_[p] = max(exit_[p], exit_[w])
+                # every climb hop is one of these crossings, so checking here that each
+                # enters and leaves at the edge's ends chains a peak's letters x..y^-1
+                (x, rest, up[w]), (y, back, down[w]) = crossings[w][p], crossings[p][w]
+                assert ends[x][0] == w and ends[rest[-1]][0] == p, ("up", w, x)
+                assert ends[y][0] == p and ends[back[-1]][0] == w, ("down", w, y)
+        return parent, depth, entry, exit_, root, children, up, down
+
+    def _first_hop(self, u: int, v: int) -> int:
         """The next end after ``u`` toward ``v != u``: the parent, unless ``u`` is
         a proper ancestor of ``v``; then the child whose subtree holds ``v``."""
-        rooting = self._tree(u, v)
-        parent, _, entry, exit_, _, entries, children, _, _ = rooting[u]
-        at = rooting[v][2]
-        if entry < at < exit_:
-            return children[bisect_right(entries, at) - 1]
-        return parent
+        parent, _, entry, exit_, _, children, _, _ = self._tree(u, v)
+        at = entry[v]
+        if entry[u] < at < exit_[u]:
+            return children[u][bisect_right(children[u], at, key=entry.__getitem__) - 1]
+        return parent[u]
 
-    def _climb(self, u: End, v: End) -> list[Letter]:
+    def _climb(self, u: int, v: int) -> list[Letter]:
         """The basis letters of the tree path from ``u`` to ``v``: the deeper end
         climbs until both meet."""
-        rooting = self._tree(u, v)
-        at_u, at_v = rooting[u], rooting[v]
-        up, down = [], []
-        while at_u is not at_v:
-            if at_u[1] >= at_v[1]:
-                up.append(at_u[7])
-                at_u = rooting[at_u[0]]
-            else:
-                down.append(at_v[8])
-                at_v = rooting[at_v[0]]
-        return up + down[::-1]
+        parent, depth, _, _, _, _, up, down = self._tree(u, v)
+        ups, downs = [], []
+        du, dv = depth[u], depth[v]
+        for _ in range(du - dv):
+            ups.append(up[u])
+            u = parent[u]
+        for _ in range(dv - du):
+            downs.append(down[v])
+            v = parent[v]
+        while u != v:
+            ups.append(up[u])
+            downs.append(down[v])
+            u, v = parent[u], parent[v]
+        downs.reverse()
+        return ups + downs
 
     # -- peak reduction ------------------------------------------------
 
     def _flatten(self, letters: list[Letter]) -> list[Letter]:
-        weights = self.weights
+        weights, ends = self.weights, self._letter_ends
         letters = list(Word._of(tuple(letters)).free_reduce())
         h = [0]
         for g, s in letters:
@@ -225,7 +254,7 @@ class MonodromyContext:
                     return letters
                 count, j = h.count(extreme), h.index(extreme)
             x, y = letters[j - 1], letters[j]
-            d_left, d_right = arrival_end(x), departure_end(y)
+            d_left, d_right = ends[x][0], ends[y][1]
             assert d_left != d_right, "free reduction missed a cancelling peak or valley"
             entering, rest, _ = self._crossings[d_left][self._first_hop(d_left, d_right)]
             assert x == entering, (x, entering)
@@ -255,8 +284,8 @@ class MonodromyContext:
         """Express a weight-zero word in the fiber-loop basis."""
         if signed_weight(word, self.weights) != 0:
             raise InputError(f"cannot rewrite {word}: weight is nonzero")
-        letters = self._flatten(list(word))
-        return join_reduced([self._climb(arrival_end(x), departure_end(y))
+        letters, ends = self._flatten(list(word)), self._letter_ends
+        return join_reduced([self._climb(ends[x][0], ends[y][1])
                              for x, y in zip(letters[::2], letters[1::2])])
 
     def push_to_generators(self, basis_word: Word) -> Word:
@@ -334,6 +363,11 @@ def invert(f: Automorphism) -> Automorphism:
 
 
 class TransitionMatrix(NamedTuple):
+    """The letter-count matrix M of an automorphism's images on the rose of
+    basis loops, one topological representative; ``irreducible``,
+    ``primitive`` and ``witness_power`` are properties of M, not of the
+    automorphism."""
+
     order: list[str]  # basis names, row/column order
     matrix: tuple[tuple[int, ...], ...]  # entry (i, j) = occurrences of letter i in image of j
     irreducible: bool
@@ -343,46 +377,67 @@ class TransitionMatrix(NamedTuple):
 
 def transition_matrix(f: Automorphism) -> TransitionMatrix:
     """Occurrence counts of basis letters in the images, with the
-    Perron-Frobenius classification: irreducible = strongly connected
+    Perron-Frobenius classification of that matrix, a property of the rose
+    representative and not of ``f``: irreducible = strongly connected
     dependency digraph, primitive = some power entrywise positive (least
     witness searched up to the Wielandt bound (n-1)^2 + 1).
 
     The digraph has an edge i -> j when entry (i, j) is positive; row i is
-    the bitset of those j, column j the bitset of those i.  An empty basis
-    has no matrix to classify and is refused."""
+    the bitset of those j, column j the bitset of those i.  An image of at
+    most n letters whose letter bits sum to a number of as many bits repeats
+    no letter: the sum is its column's bitset and its bits the column; any
+    other image is counted by a `Counter`.  An empty basis has no matrix to
+    classify and is refused."""
     if not f.basis:
         raise InputError("the fiber-loop basis is empty; there is no transition matrix to classify")
     order = [loop.name for loop in f.basis]
-    index = {name: i for i, name in enumerate(order)}
     n = len(order)
-    counts = [[0] * n for _ in range(n)]
-    rows, columns = [0] * n, [0] * n
-    for name, word in f.images.items():
-        j = index[name]
-        bit = 1 << j
-        for letter, _ in word.letters:
-            i = index[letter]
-            counts[i][j] += 1
-            rows[i] |= bit
-            columns[j] |= 1 << i
+    bits = {name: 1 << i for i, name in enumerate(order)}
+    columns, supports = [], []
+    for name in order:
+        letters = f.images[name].letters
+        support = 0
+        if len(letters) <= n:
+            support = sum(map(bits.__getitem__, map(itemgetter(0), letters)))
+        if support.bit_count() == len(letters):
+            columns.append(list(_flags(support, n)))
+        else:
+            counts = Counter(map(itemgetter(0), letters))
+            columns.append(list(map(counts.get, order, repeat(0))))
+            support = sum(map(bits.__getitem__, counts))
+        supports.append(support)
+    matrix = tuple(zip(*columns))
+    rows = list(map(_bitset, matrix))
     # strongly connected iff every loop is reached from loop 0 and reaches
     # it by a nonempty path (for n = 1 that asks for a positive entry)
-    irreducible = _reached_from_first(rows) and _reached_from_first(columns)
+    irreducible = _reached_from_first(rows) and _reached_from_first(supports)
     witness_power = _least_positive_power(rows, (n - 1) ** 2 + 1) if irreducible else None
-    matrix = tuple(map(tuple, counts))
     return TransitionMatrix(order, matrix, irreducible, witness_power is not None, witness_power)
 
 
+# byte -> "0" for 0, else "1"; and the binary digits "0", "1" -> bytes 0, 1
+_NONZERO = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int, n: int = 0) -> bytes:
+    """Byte i is bit i of ``mask``, for at least ``n`` bytes."""
+    return bin(mask)[:1:-1].ljust(n, "0").encode().translate(_DIGITS)
+
+
+def _bitset(counts) -> int:
+    """The bitset of the positive entries of ``counts`` (n >= 1 ints >= 0), read
+    from one byte per entry."""
+    try:
+        flags = bytes(counts)
+    except ValueError:  # an entry above 255
+        flags = bytes(map(bool, counts))
+    return int(flags[::-1].translate(_NONZERO), 2)
+
+
 def _union_of_rows(rows: list[int], mask: int) -> int:
-    """OR of the rows whose bits are set in ``mask``, stopping once all
-    bits are set."""
-    full = (1 << len(rows)) - 1
-    out = 0
-    while mask and out != full:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
+    """OR of the rows whose bits are set in ``mask``."""
+    return reduce(or_, compress(rows, _flags(mask)), 0)
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:

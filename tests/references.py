@@ -2,8 +2,9 @@
 
 Each reads its value the slow, direct way: a union-find over any hashable
 vertices, each square's corner heights sorted for their min and max, a
-link's triangles by probing every edge's ends for common neighbours, and
-the infinite-fibering orthant by trying all 2^rank sign patterns.
+link's triangles by probing every edge's ends for common neighbours, the
+infinite-fibering orthant by trying all 2^rank sign patterns, and a
+transition matrix by counting its images letter by letter.
 """
 
 from itertools import product
@@ -99,3 +100,73 @@ def fibering_orthant(c, basis) -> list[str] | None:
                     return ["+" if s > 0 else "-" for s in signs]
                 break
     return None
+
+
+def transition_matrix(f) -> tuple:
+    """`monodromy.transition_matrix` as it was before its columns were built
+    by C-level calls: each image counted letter by letter into the counts and
+    the row and column bitsets, and unions of rows taken bit by bit.  Returns
+    (order, matrix, irreducible, primitive, witness_power)."""
+    order = [loop.name for loop in f.basis]
+    index = {name: i for i, name in enumerate(order)}
+    n = len(order)
+    counts = [[0] * n for _ in range(n)]
+    rows, columns = [0] * n, [0] * n
+    for name, word in f.images.items():
+        j = index[name]
+        bit = 1 << j
+        for letter, _ in word.letters:
+            i = index[letter]
+            counts[i][j] += 1
+            rows[i] |= bit
+            columns[j] |= 1 << i
+    irreducible = _reached_from_first(rows) and _reached_from_first(columns)
+    witness_power = _least_positive_power(rows, (n - 1) ** 2 + 1) if irreducible else None
+    matrix = tuple(map(tuple, counts))
+    return order, matrix, irreducible, witness_power is not None, witness_power
+
+
+def _union_of_rows(rows, mask):
+    full = (1 << len(rows)) - 1
+    out = 0
+    while mask and out != full:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _product(a, b):
+    return [_union_of_rows(b, row) for row in a]
+
+
+def _reached_from_first(rows):
+    seen = frontier = rows[0] if rows else 0
+    while frontier:
+        step = _union_of_rows(rows, frontier)
+        frontier = step & ~seen
+        seen |= step
+    return seen == (1 << len(rows)) - 1
+
+
+def _least_positive_power(rows, bound):
+    full = (1 << len(rows)) - 1
+
+    def positive(matrix):
+        return all(row == full for row in matrix)
+
+    squares = [rows]
+    exponent = 1
+    while not positive(squares[-1]):
+        if exponent >= bound:
+            return None
+        squares.append(_product(squares[-1], squares[-1]))
+        exponent *= 2
+    if exponent == 1:
+        return 1
+    below, below_exponent = squares[-2], exponent // 2
+    for k in range(len(squares) - 3, -1, -1):
+        trial = _product(below, squares[k])
+        if not positive(trial):
+            below, below_exponent = trial, below_exponent + 2 ** k
+    return below_exponent + 1 if below_exponent + 1 <= bound else None

@@ -236,6 +236,34 @@ def test_statement_keyword_ends_at_any_whitespace():
     assert c == parse_spec(text.replace("\t", " "))
 
 
+def test_parse_checks_each_generator_name_once(monkeypatch):
+    from logfiber import complexes
+
+    checked = []
+    check = complexes.check_generator_names
+
+    def counted(names, seen):
+        checked.extend(names)
+        return check(names, seen)
+
+    monkeypatch.setattr(complexes, "check_generator_names", counted)
+    c = parse_spec("generators a b\nsquare a b a^-1 b^-1\ngenerators c\n")
+    assert checked == ["a", "b", "c"] and c.generators == ["a", "b", "c"]
+    with pytest.raises(InputError, match="^boundary letter 'd' is not a declared generator$"):
+        c.append_square(Word.parse("a d a^-1 d^-1"))
+    # the errors keep their text and order, and a complex built directly still checks
+    for text, message in (("generators a b\ngenerators b\n", "line 2: duplicate generator 'b'"),
+                          ("generators a 1b a\n", "line 1: invalid generator name '1b'")):
+        with pytest.raises(InputError, match=f"^{message}"):
+            parse_spec(text)
+    del checked[:]
+    for names, message in ((["a", "b", "a"], "duplicate generator 'a'"),
+                           (["a", "b_"], "invalid generator name 'b_'")):
+        with pytest.raises(InputError, match=f"^{message}"):
+            complexes.SquareComplex(names)
+    assert checked == ["a", "b", "a", "a", "b_"]
+
+
 def test_parse_memo_keeps_letters_and_errors():
     # ``a-`` and ``a^-1`` are one letter, whether or not a generators line came first
     c = parse_spec("square a b a- b^-1\ngenerators a b\nsquare b a b- a^-1\nsquare a b a^-1 b-\n")

@@ -6,8 +6,9 @@ checked on generated values that reach every branch: awkward strings, big
 ints, subclasses, floats, non-str keys, tuples and empty containers.  Tables
 (lists of dicts), which it lays out by column in blocks of rows, get their
 own generator: one or two interleaved key tuples, list and dict columns of
-one shape, and an odd cell that sends its key tuple's rows in that block
-back to the row-by-row path.
+one shape, and an odd cell, which its column writes as the cell's own text
+or which sends its key tuple's rows in that block back to the row-by-row
+path.
 """
 
 import contextlib
@@ -83,6 +84,11 @@ FLAT_AT_EVERY_DEPTH = {
 @example({"a": Number(3), "b": 2})
 @example({"a": 2**80, "b": -(2**80), "c": -1, "d": 0})
 @example([[{"a0": 1, "a1": -2}, {"b": 3}], {"w": {"x": -4}}])
+# lists of exact ints, joined from the small-int texts: negative ints, ints of
+# 256 and above, big ints, and a bool or an int subclass among them
+@example({"matrix": [[0, 1, 255, 256, 1023, 1024], [-1, -256, -257, 300, 16, 0]]})
+@example([2**70, -(2**70), 2**64, 7, -7])
+@example([[1, True, 2], (0, False), [1, Number(2), 3], [Loud(1), 2]])
 def test_writer_matches_dumps(value):
     assert written(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
@@ -145,6 +151,9 @@ def shape_cells(shape):
 @example([{"a": [1, 2], "b": {"x": 1}}] * 3 + [{"a": [1, 2], "b": {"y": 1}}])
 @example([{"a": [1], "c": 1}] * 2 + [{"a": [[1]], "c": 1}] + [{"a": [1], "c": [[]]}])
 @example([{"c": 1}, {"c": [[1]]}, {"c": 1.5}, {"c": Text("t")}, {"c": Number(2)}])
+# lists of several lengths next to a string column, as `reducible-witness`
+# writes them, in a table long enough to be laid out by column
+@example([{"subset": ["α1", "β2"][:i % 3], "conjugator": "α1 γ8^-1"[:i]} for i in range(20)])
 # exact-int columns skip the encoder: all of them, next to bool columns and
 # a column of ints and bools, an int subclass with its own str, negative
 # and big ints, and ints in a fixed-key dict column shaped like `weights`
@@ -163,4 +172,11 @@ def test_tables_match_dumps(value):
 
 def test_tables_match_dumps_without_the_c_encoder(monkeypatch):
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    test_tables_match_dumps()
+
+
+def test_small_tables_match_dumps_laid_out_by_column(monkeypatch):
+    # tables of fewer than `_TABLE_MIN` rows are written row by row; this
+    # lays every table, the small examples above too, out by column
+    monkeypatch.setattr(cli, "_TABLE_MIN", 0)
     test_tables_match_dumps()

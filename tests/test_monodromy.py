@@ -13,6 +13,7 @@ from logfiber import (
     InputError,
     MonodromyContext,
     Word,
+    build_lot_family,
     compose,
     conjugation_automorphism,
     invariant_factor_witness,
@@ -25,6 +26,7 @@ from logfiber import (
     unit_weights,
 )
 from logfiber.morse import _hermite_rows
+from references import transition_matrix as reference_transition_matrix
 
 
 def abelianize(word, generators):
@@ -410,6 +412,61 @@ def test_cyclic_permutation_is_irreducible_not_primitive():
     tm = transition_matrix(matrix_automorphism(rows))
     assert (tm.irreducible, tm.primitive, tm.witness_power) == \
         linear_scan_classification(np.array(tm.matrix))
+
+
+def count_automorphism(rows, rng):
+    """An automorphism-shaped record whose transition matrix is ``rows``:
+    the image of loop j holds loop i, of either sign, ``rows[i][j]`` times,
+    in a shuffled order."""
+    n = len(rows)
+    names = [f"x{i}" for i in range(n)]
+    images = {}
+    for j in range(n):
+        letters = [(names[i], rng.choice((1, -1))) for i in range(n) for _ in range(rows[i][j])]
+        rng.shuffle(letters)
+        images[names[j]] = Word(letters)
+    basis = [BasisLoop(i, name, Word(), ()) for i, name in enumerate(names)]
+    return Automorphism(images, Word(), "inner", SimpleNamespace(basis=basis))
+
+
+def test_transition_matrix_matches_letter_by_letter_counting():
+    # n from 1 to 200, entries from 0 to 300: columns with and without a repeated
+    # letter, images longer than n, and rows and columns with counts above 255
+    rng = random.Random(2008)
+    big = 0
+    for _ in range(60):
+        n = rng.choice((1, 2, 3, rng.randint(4, 40), rng.randint(41, 200)))
+        density = rng.choice((0.02, 0.1, 0.5, 1.0))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < density:
+                    roll = rng.random()
+                    rows[i][j] = (1 if roll < 0.9 else rng.randint(2, 4) if roll < 0.995
+                                  else rng.randint(5, 300))
+        if rng.random() < 0.2:
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = rng.randint(256, 300)
+        big += any(x > 255 for row in rows for x in row)
+        f = count_automorphism(rows, rng)
+        tm = transition_matrix(f)
+        assert tm.matrix == tuple(map(tuple, rows))
+        assert tuple(tm) == reference_transition_matrix(f), rows
+    assert big >= 5
+
+
+@pytest.mark.parametrize("conjugator", ["a0", "a3 a1^-1 a2", "a5 a9 a2^-1"])
+def test_lot_transition_matrices_match_letter_by_letter_counting(conjugator):
+    # the last two conjugators' images repeat letters; compose(f, f) repeats
+    # them more, and its images are longer than the basis
+    c = build_lot_family(32)
+    f = conjugation_automorphism(conjugator, c, unit_weights(c))
+    repeats = 0
+    for g in (f, compose(f, f)):
+        tm = transition_matrix(g)
+        assert tuple(tm) == reference_transition_matrix(g)
+        repeats += max(map(max, tm.matrix)) > 1
+    assert repeats == (1 if conjugator == "a0" else 2)
 
 
 # -- reducibility witnesses ----------------------------------------------

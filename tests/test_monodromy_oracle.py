@@ -39,7 +39,7 @@ from logfiber import (
     unit_weights,
 )
 from logfiber.cli import main
-from logfiber.links import arrival_end, departure_end
+from logfiber.links import arrival_end, build_link, departure_end
 from logfiber.monodromy import _closed_subsets, _cyclic_core
 from logfiber.morse import directional_links
 from logfiber.words import inverse_letter
@@ -442,8 +442,21 @@ def test_crossing_table_is_built_by_the_first_rewrite(name, spec):
         ctx.rewrite(loop.rep)
     assert vars(ctx)["_crossings"] is table  # built once, by the first rewrite
     # one entry per tree edge of either directional link, in each direction
-    assert {end: set(row) for end, row in table.items()} == {
-        end: set(row) for adj in (ref.asc_adj, ref.desc_adj) for end, row in adj.items()}
+    # ends are numbered as the link numbers its vertices, letters through one table
+    number = end_numbers(c)
+    assert list(number) == build_link(c).vertices
+    assert ctx._letter_ends == {(g, s): (number[arrival_end((g, s))], number[departure_end((g, s))])
+                                for g in c.generators for s in (1, -1)}
+    assert {end: set(row) for end, row in enumerate(table)} == {
+        number[end]: set(map(number.__getitem__, row))
+        for adj in (ref.asc_adj, ref.desc_adj) for end, row in adj.items()}
+
+
+def end_numbers(c):
+    """Direction-end -> its number in `MonodromyContext`: 2i for ``g_i+``,
+    2i+1 for ``g_i-``."""
+    return {(g, sign): 2 * i + k for i, g in enumerate(c.generators)
+            for k, sign in enumerate("+-")}
 
 
 def reference_routes(adj, to):
@@ -485,6 +498,7 @@ def test_routes_match_per_target_bfs(name, spec):
     c = build_case(name)
     ws = case_weights(c, spec)
     ctx, ref = MonodromyContext(c, ws), ReferenceContext(c, ws)
+    number = end_numbers(c)
     assert ctx._rooting is None  # building the basis roots nothing
     for adj in (ref.asc_adj, ref.desc_adj):
         for to in adj:
@@ -495,15 +509,16 @@ def test_routes_match_per_target_bfs(name, spec):
                 while at != to:
                     letters.append(reference_letter(ref, at, routes[at][0]))
                     at = routes[at][0]
-                assert ctx._climb(frm, to) == letters, (frm, to)
+                assert ctx._climb(number[frm], number[to]) == letters, (frm, to)
                 assert len(letters) == routes[frm][1]
                 if frm != to:
-                    assert ctx._first_hop(frm, to) == routes[frm][0], (frm, to)
+                    hop = ctx._first_hop(number[frm], number[to])
+                    assert hop == number[routes[frm][0]], (frm, to)
     for u, v in ((next(iter(ref.asc_adj)), next(iter(ref.desc_adj))),
                  (next(reversed(ref.desc_adj)), next(reversed(ref.asc_adj)))):
         for route in (ctx._first_hop, ctx._climb):
             with pytest.raises(AssertionError, match="no tree path"):
-                route(u, v)
+                route(number[u], number[v])
 
 
 def counting(method, calls):
@@ -556,7 +571,7 @@ def rescanning_flatten(ctx, letters):
             return letters
         j = h.index(extreme)
         x, y = letters[j - 1], letters[j]
-        d_left, d_right = arrival_end(x), departure_end(y)
+        d_left, d_right = ctx._letter_ends[x][0], ctx._letter_ends[y][1]
         entering, rest, _ = ctx._crossings[d_left][ctx._first_hop(d_left, d_right)]
         assert x == entering, (x, entering)
         (g1, s1), (g2, s2), _ = rest
@@ -620,7 +635,7 @@ def corrupt_first_crossing(monkeypatch):
 
     def corrupted(self):
         table = build(self)
-        row = next(row for row in table.values() if row)
+        row = next(row for row in table if row)
         to, (x, rest, letter) = next(iter(row.items()))
         row[to] = (inverse_letter(x), rest, letter)
         return table
@@ -636,9 +651,8 @@ def test_a_bad_crossing_fails_the_rooted_records(monkeypatch, tmp_path, capsys):
     c = build_named("g2")
     corrupt_first_crossing(monkeypatch)
     ctx = MonodromyContext(c, unit_weights(c))
-    end = next(iter(ctx._crossings))
     with pytest.raises(AssertionError):
-        ctx._tree(end, end)
+        ctx._tree(0, 0)
     path = tmp_path / "g2.log"
     path.write_text(c.render(), encoding="utf-8")
     assert main(["transition", str(path), "--conjugator", "a1"]) == 2
