@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from itertools import chain, compress, repeat
-from operator import not_
+from operator import eq
 from typing import Callable
 
 from . import flatness, links, monodromy, morse
@@ -367,137 +367,71 @@ def reducible_text(data: dict) -> str:
 # commands
 
 
-def _json_text(value, level: int) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)`` for `value` nested
-    ``level`` deep.  A list or tuple of exact ints is joined from `_INT_TEXTS`
-    (one scan of its types keeps bools and int subclasses out); one of str,
-    int, bool and None goes to the C encoder, if there is one, with
-    ``",\n"`` and indentation as separator (encoded strings hold no raw
-    newline); other ones are joined here, and dicts with str keys fill their
-    `_json_template`, empty ones are ``[]`` and ``{}``; the rest (floats,
-    subclasses, other keys) is the stdlib's."""
-    kind = type(value)
-    if (kind is list or kind is tuple or kind is dict) and not value:
-        return "{}" if kind is dict else "[]"
-    if kind is list or kind is tuple:
-        inner = "\n" + "  " * (level + 1)
-        kinds = set(map(type, value))
-        if kinds == _JSON_INT:
-            texts = map(_INT_TEXTS.__getitem__, value)
-            return "[" + inner + ("," + inner).join(texts) + inner[:-2] + "]"
-        if json.encoder.c_make_encoder and kinds <= _JSON_FLAT:
-            return "[" + inner + "".join(_json_flat(level)(value, 0))[1:-1] + inner[:-2] + "]"
-        return "[" + inner + ("," + inner).join(_json_items(value, level + 1)) + inner[:-2] + "]"
-    if kind is dict and (template := _json_template(tuple(value), level)):
-        return template % tuple(_json_items(value.values(), level + 1))
-    scalar = _JSON_SCALARS.get(kind)
-    return scalar(value) if scalar else json.dumps(
-        value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
-
-
-def _json_items(items, level: int) -> list[str]:
-    return [scalar(item) if (scalar := _JSON_SCALARS.get(type(item)))
-            else _json_text(item, level) for item in items]
-
-
-def _json_join(head: str, tail: str, texts: list[str], level: int) -> str:
-    """Item texts joined into a list or dict nested ``level`` deep."""
-    inner = "\n" + "  " * (level + 1)
-    return head + inner + ("," + inner).join(texts) + inner[:-2] + tail if texts else head + tail
-
-
 _JSON_STRING = json.encoder.encode_basestring
-_JSON_SCALARS = {str: _JSON_STRING, int: int.__repr__, bool: {True: "true", False: "false"}.get,
-                 type(None): lambda _: "null"}
-_JSON_STR, _JSON_INT, _JSON_FLAT = frozenset((str,)), frozenset((int,)), frozenset(_JSON_SCALARS)
+_JSON_INT, _JSON_STR, _JSON_CONSTANT_KINDS = {int}, {str}, {bool, type(None)}
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 _TABLE_BLOCK = 64  # rows of a table laid out, and written, at once
-_TABLE_MIN = 12  # fewer rows are written row by row: laying out columns costs more
 
 
-class _IntTexts(dict):
-    """Exact int -> its JSON text: a table of the small ones, `int.__repr__` for the rest."""
+def _json_texts(column, level: int, kinds: set | None = None):
+    """The texts of the values in ``column`` (the values at one depth), each
+    nested ``level`` deep as ``json.dumps(value, indent=2, ensure_ascii=False)``
+    lays it out; ``kinds``, if given, is the set of their types.
 
-    def __missing__(self, value: int) -> str:
-        return int.__repr__(value)
-
-
-_INT_TEXTS = _IntTexts(zip(range(-256, 256), map(int.__repr__, range(-256, 256))))
+    - An exact int stands for its own text: ``%s`` of it is its JSON text.
+    - A str is encoded, and True, False and None are looked up.
+    - Lists and tuples of one length, and dicts of one key tuple, fill their
+      `_json_template` from one column of all their items or values, a
+      level deeper; several dicts whose first one holds several kinds of
+      values use one column per key instead.
+    - A column of several kinds, lengths or key tuples is laid out in parts,
+      merged back in column order.
+    - The rest (floats, subclasses, keys that are not str) is the stdlib's.
+    """
+    kinds = set(map(type, column)) if kinds is None else kinds
+    if kinds <= _JSON_INT:
+        return column
+    if kinds <= _JSON_STR:
+        return list(map(_JSON_STRING, column))
+    if kinds <= _JSON_CONSTANT_KINDS:
+        return list(map(_JSON_CONSTANTS.__getitem__, column))
+    kind = next(iter(kinds)) if len(kinds) == 1 else None
+    shape = tuple if kind is dict else len if kind is list or kind is tuple else None
+    shapes = list(map(shape or type, column))
+    if len(set(shapes)) > 1:  # laid out in parts, one per kind, length or key tuple
+        parts = {key: iter(_json_texts(list(compress(column, map(eq, shapes, repeat(key)))), level))
+                 for key in dict.fromkeys(shapes)}
+        return list(map(next, map(parts.__getitem__, shapes)))
+    template = shape and _json_template(shapes[0], level)
+    if template:
+        rows = list(map(dict.values, column)) if kind is dict else column
+        if kind is dict and len(rows) > 1 and len(set(map(type, rows[0]))) > 1:
+            rows = zip(*map(_json_texts, zip(*rows), repeat(level + 1)))
+        elif (kinds := set(map(type, chain.from_iterable(rows)))) <= _JSON_INT:
+            rows = map(tuple, rows)
+        else:
+            items = _json_texts(list(chain.from_iterable(rows)), level + 1, kinds)
+            rows = zip(*[iter(items)] * len(rows[0]))
+        return list(map(template.__mod__, rows))
+    return [json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
+            for value in column]
 
 
 @functools.lru_cache(1024)
-def _json_template(keys: tuple, level: int, values: tuple = ()) -> str | None:
-    """The text of a dict with these keys nested ``level`` deep, with the
-    texts ``values`` (``%s`` each by default) for its values; None if a value
-    is None or a key not a str (keys equal to str keys are str keys, which
-    encode alike)."""
-    if None in values or not _JSON_STR.issuperset(map(type, keys)):
-        return None
-    return _json_join("{", "}", [_JSON_STRING(key).replace("%", "%%") + ": " + value
-                                 for key, value in zip(keys, values or repeat("%s"))], level)
-
-
-@functools.cache
-def _json_flat(level: int):
-    """The C encoder for the items of a flat list nested ``level`` deep."""
-    return json.encoder.c_make_encoder(
-        None, None, _JSON_STRING, None, ": ", ",\n" + "  " * (level + 1), False, False, True)
-
-
-def _json_rows(rows: list[dict], level: int):
-    """The texts of ``rows``, dicts of one key tuple nested ``level`` deep, by
-    one C encoder call over their cells (an encoded cell holds no ``",\n"``)
-    and the key tuple's `_json_template`: row by row if the first row is
-    flat, else by column, a column of lists of one length or of dicts of one
-    key tuple split into one column per item.  A column of exact ints is not
-    encoded (``%s`` is their JSON text), nor is any other column, such as
-    lists of several lengths: its cells are their `_json_text`.  None for a
-    row after a flat first row that is not flat, keys that are not str, no
-    cells or no C encoder."""
-    if _JSON_FLAT.issuperset(map(type, rows[0].values())):
-        columns = values = ()
-        cells = list(chain.from_iterable(map(dict.values, rows)))
+def _json_template(keys: tuple | int, level: int) -> str | None:
+    """The text of a list of ``keys`` items, or of a dict with the keys
+    ``keys``, nested ``level`` deep with ``%s`` for each value; None if a key
+    is not a str (a str subclass encodes as its str)."""
+    if type(keys) is int:
+        head, tail, items = "[", "]", ["%s"] * keys
     else:
-        columns, values, rendered = [], [], []
-        for column in zip(*map(dict.values, rows)):
-            kinds = set(map(type, column))
-            if kinds <= {list, tuple} and len(sizes := set(map(len, column))) == 1:
-                values.append(_json_join("[", "]", ["%s"] * sizes.pop(), level + 1))
-                columns += zip(*column)
-            elif kinds == {dict} and len(keys := set(map(tuple, column))) == 1:
-                values.append(_json_template(keys.pop(), level + 1))
-                columns += zip(*map(dict.values, column))
-            elif kinds <= _JSON_FLAT:
-                values.append("%s")
-                columns.append(column)
-            else:  # lists of several lengths and the rest: each cell's own text
-                values.append("%s")
-                rendered.append(len(columns))
-                columns.append(list(map(_json_text, column, repeat(level + 1))))
-        exact = [i in rendered or _JSON_INT.issuperset(map(type, column))
-                 for i, column in enumerate(columns)]
-        cells = list(chain.from_iterable(compress(columns, map(not_, exact))))
-    template = _json_template(tuple(rows[0]), level, tuple(values))
-    if not ((cells or columns) and template and json.encoder.c_make_encoder
-            and _JSON_FLAT.issuperset(map(type, cells))):
-        return None
-    texts = "".join(_json_flat(-1)(cells, 0))[1:-1].split(",\n") if cells else ()  # no indent
-    if not columns:
-        return map(template.__mod__, zip(*[iter(texts)] * (len(cells) // len(rows))))
-    encoded = zip(*[iter(texts)] * len(rows))  # one tuple of texts per encoded column
-    return map(template.__mod__, zip(*[c if e else next(encoded) for c, e in zip(columns, exact)]))
-
-
-def _json_block(rows: list[dict], level: int):
-    """The texts of ``rows``, dicts nested ``level`` deep, in order: each key
-    tuple's rows by `_json_rows`, or one by one by `_json_text` where that
-    fails or there are fewer than `_TABLE_MIN` rows."""
-    if len(rows) < _TABLE_MIN:
-        return _json_items(rows, level)
-    order = list(map(tuple, rows))
-    groups = {keys: list(compress(rows, map(keys.__eq__, order))) for keys in dict.fromkeys(order)}
-    texts = [_json_rows(group, level) or _json_items(group, level) for group in groups.values()]
-    nexts = dict(zip(groups, map(iter, texts)))
-    return texts[0] if len(texts) == 1 else map(next, map(nexts.__getitem__, order))
+        try:
+            head, tail, items = "{", "}", [_JSON_STRING(key).replace("%", "%%") + ": %s"
+                                           for key in keys]
+        except TypeError:
+            return None
+    inner = "\n" + "  " * (level + 1)
+    return head + inner + ("," + inner).join(items) + inner[:-2] + tail if items else head + tail
 
 
 def _write_json(data) -> None:
@@ -507,32 +441,26 @@ def _write_json(data) -> None:
 
 
 def _write_items(write: Callable[[str], object], value, level: int, stream: int, prefix="") -> None:
-    """Write ``prefix`` and `_json_text(value, level)` in pieces: a table (a
-    list of dicts) one `_json_block` of `_TABLE_BLOCK` rows per write, other
-    lists and dicts item by item through ``stream`` levels, the rest at once."""
-    kind = type(value)
-    if kind is list or kind is tuple:
-        head, tail, keys, items = "[", "]", repeat(""), value
-    elif kind is dict and _JSON_STR.issuperset(map(type, value)):
-        head, tail, keys, items = "{", "}", map("{}: ".format, map(_JSON_STRING, value)), value.values()
-    else:
-        head = items = ()
-    table = head == "[" and value and type(value[0]) is dict and {dict}.issuperset(map(type, value))
-    if not table and (not (stream and items) or _JSON_FLAT.issuperset(map(type, items))):
-        write(prefix + _json_text(value, level))
-        return
+    """Write ``prefix`` and the JSON text of ``value`` nested ``level`` deep
+    in pieces: a table (a list whose first item is a dict) `_TABLE_BLOCK` rows
+    per write, a dict with str keys item by item through ``stream`` levels,
+    the rest at once."""
     inner = "\n" + "  " * (level + 1)
-    separator = prefix + head + inner
-    if table:
+    if type(value) is list and value and type(value[0]) is dict:
+        separator = prefix + "[" + inner
         for start in range(0, len(value), _TABLE_BLOCK):
-            block = _json_block(value[start:start + _TABLE_BLOCK], level + 1)
-            write(separator + ("," + inner).join(block))
+            block = _json_texts(value[start:start + _TABLE_BLOCK], level + 1)
+            write(separator + ("," + inner).join(map(str, block)))
             separator = "," + inner
+        write(inner[:-2] + "]")
+    elif type(value) is dict and value and stream and _json_template(tuple(value), level):
+        separator = prefix + "{" + inner
+        for key, item in value.items():
+            _write_items(write, item, level + 1, stream - 1, separator + _JSON_STRING(key) + ": ")
+            separator = "," + inner
+        write(inner[:-2] + "}")
     else:
-        for key, item in zip(keys, items):
-            _write_items(write, item, level + 1, stream - 1, separator + key)
-            separator = "," + inner
-    write(inner[:-2] + tail)
+        write(prefix + str(_json_texts([value], level)[0]))
 
 
 def cmd_build(args) -> int:

@@ -175,6 +175,10 @@ def parse_spec(text: str) -> SquareComplex:
                     key, eq, value = item.partition("=")
                     if not eq or not value:
                         raise InputError(f"bad edge field {item!r} (want key=value)")
+                    if key not in ("label", "from", "to"):
+                        raise InputError(f"unknown edge field {key!r} (want label, from, to)")
+                    if key in fields:
+                        raise InputError(f"repeated edge field {key!r}")
                     fields[key] = value
                 missing = {"label", "from", "to"} - set(fields)
                 if missing:

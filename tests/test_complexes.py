@@ -73,8 +73,16 @@ def test_round_trip_keeps_name_line():
 
 
 def test_bad_edge_field():
-    with pytest.raises(InputError):
-        parse_spec("generators a b\nedge label a from=a to=b\n")
+    # each line names the field: a malformed one, one that is not label, from
+    # or to, and one given twice (which would silently win over the first)
+    for edge, message in [
+        ("edge label a from=a to=b", "line 2: bad edge field 'label'"),
+        ("edge label=a from=b to=c colour=red", "line 2: unknown edge field 'colour'"),
+        ("edge label=a label=d from=b to=c", "line 2: repeated edge field 'label'"),
+        ("edge label=a from=b to=c to=c", "line 2: repeated edge field 'to'"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            parse_spec(f"generators a b c d\n{edge}\n")
 
 
 def test_lot_family_refuses_k_above_the_limit():

@@ -1,14 +1,15 @@
 """The CLI's JSON writer against ``json.dumps(indent=2, ensure_ascii=False)``.
 
-`cli._write_json` lays out flat containers with the C encoder, joins the
-rest itself and hands anything unusual to the stdlib, so its bytes are
-checked on generated values that reach every branch: awkward strings, big
-ints, subclasses, floats, non-str keys, tuples and empty containers.  Tables
-(lists of dicts), which it lays out by column in blocks of rows, get their
-own generator: one or two interleaved key tuples, list and dict columns of
-one shape, and an odd cell, which its column writes as the cell's own text
-or which sends its key tuple's rows in that block back to the row-by-row
-path.
+`cli._write_json` lays out values one column (the values at one depth) at
+a time: exact ints as they are, strings encoded, ``true``, ``false`` and
+``null`` looked up, and containers filled from the column of their items or
+values, in parts by kind, list length and dict key tuple; it hands anything
+unusual to the stdlib.  Its bytes are checked on generated values that
+reach every branch: awkward strings, big ints, subclasses, floats, non-str
+keys, tuples and empty containers.  Tables (lists of dicts), which it writes in blocks of
+rows, get their own generator: one or two interleaved key tuples, list and
+dict columns of one shape, and an odd cell that puts a second kind, length
+or key tuple into its column.
 """
 
 import contextlib
@@ -68,6 +69,26 @@ def written(value) -> str:
     return out.getvalue()
 
 
+def assert_writes_as_dumps(value):
+    """Assert that the writer writes ``value`` as ``json.dumps`` does, and
+    name the first line that differs.  This is no bare ``assert ==``: pytest
+    explains a failed one by diffing the two texts, which takes seconds on a
+    long table, and shrinking a failure meets hundreds of them."""
+    text, expected = written(value), json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+    if text != expected:
+        pairs = enumerate(zip(text.split("\n") + ["<end>"], expected.split("\n") + ["<end>"]), 1)
+        line, (got, want) = next((line, pair) for line, pair in pairs if pair[0] != pair[1])
+        raise AssertionError(f"line {line}: wrote {got!r}, json.dumps wrote {want!r}")
+
+
+def without_the_c_encoder(monkeypatch):
+    """Make the writer encode strings, keys included, with the stdlib's
+    pure-Python encoder, as on an interpreter built without ``_json``."""
+    monkeypatch.setattr(cli, "_JSON_STRING", json.encoder.py_encode_basestring)
+    cli._json_template.cache_clear()  # its templates encode their keys alike either way
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+
+
 FLAT_AT_EVERY_DEPTH = {
     "table": [{"coords": [1, -2], "weights": {"a": 3, "b": None}, "note": "x\ny", "empty": []},
               [[1, 2], (True, "β")], {}],
@@ -89,12 +110,34 @@ FLAT_AT_EVERY_DEPTH = {
 @example({"matrix": [[0, 1, 255, 256, 1023, 1024], [-1, -256, -257, 300, 16, 0]]})
 @example([2**70, -(2**70), 2**64, 7, -7])
 @example([[1, True, 2], (0, False), [1, Number(2), 3], [Loud(1), 2]])
+# columns a column layout can get wrong: lists of lists mixing empty and
+# non-empty lengths, a column of empty dicts, a lone dict of scalars beside a
+# lone dict holding a list, ints mixed with None, bare top-level scalars,
+# and a % in a key and in a value
+@example([[], [1], []])
+@example([[], []])
+@example([[[], [1], []], [[]], []])
+@example([{}, {}, {}])
+@example({"a": [{}, {}], "b": {}})
+@example([{"a": 1, "b": "x", "c": None}, {"d": [1, "y"], "e": True}])
+@example({"s": {"a": 1, "b": "x", "c": None}, "l": {"d": [1, "y"], "e": True}})
+@example([1, None, 2, None, -3])
+@example({"n": [1, None, 2], "m": [None, None]})
+@example(7)
+@example("β%s")
+@example({"%s": "%d", "100%": ["%", {"%%": "%(x)s"}]})
+# interleaved key tuples, lengths and kinds, merged back in row order, and
+# a table (a list whose first item is a dict) with rows that are not dicts
+@example([{"a": 1}, {"b": "x"}, {"a": 2}, {"b": "y"}, {"a": 3}])
+@example([{"a": 1}, 5, [2], None, "x"])
+@example([[1], [1, 2], [3], [4, 5], []])
+@example([1, "a", [2], 3, "b", [4], None])
 def test_writer_matches_dumps(value):
-    assert written(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+    assert_writes_as_dumps(value)
 
 
 def test_writer_matches_dumps_without_the_c_encoder(monkeypatch):
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    without_the_c_encoder(monkeypatch)
     test_writer_matches_dumps()
 
 
@@ -105,7 +148,8 @@ table_keys = st.lists(st.text(st.sampled_from('%"\\β\n aé'), max_size=4), max_
                       unique=True)
 # per column: None for a scalar column, n for lists of n scalars, a key tuple for dicts
 shapes = st.none() | st.integers(0, 3) | table_keys.map(tuple)
-# an odd cell sends its rows of a block row by row: ragged lists, other dict keys, deeper nesting
+# an odd cell puts a second kind, length or key tuple into its column:
+# ragged lists, other dict keys, deeper nesting
 odd_cells = st.one_of(st.floats(), st.builds(Text, strings), st.builds(Number, st.integers()),
                       st.lists(st.integers(), min_size=4, max_size=5),
                       st.dictionaries(strings, cells, min_size=1, max_size=2),
@@ -146,17 +190,18 @@ def shape_cells(shape):
 @example([{"coords": [1, -2], "weights": {"%a": 3, "b": None}, "ok": True},
           {"coords": [0, 5], "weights": {"%a": -1, "b": 2**70}, "ok": None, "note": "x\ny"}])
 @example([{"k": [], "d": {}}] * 70 + [{}] * 3)
-# each odd cell alone, after rows that lay out by column
+# each odd cell alone, after rows of one shape
 @example([{"a": [1, 2], "b": {"x": 1}}] * 3 + [{"a": [1, 2, 3], "b": {"x": 1}}])
 @example([{"a": [1, 2], "b": {"x": 1}}] * 3 + [{"a": [1, 2], "b": {"y": 1}}])
 @example([{"a": [1], "c": 1}] * 2 + [{"a": [[1]], "c": 1}] + [{"a": [1], "c": [[]]}])
 @example([{"c": 1}, {"c": [[1]]}, {"c": 1.5}, {"c": Text("t")}, {"c": Number(2)}])
 # lists of several lengths next to a string column, as `reducible-witness`
-# writes them, in a table long enough to be laid out by column
+# writes them
 @example([{"subset": ["α1", "β2"][:i % 3], "conjugator": "α1 γ8^-1"[:i]} for i in range(20)])
-# exact-int columns skip the encoder: all of them, next to bool columns and
-# a column of ints and bools, an int subclass with its own str, negative
-# and big ints, and ints in a fixed-key dict column shaped like `weights`
+# exact ints fill their templates as they are: all of them, next to bool
+# columns and a column of ints and bools, an int subclass with its own str,
+# negative and big ints, and ints in a fixed-key dict column shaped like
+# `weights`
 @example([{"coords": [k, -k], "weights": {"a": 3, "b": -k}, "chi": k} for k in range(5)])
 @example([{"c": [1, True], "n": 2, "ok": False}, {"c": [0, 2], "n": -1, "ok": True}])
 @example([{"c": [1], "n": Loud(3)}, {"c": [2], "n": 4}])
@@ -167,16 +212,9 @@ def shape_cells(shape):
           {"coords": [0, -1], "weights": {"a0": -2, "a1": 7, "b": -(2**65)}, "admissible": False,
            "chi": -3}])
 def test_tables_match_dumps(value):
-    assert written(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+    assert_writes_as_dumps(value)
 
 
 def test_tables_match_dumps_without_the_c_encoder(monkeypatch):
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    test_tables_match_dumps()
-
-
-def test_small_tables_match_dumps_laid_out_by_column(monkeypatch):
-    # tables of fewer than `_TABLE_MIN` rows are written row by row; this
-    # lays every table, the small examples above too, out by column
-    monkeypatch.setattr(cli, "_TABLE_MIN", 0)
+    without_the_c_encoder(monkeypatch)
     test_tables_match_dumps()
