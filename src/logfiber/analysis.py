@@ -4,8 +4,8 @@ A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
 the weight lattice and its affine forms, the admissibility of each weight
 system and the directional links of each sign vector are built once.  The
-directional links come from the signs alone and reuse the link's corner
-edges; `sign_links` is their only cache.  A function that takes a
+directional links come from the signs alone and, like `poison`, hold edge
+numbers; `sign_links` is their only cache.  A function that takes a
 ``source`` reads a complex or an `Analysis` of one through `Analysis.of`.
 Nothing cached here holds the `Analysis`, so a dropped one is freed
 without the cycle collector.
@@ -42,13 +42,13 @@ class Analysis:
         return links.largeness(self.link)
 
     @cached_property
-    def poison(self) -> list[links.CornerEdge]:
-        return links.poison_corners(self.complex, self.link)
+    def poison(self) -> list[int]:
+        return links.poison_edges(self.link)
 
     @cached_property
     def eligible(self) -> list[int]:
         """Squares with no poison corner: the only candidates for a flat plane."""
-        poisoned = {e.square for e in self.poison}
+        poisoned = {i >> 2 for i in self.poison}
         return [sq.index for sq in self.complex.squares if sq.index not in poisoned]
 
     @cached_property
@@ -84,7 +84,7 @@ class Analysis:
         Each square's min and max corners, and each direction-end's side,
         depend only on the signs of the weights, so the links are built
         once per sign vector, from its min corners (`morse.min_corners`)
-        and the link's corners and ends, with no admissibility check."""
+        and the link's end numbers, with no admissibility check."""
         key = tuple(map((0).__lt__, map(ws.__getitem__, self.complex.generators)))
         if key not in self._sign_links:
             mins = morse.min_corners(self.complex, ws)

@@ -104,14 +104,14 @@ def link_report(a: Analysis) -> dict:
     largeness, vertices, ends = a.largeness, a.link.vertices, a.link.ends  # in report order
     names = list(map("".join, vertices))  # `links.format_end` of every end, in one C loop
     poison = []
-    for s, k, _ in a.poison:
-        p, q = ends[4 * s + k]  # edge 4s+k is corner k of square s
+    for i in a.poison:  # edge 4s+k is corner k of square s
+        p, q = ends[i]
         if vertices[q] < vertices[p]:  # the order of `CornerEdge.pair`
             p, q = q, p
-        poison.append({"square": s, "corner": k, "endpoints": [names[p], names[q]]})
+        poison.append({"square": i >> 2, "corner": i & 3, "endpoints": [names[p], names[q]]})
     return {
         "vertices": len(vertices),
-        "edges": len(a.link.edges),
+        "edges": len(ends),
         "girth": largeness.girth,
         "is_large": largeness.is_large,
         "violations": largeness.violations,
@@ -369,6 +369,7 @@ def reducible_text(data: dict) -> str:
 
 _JSON_STRING = json.encoder.encode_basestring
 _JSON_INT, _JSON_STR, _JSON_CONSTANT_KINDS = {int}, {str}, {bool, type(None)}
+_JSON_SCALAR_KINDS = _JSON_INT | _JSON_STR | _JSON_CONSTANT_KINDS
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 _TABLE_BLOCK = 64  # rows of a table laid out, and written, at once
 
@@ -378,7 +379,8 @@ def _json_texts(column, level: int, kinds: set | None = None):
     nested ``level`` deep as ``json.dumps(value, indent=2, ensure_ascii=False)``
     lays it out; ``kinds``, if given, is the set of their types.
 
-    - An exact int stands for its own text: ``%s`` of it is its JSON text.
+    - An exact int stands for its own text: ``%s`` of it is its JSON text;
+      a list of them (a scan keeps bools out) joins the texts of a `_IntTexts`.
     - A str is encoded, and True, False and None are looked up.
     - Lists and tuples of one length, and dicts of one key tuple, fill their
       `_json_template` from one column of all their items or values, a
@@ -407,14 +409,26 @@ def _json_texts(column, level: int, kinds: set | None = None):
         rows = list(map(dict.values, column)) if kind is dict else column
         if kind is dict and len(rows) > 1 and len(set(map(type, rows[0]))) > 1:
             rows = zip(*map(_json_texts, zip(*rows), repeat(level + 1)))
-        elif (kinds := set(map(type, chain.from_iterable(rows)))) <= _JSON_INT:
-            rows = map(tuple, rows)
-        else:
+        elif not (kinds := set(map(type, chain.from_iterable(rows)))) <= _JSON_INT:
             items = _json_texts(list(chain.from_iterable(rows)), level + 1, kinds)
             rows = zip(*[iter(items)] * len(rows[0]))
+        elif kind is dict or not kinds:  # a dict's values, or no items
+            rows = map(tuple, rows)
+        else:
+            text, inner = _IntTexts().__getitem__, "\n" + "  " * (level + 1)
+            head, separator, tail = "[" + inner, "," + inner, inner[:-2] + "]"
+            return [head + separator.join(map(text, row)) + tail for row in rows]
         return list(map(template.__mod__, rows))
     return [json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
             for value in column]
+
+
+class _IntTexts(dict):
+    """Exact int -> its JSON text, made on its first lookup: one table per column."""
+
+    def __missing__(self, value: int) -> str:
+        self[value] = text = int.__repr__(value)
+        return text
 
 
 @functools.lru_cache(1024)
@@ -443,8 +457,8 @@ def _write_json(data) -> None:
 def _write_items(write: Callable[[str], object], value, level: int, stream: int, prefix="") -> None:
     """Write ``prefix`` and the JSON text of ``value`` nested ``level`` deep
     in pieces: a table (a list whose first item is a dict) `_TABLE_BLOCK` rows
-    per write, a dict with str keys item by item through ``stream`` levels,
-    the rest at once."""
+    per write, a dict with str keys and a list or dict value item by item
+    through ``stream`` levels, the rest at once."""
     inner = "\n" + "  " * (level + 1)
     if type(value) is list and value and type(value[0]) is dict:
         separator = prefix + "[" + inner
@@ -453,7 +467,8 @@ def _write_items(write: Callable[[str], object], value, level: int, stream: int,
             write(separator + ("," + inner).join(map(str, block)))
             separator = "," + inner
         write(inner[:-2] + "]")
-    elif type(value) is dict and value and stream and _json_template(tuple(value), level):
+    elif (type(value) is dict and stream and not _JSON_SCALAR_KINDS.issuperset(
+            map(type, value.values())) and _json_template(tuple(value), level)):
         separator = prefix + "{" + inner
         for key, item in value.items():
             _write_items(write, item, level + 1, stream - 1, separator + _JSON_STRING(key) + ": ")
@@ -522,13 +537,13 @@ def _write_dot(args, a: Analysis) -> None:
     highlight_edges: set[tuple[int, int]] = set()
     highlight_vertices: set = set()
     if args.highlight == "poison":
-        highlight_edges = {(e.square, e.corner) for e in a.poison}
+        highlight_edges = {divmod(i, 4) for i in a.poison}
     elif args.highlight in ("asc", "desc"):
         ws = _weights(a, args)
         morse.require_admissible(a.complex, ws, a.admissibility(ws))
         asc, desc = a.sign_links(ws)
         side = asc if args.highlight == "asc" else desc
-        highlight_edges = {(e.square, e.corner) for e in side.edges}
+        highlight_edges = {divmod(i, 4) for i in side.edges}
         highlight_vertices = set(side.vertices)
     distinct = {sq.index for sq in a.complex.squares if sq.origin == "added"}
     text = links.export_dot(a.link, highlight_vertices, highlight_edges, distinct)

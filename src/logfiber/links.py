@@ -6,9 +6,9 @@ direction; all reports use this convention.  Each square contributes four
 link edges, one per corner: the corner between consecutive boundary letters
 ``x`` then ``y`` joins the arrival direction of ``x`` to the departure
 direction of ``y``.  `LinkGraph.ends` holds each edge's ends as their places
-in its vertex list, which `build_link` writes with the corners (vertex 2i
-is ``g_i+`` and 2i+1 is ``g_i-``, ``g_i`` the i-th generator; edge 4s+k is
-corner k of square s); the link checks and `morse`'s links run on them.
+in its vertex list, all that `build_link` writes (vertex 2i is ``g_i+`` and
+2i+1 is ``g_i-``, ``g_i`` the i-th generator; edge 4s+k is corner k of square
+s); the checks run on them, and `LinkGraph.edges` names them on first use.
 
 A corner is *poison* when its link edge lies on no circuit of length four
 (closed 4-edge walks without immediate backtracking; loop edges excluded).
@@ -70,11 +70,15 @@ def square_corners(sq: Square) -> list[CornerEdge]:
 
 
 class LinkGraph:
-    def __init__(self, vertices: list[End], edges: list[CornerEdge], ends: list[tuple[int, int]]):
+    def __init__(self, vertices: list[End], ends: list[tuple[int, int]]):
         self.vertices = vertices
-        self.edges = edges
         self.ends = ends
         self._on_four_circuit: list[bool] = []
+
+    @cached_property
+    def edges(self) -> list[CornerEdge]:  # edge 4s+k as corner k of square s
+        v = self.vertices
+        return [CornerEdge(i >> 2, i & 3, (v[a], v[b])) for i, (a, b) in enumerate(self.ends)]
 
     @cached_property
     def near(self) -> list[dict[int, list[int]]]:
@@ -98,11 +102,12 @@ class LinkGraph:
         needs t near both q and some r near p, probing the smaller neighbour set."""
         if not self._on_four_circuit:
             near = self.near
-            on = [False] * len(self.edges)
+            degree = list(map(len, near))
+            on = [False] * len(self.ends)
             for p, row in enumerate(near):
                 for q, ids in row.items():
                     far = near[q]
-                    if (len(row), p) > (len(far), q):
+                    if (degree[p], p) > (degree[q], q):
                         continue
                     closed = len(ids) > 1
                     for r in row:
@@ -110,7 +115,7 @@ class LinkGraph:
                             break
                         if r == q:
                             continue
-                        small, large = (near[r], far) if len(near[r]) <= len(far) else (far, near[r])
+                        small, large = (near[r], far) if degree[r] <= degree[q] else (far, near[r])
                         for t in small:
                             if t != p and t in large:
                                 closed = True
@@ -123,22 +128,15 @@ class LinkGraph:
 
 
 def build_link(c: SquareComplex) -> LinkGraph:
-    """The link, with the corners of `square_corners` on the vertex tuples."""
-    vertices = [(g, sign) for g in c.generators for sign in ("+", "-")]
-    ends = {}  # letter -> (its arrival end, its departure end, their numbers)
+    """The link: the corners of `square_corners` as end numbers."""
+    ends = {}  # letter -> (number of its arrival end, of its departure end)
     for i, g in enumerate(c.generators):
-        plus, minus = vertices[2 * i], vertices[2 * i + 1]
-        ends[g, 1], ends[g, -1] = (plus, minus, 2 * i, 2 * i + 1), (minus, plus, 2 * i + 1, 2 * i)
-    new = tuple.__new__  # CornerEdge's own __new__ is a Python-level call
-    edges, numbers = [], []
+        ends[g, 1], ends[g, -1] = (2 * i, 2 * i + 1), (2 * i + 1, 2 * i)
+    numbers = []
     for sq in c.squares:
-        (a0, d0, p0, q0), (a1, d1, p1, q1), (a2, d2, p2, q2), (a3, d3, p3, q3) = map(
-            ends.__getitem__, sq.boundary.letters)
-        i = sq.index
-        edges += (new(CornerEdge, (i, 0, (a3, d0))), new(CornerEdge, (i, 1, (a0, d1))),
-                  new(CornerEdge, (i, 2, (a1, d2))), new(CornerEdge, (i, 3, (a2, d3))))
+        (p0, q0), (p1, q1), (p2, q2), (p3, q3) = map(ends.__getitem__, sq.boundary.letters)
         numbers += ((p3, q0), (p0, q1), (p1, q2), (p2, q3))
-    return LinkGraph(vertices, edges, numbers)
+    return LinkGraph([(g, sign) for g in c.generators for sign in ("+", "-")], numbers)
 
 
 class LargenessReport(NamedTuple):
@@ -148,16 +146,15 @@ class LargenessReport(NamedTuple):
 
 
 def _loops(link: LinkGraph) -> list[CornerEdge]:
-    return [e for e, (a, b) in zip(link.edges, link.ends) if a == b]
+    return [link.edges[i] for i, (a, b) in enumerate(link.ends) if a == b]
 
 
 def _bigons(link: LinkGraph) -> list[tuple[CornerEdge, CornerEdge]]:
-    near, edges = link.near, link.edges
-    out = []
+    near, out = link.near, []
     for i, (a, b) in enumerate(link.ends):
         ids = near[a].get(b, ())
         if len(ids) > 1 and ids[0] == i:  # each parallel class once, by its first edge
-            out.extend((edges[j], edges[k]) for j, k in combinations(ids, 2))
+            out.extend((link.edges[j], link.edges[k]) for j, k in combinations(ids, 2))
     return out
 
 
@@ -172,7 +169,7 @@ def _triangles(link: LinkGraph) -> tuple[list[tuple[CornerEdge, CornerEdge, Corn
     The bench report hashes (``perfbench/expected.json``) were recorded with
     this enumeration; the returned flag is the complete check.
     """
-    near, sets, edges = link.near, link.neighbours, link.edges
+    near, sets = link.near, link.neighbours
     out, spanned = [], False
     for i, (a, b) in enumerate(link.ends):
         if a == b or sets[a].isdisjoint(sets[b]):
@@ -189,7 +186,7 @@ def _triangles(link: LinkGraph) -> tuple[list[tuple[CornerEdge, CornerEdge, Corn
                     # {b, c} comes before their edge on {c, a}; without it all are found
                     if i < min(j, k) and j < k:
                         found.append((min(j, k), max(j, k)))
-        out.extend((edges[i], edges[j], edges[k]) for j, k in sorted(found))
+        out.extend((link.edges[i], link.edges[j], link.edges[k]) for j, k in sorted(found))
     return out, spanned
 
 
@@ -220,19 +217,22 @@ def largeness(link: LinkGraph) -> LargenessReport:
         # distinct vertices, so it is a simple 4-cycle
         girth = 4
     else:
-        lengths = (shortest_cycle_through(link, i) for i in range(len(link.edges)))
+        lengths = (shortest_cycle_through(link, i) for i in range(len(link.ends)))
         girth = min((n for n in lengths if n is not None), default=None)
     return LargenessReport(is_large=not violations, girth=girth, violations=violations)
 
 
+def poison_edges(link: LinkGraph) -> list[int]:
+    """The numbers of the poison corners: the link edges on no length-four circuit."""
+    return [i for i, on in enumerate(link.on_four_circuit()) if not on]
+
+
 def poison_corners(c: SquareComplex, link: LinkGraph | None = None) -> list[CornerEdge]:
-    """Corners whose link edge lies on no length-four circuit.  ``link`` is the
-    complex's link when the caller holds it: `Analysis.poison` passes its own,
-    and this function stays in `links` (which cannot import `Analysis`), where
-    `perfbench/tracing.py` times it."""
+    """The `poison_edges` as `CornerEdge`s.  ``link`` is the complex's link
+    when the caller holds it; `analyze` reads `Analysis.poison`'s numbers."""
     if link is None:
         link = build_link(c)
-    return [e for e, on in zip(link.edges, link.on_four_circuit()) if not on]
+    return [link.edges[i] for i in poison_edges(link)]
 
 
 def shortest_cycle_through(link: LinkGraph, edge_index: int) -> int | None:

@@ -89,14 +89,6 @@ def _conjugator_of(boundary: Word) -> str | None:
     return None
 
 
-def _loop_name(boundary: Word, greek: dict[str, str]) -> str:
-    conj = _conjugator_of(boundary)
-    if conj is None:
-        return "γ"
-    stem = generator_stem(conj)
-    return greek[stem] + conj[len(stem):]
-
-
 class MonodromyContext:
     """Shared data for rewriting over one unit weight system of ``source``, a
     complex or its `Analysis`."""
@@ -117,7 +109,9 @@ class MonodromyContext:
 
         greek = {stem: _GREEK[i] if i < len(_GREEK) else f"x{i}"
                  for i, stem in enumerate(c.stems())}
-        names = [_loop_name(sq.boundary, greek) for sq in c.squares]
+        named = {g: greek[stem] + g[len(stem):]  # each generator's loop name, once
+                 for g, stem in zip(c.generators, map(generator_stem, c.generators))}
+        names = [named.get(_conjugator_of(sq.boundary), "γ") for sq in c.squares]
         clashes = Counter(names)
         used: set[str] = set()
         self.basis: list[BasisLoop] = []

@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
 from .complexes import SquareComplex, union
 from .errors import InputError
-from .links import CornerEdge, End, LinkGraph, build_link
+from .links import End, LinkGraph, build_link
 from .words import generator_stem
 
 WeightSystem = dict[str, int]
@@ -124,13 +124,14 @@ def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
             problems.append(f"zero weight on generator {g}")
     if not problems:
         for sq in c.squares:
-            w = [s * ws[g] for g, s in sq.boundary.letters]
-            total = sum(w)
+            (g0, s0), (g1, s1), (g2, s2), (g3, s3) = sq.boundary.letters
+            w0, w2 = s0 * ws[g0], s2 * ws[g2]
+            total = w0 + s1 * ws[g1] + w2 + s3 * ws[g3]
             if total != 0:
                 problems.append(f"square {sq.index}: boundary weight sum {total} != 0")
-            elif w[0] + w[2] != 0:
+            elif w0 + w2 != 0:
                 problems.append(
-                    f"square {sq.index}: opposite letters carry weights {w[0]} and {w[2]}"
+                    f"square {sq.index}: opposite letters carry weights {w0} and {w2}"
                     " (no affine extension)"
                 )
     return AdmissibilityReport(not problems, problems)
@@ -150,7 +151,7 @@ def require_admissible(c: SquareComplex, ws: WeightSystem,
 class DirectionalLink(NamedTuple):
     side: str  # "ascending" or "descending"
     vertices: list[End]
-    edges: list[CornerEdge]
+    edges: list[int]  # link edge numbers: 4s+k is corner k of square s
     is_tree: bool
     components: int
 
@@ -165,9 +166,9 @@ def directional_links(
 
     A direction-end ascends when moving into it increases the Morse height:
     (g, start) for positive weight, (g, end) for negative.  Each square
-    contributes its min-corner edge to the ascending link and its max-corner
-    edge, two round, to the descending link.  ``mins``, the min corners of
-    an admissible ``ws`` (`min_corners`), skip the admissibility check, and
+    contributes its min-corner edge number to the ascending link and its
+    max-corner one, two round, to the descending link.  ``mins``, the min
+    corners of an admissible ``ws`` (`min_corners`), skip the check, and
     ``link`` (`links.build_link`) is not built again; `Analysis.sign_links`
     passes both: `perfbench/tracing.py` rebinds this function.  A side holds
     one of the link's integer ends per generator, so `complexes.union` over
@@ -177,7 +178,7 @@ def directional_links(
         mins = require_admissible(c, ws)
     if link is None:
         link = build_link(c)
-    n, corners, ends = len(c.generators), link.edges, link.ends
+    n, ends = len(c.generators), link.ends
     # link vertex 2i is g_i+ and 2i + 1 is g_i-, which ascends iff w_i > 0
     ascends = [up for g in c.generators for up in (ws[g] < 0, ws[g] > 0)]
     out = []
@@ -187,8 +188,7 @@ def directional_links(
         assert all(ascends[a] is ascends[b] is up for a, b in pairs), side
         components = n - union(list(range(n)), [(a >> 1, b >> 1) for a, b in pairs])
         out.append(DirectionalLink(side, [v for v, s in zip(link.vertices, ascends) if s is up],
-                                   [corners[k] for k in ids], components == 1 and len(ids) == n - 1,
-                                   components))
+                                   ids, components == 1 and len(ids) == n - 1, components))
     return out[0], out[1]
 
 
@@ -236,22 +236,29 @@ def _fiber_sides(w: list[int], paths: list[tuple[int, int, int, int]]
             for p, q, r, t in paths]
 
 
-def _fiber_counts(w: list[int], paths: list[tuple[int, int, int, int]], connected: bool
-                  ) -> tuple[int, int, int]:
+def _letter_pairs(c: SquareComplex) -> list[tuple[int, int]]:
+    """Per square, the generator numbers of its letters 0 and 1."""
+    index = {g: i for i, g in enumerate(c.generators)}
+    return [(index[g], index[h])
+            for (g, _), (h, _), _, _ in (sq.boundary.letters for sq in c.squares)]
+
+
+def _fiber_counts(w: list[int], pairs: list[tuple[int, int]],
+                  paths: list[tuple[int, int, int, int]] | None) -> tuple[int, int, int]:
     """Vertices 1 + sum_g (|w_g| - 1), arcs sum_squares (|w_p| + |w_q| - 1)
-    and components of the fiber graph of the weights ``w`` on the square
-    paths ``paths`` (`_fiber_paths`): gcd(w) when both directional links are
-    ``connected`` (see `fibering_scan`), else vertices less the arcs of
-    `_fiber_sides` that `complexes.union` joins.  Refuses more than
-    `MAX_FIBER_CELLS` vertices plus arcs."""
+    over the letters 0 and 1 ``pairs`` (any adjacent two: opposite letters
+    weigh alike) and components of the fiber graph of the weights ``w``:
+    gcd(w) with no ``paths`` (both directional links connected), else
+    vertices less the arcs of `_fiber_sides` on ``paths`` (`_fiber_paths`)
+    that `complexes.union` joins.  Refuses more than `MAX_FIBER_CELLS` cells."""
     vertices = 1 + sum(map(abs, w)) - len(w)
-    arcs = sum(abs(w[p]) + abs(w[q]) - 1 for p, q, _, _ in paths)
+    arcs = sum(abs(w[p]) + abs(w[q]) - 1 for p, q in pairs)
     if vertices + arcs > MAX_FIBER_CELLS:
         raise InputError(
             f"fiber graph of {vertices + arcs} vertices and arcs exceeds the limit of"
             f" {MAX_FIBER_CELLS}; lower the weights"
         )
-    if connected:
+    if paths is None:
         return vertices, arcs, gcd(*w)
     return vertices, arcs, vertices - union(list(range(vertices)),
                                             chain.from_iterable(_fiber_sides(w, paths)))
@@ -261,9 +268,9 @@ def fiber_counts(c: SquareComplex, ws: WeightSystem, mins: list[int],
                  links: tuple[DirectionalLink, DirectionalLink]) -> tuple[int, int, int]:
     """The vertex, arc and component counts of `fiber_graph` for an
     admissible ``ws`` with min corners ``mins`` and directional ``links``,
-    read by `_fiber_counts` without building the graph."""
-    connected = links[0].components == links[1].components == 1
-    return _fiber_counts([ws[g] for g in c.generators], _fiber_paths(c, mins), connected)
+    read by `_fiber_counts` without the graph, or its paths if both links are connected."""
+    paths = None if links[0].components == links[1].components == 1 else _fiber_paths(c, mins)
+    return _fiber_counts([ws[g] for g in c.generators], _letter_pairs(c), paths)
 
 
 def fiber_graph(c: SquareComplex, ws: WeightSystem, mins: list[int] | None = None) -> FiberGraph:
@@ -277,7 +284,7 @@ def fiber_graph(c: SquareComplex, ws: WeightSystem, mins: list[int] | None = Non
     if mins is None:
         mins = require_admissible(c, ws)
     w, paths = [ws[g] for g in c.generators], _fiber_paths(c, mins)
-    _, _, components = _fiber_counts(w, paths, False)  # refuses before any arc is listed
+    _, _, components = _fiber_counts(w, _letter_pairs(c), paths)  # refuses before any arc
     vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
     edges = [(vertices[u], vertices[v], sq.index, level)
              for sq, m, side in zip(c.squares, mins, _fiber_sides(w, paths))
@@ -380,8 +387,12 @@ def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
     index = {g: i for i, g in enumerate(c.generators)}
     pairs, rows = [], []
     for sq in c.squares:
+        (g0, s0), (g1, s1), (g2, s2), (g3, s3) = letters = sq.boundary.letters
+        if g0 == g2 and s0 + s2 == 0 and s1 + s3 == 0:  # x v x^-1 u^-1: the pair (v, u)
+            pairs.append((index[g1], index[g3]))
+            continue
         row: dict[int, int] = {}
-        for g, s in sq.boundary:
+        for g, s in letters:
             row[index[g]] = row.get(index[g], 0) + s
         support = {i: k for i, k in row.items() if k}
         if sorted(support.values()) == [-1, 1]:
@@ -451,11 +462,11 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
         )
     if not basis:
         return []  # the zero vector only
-    generators, forms = c.generators, a.affine_forms
-    chi_coefficient = dict.fromkeys(generators, 1)  # chi = chi_constant + sum_g coefficient |w_g|
-    for (g0, _), (g1, _), _, _ in (sq.boundary.letters for sq in c.squares):
-        chi_coefficient[g0] -= 1
-        chi_coefficient[g1] -= 1
+    generators, forms, pairs = c.generators, a.affine_forms, _letter_pairs(c)
+    chi_coefficient = [1] * len(generators)  # chi = chi_constant + sum_g coefficient |w_g|
+    for p, q in pairs:
+        chi_coefficient[p] -= 1
+        chi_coefficient[q] -= 1
     chi_constant = 1 - len(generators) + len(c.squares)
     # sign vector (w_g > 0) -> (asc tree, desc tree, paths if a link is split, chi slope)
     orthants: dict[tuple[bool, ...], tuple[bool, bool, list | None, list[int]]] = {}
@@ -486,13 +497,13 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
                     asc, desc = a.sign_links(ws)
                     paths = (None if asc.components == desc.components == 1
                              else _fiber_paths(c, min_corners(c, ws)))
-                    signed = [f if up else -f for f, up in zip(chi_coefficient.values(), signs)]
+                    signed = [f if up else -f for f, up in zip(chi_coefficient, signs)]
                     # w_g = sum_k x_k b_k[g]
                     slope = [sum(map(mul, signed, b.values())) for b in basis]
                     orthants[signs] = (asc.is_tree, desc.is_tree, paths, slope)
                 asc_tree, desc_tree, paths, slope = orthants[signs]
                 chi = chi_constant + sum(map(mul, slope, coords))
-                components = gcd(*w) if paths is None else _fiber_counts(w, paths, False)[2]
+                components = gcd(*w) if paths is None else _fiber_counts(w, pairs, paths)[2]
                 row = {"coords": coords, "weights": ws, "admissible": True,
                        "primitive": divisor == 1, "asc_tree": asc_tree, "desc_tree": desc_tree,
                        "chi": chi, "components": components,

@@ -15,7 +15,7 @@ import pytest
 from logfiber.analysis import Analysis
 from logfiber.cli import SCHEMAS, link_report, main
 from logfiber.complexes import MAX_LOT_K, SquareComplex
-from logfiber.links import format_end
+from logfiber.links import format_end, poison_corners
 from logfiber.morse import MAX_FIBER_CELLS
 from logfiber.words import Word
 
@@ -152,10 +152,12 @@ def test_poison_rows_match_the_corner_pairs():
             if all(letters[i - 1] != (g, -s) for i, (g, s) in enumerate(letters)):
                 c.append_square(Word(letters))
         a = Analysis(c)
+        poison = poison_corners(c, a.link)  # the public view of `Analysis.poison`'s numbers
+        assert a.poison == [4 * e.square + e.corner for e in poison]
         expected = [{"square": e.square, "corner": e.corner,
-                     "endpoints": [format_end(v) for v in e.pair]} for e in a.poison]
+                     "endpoints": [format_end(v) for v in e.pair]} for e in poison]
         assert link_report(a)["poison"] == expected
-        for e in a.poison:
+        for e in poison:
             ends.update(e.ends)
             flipped += list(e.pair) != sorted(e.ends, key=a.link.vertices.index)
     assert len(ends) == 8 and flipped >= 100
@@ -420,11 +422,29 @@ def test_analyze_builds_each_piece_once(tmp_path, capsys, monkeypatch, complex_a
     counted = {
         name: count_calls(monkeypatch, module, name)
         for module, name in (("links", "build_link"), ("links", "largeness"),
-                             ("links", "poison_corners"), ("morse", "weight_lattice"))
+                             ("links", "poison_corners"), ("links", "poison_edges"),
+                             ("morse", "weight_lattice"))
     }
     assert main(["analyze", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
+    # the poison corners are `Analysis.poison`'s numbers, never the CornerEdge view
+    expected = {**dict.fromkeys(counted, 1), "poison_corners": 0}
+    assert {name: len(calls) for name, calls in counted.items()} == expected
+
+
+def test_analyze_builds_no_corner_edges(tmp_path, capsys, monkeypatch):
+    # analyze reads the link's end numbers only: `LinkGraph.edges` stays unbuilt
+    import logfiber.cli as cli
+
+    assert main(["build", "lot", "--k", "32"]) == 0
+    path = tmp_path / "lot32.log"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    made = []
+    monkeypatch.setattr(cli, "Analysis", lambda c: made.append(Analysis(c)) or made[-1])
+    for argv in (["analyze", str(path), "--json"], ["analyze", str(path)]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert "edges" not in made.pop().link.__dict__
 
 
 @pytest.mark.parametrize("name", ["g1", "g2"])

@@ -25,10 +25,12 @@ from logfiber import (
     infinite_fibering_verdict,
     parse_spec,
     parse_weight_spec,
+    square_corners,
     weight_lattice,
 )
 from logfiber import morse
 from logfiber.analysis import Analysis
+from logfiber.complexes import NAMED_COMPLEXES
 from logfiber.morse import BASE_VERTEX, _combine_basis, min_corners
 from references import corner_heights, fibering_orthant, union_find
 
@@ -381,12 +383,38 @@ def test_link_ends_number_the_end_tuples():
         assert link.ends == [(number[a], number[b]) for a, b in (e.ends for e in link.edges)]
 
 
+def test_link_edges_are_the_square_corners():
+    # `LinkGraph.edges` is built on first use from the end numbers alone;
+    # edge 4s+k must be corner k of square s as `square_corners` names it
+    for c in NAMED + RANDOM + [build_named(name) for name in NAMED_COMPLEXES]:
+        link = build_link(c)
+        assert "edges" not in link.__dict__
+        assert link.edges == [e for sq in c.squares for e in square_corners(sq)]
+        assert all(link.edges[4 * sq.index + k] == e
+                   for sq in c.squares for k, e in enumerate(square_corners(sq)))
+
+
+def test_directional_link_numbers_are_the_min_and_max_corners():
+    # a side's edge numbers 4s+k name corner k of square s: each square's
+    # min corner on the ascending side and its max corner on the descending
+    # one, read off the corner heights
+    for c in NAMED + RANDOM:
+        signs = {tuple(w > 0 for w in row["weights"].values()): row["weights"]
+                 for row in admissible_rows(c)}
+        for ws in signs.values():
+            asc, desc = directional_links(c, ws)
+            heights = [corner_heights(sq, ws) for sq in c.squares]
+            assert [divmod(i, 4) for i in asc.edges] == [(h.square, h.min_corner) for h in heights]
+            assert [divmod(i, 4) for i in desc.edges] == [(h.square, h.max_corner) for h in heights]
+
+
 def test_directional_links_match_union_find_over_end_tuples():
     # `directional_links` counts on the link's integer ends; the sides'
     # vertices from the weight signs and a union-find over their end tuples
     # must give its vertices, tree flags and component counts
     kinds = set()
     for c in NAMED + RANDOM:
+        corners = [e for sq in c.squares for e in square_corners(sq)]  # edge 4s+k
         signs = {tuple(w > 0 for w in row["weights"].values()): row["weights"]
                  for row in admissible_rows(c)}
         for ws in signs.values():
@@ -394,7 +422,7 @@ def test_directional_links_match_union_find_over_end_tuples():
             for side, (positive, negative) in zip(directional_links(c, ws), ("-+", "+-")):
                 assert side.vertices == [(g, positive if ws[g] > 0 else negative)
                                          for g in c.generators]
-                root, acyclic = union_find(side.vertices, (e.ends for e in side.edges))
+                root, acyclic = union_find(side.vertices, (corners[i].ends for i in side.edges))
                 components = len(set(root.values()))
                 assert (side.is_tree, side.components) == (acyclic and components == 1, components)
                 kinds.add((side.is_tree, components > 1, acyclic))

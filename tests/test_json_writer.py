@@ -110,6 +110,14 @@ FLAT_AT_EVERY_DEPTH = {
 @example({"matrix": [[0, 1, 255, 256, 1023, 1024], [-1, -256, -257, 300, 16, 0]]})
 @example([2**70, -(2**70), 2**64, 7, -7])
 @example([[1, True, 2], (0, False), [1, Number(2), 3], [Loud(1), 2]])
+# lists of ints, short or long, joined from one table of their column's texts,
+# where a True beside a 1 (equal keys) must keep its own text, and flat objects
+# that are written in one piece
+@example({"matrix": [list(range(-8, 12)), list(range(300, 280, -1)), [2**70] * 16]})
+@example([[1] * 16, [True] + [1] * 15, [0] * 15 + [False]])
+@example([[[3, -1], [0, 3]], [[1, True], [True, 1]], [[], []]])
+@example([[[True] * 16], [[1] * 16]])
+@example({"images": {"α0": "a0 a1", "β": ""}, "naming_map": {"α0": 0, "β": 1}, "tag": None})
 # columns a column layout can get wrong: lists of lists mixing empty and
 # non-empty lengths, a column of empty dicts, a lone dict of scalars beside a
 # lone dict holding a list, ints mixed with None, bare top-level scalars,

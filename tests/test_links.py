@@ -350,7 +350,9 @@ def random_link(rng):
     edges = [CornerEdge(n // 4, n % 4, (rng.choice(vertices), rng.choice(vertices)))
              for n in range(rng.randint(2, 12))]
     number = {v: i for i, v in enumerate(vertices)}
-    return LinkGraph(vertices, edges, [(number[a], number[b]) for a, b in (e.ends for e in edges)])
+    link = LinkGraph(vertices, [(number[a], number[b]) for a, b in (e.ends for e in edges)])
+    assert link.edges == edges  # named back from the end numbers
+    return link
 
 
 def test_violations_match_reference_enumeration(g1, gf, g2, torus, mixed):
@@ -415,7 +417,7 @@ def test_export_dot(g2):
     text = export_dot(
         link,
         highlight_vertices=set(asc.vertices),
-        highlight_edges={(e.square, e.corner) for e in asc.edges},
+        highlight_edges={divmod(i, 4) for i in asc.edges},
         distinct_squares={6},
     )
     assert text.startswith("graph link {")
@@ -426,7 +428,7 @@ def test_export_dot(g2):
     assert text == export_dot(
         link,
         highlight_vertices=set(asc.vertices),
-        highlight_edges={(e.square, e.corner) for e in asc.edges},
+        highlight_edges={divmod(i, 4) for i in asc.edges},
         distinct_squares={6},
     )
 

@@ -39,7 +39,7 @@ from logfiber import (
     unit_weights,
 )
 from logfiber.cli import main
-from logfiber.links import arrival_end, build_link, departure_end
+from logfiber.links import arrival_end, build_link, departure_end, square_corners
 from logfiber.monodromy import _closed_subsets, _cyclic_core
 from logfiber.morse import directional_links
 from logfiber.words import inverse_letter
@@ -99,8 +99,9 @@ class ReferenceContext:
         self.asc_adj, self.desc_adj = (
             {v: {} for v in link.vertices} for link in (asc, desc)
         )
+        corners = [e for sq in c.squares for e in square_corners(sq)]  # edge 4s+k
         for link, adj in ((asc, self.asc_adj), (desc, self.desc_adj)):
-            for edge in link.edges:
+            for edge in map(corners.__getitem__, link.edges):
                 a, b = edge.ends
                 adj[a][b] = adj[b][a] = edge.square
 

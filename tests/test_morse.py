@@ -18,7 +18,7 @@ from logfiber import (
     unit_weights,
     weight_lattice,
 )
-from logfiber.morse import _hermite_rows, _kernel_basis_int
+from logfiber.morse import _hermite_rows, _kernel_basis_int, min_corners
 from references import corner_heights
 
 
@@ -143,8 +143,11 @@ def test_analysis_links_reuse_the_vertex_link_edges(g1, g2, mixed):
         for ws in (unit_weights(c), {g: -w for g, w in unit_weights(c).items()}):
             a = Analysis(c)
             asc, desc = a.sign_links(ws)
-            held = {id(e) for e in a.link.edges}
-            assert all(id(e) in held for e in asc.edges + desc.edges)
+            # the sides number the link's edges, one per square, and build no CornerEdge
+            for side, turn in ((asc, 0), (desc, 2)):
+                assert side.edges == [4 * s + (m + turn) % 4
+                                      for s, m in enumerate(min_corners(c, ws))]
+            assert "edges" not in a.link.__dict__
             # the same links as the public function builds without a link
             assert (asc, desc) == directional_links(c, ws)
 
@@ -467,17 +470,21 @@ def dense_square_rows(c):
 
 
 def test_contracted_lattice_matches_dense_smith_form():
-    # LOG squares (graph rows e_v - e_u), relator squares, zero rows,
-    # coefficient-2 rows, and sometimes no graph rows at all
+    # LOG squares (graph rows e_v - e_u) in each sign pattern that `weight_lattice`
+    # reads as a pair from letters 1 and 3, relator squares, zero rows, rows
+    # e_v + e_u and 2 e_v of the same shape that are no pair, coefficient-2 rows,
+    # and sometimes no graph rows at all
     from logfiber import parse_spec
 
+    with pytest.raises(InputError):  # letter 1 repeating letter 0 always cancels
+        parse_spec("generators x u\nsquare x x x^-1 u^-1\n")
     rng = random.Random(20081015)
-    for trial in range(120):
+    for trial in range(200):
         gens = [f"g{i}" for i in range(rng.randint(2, 9))]
         squares = []
         for _ in range(rng.randint(0, 8)):
             x, u, v, w = (rng.choice(gens) for _ in range(4))
-            kind = rng.randrange(5) if trial % 4 else rng.randrange(1, 5)
+            kind = rng.randrange(9) if trial % 4 else rng.randrange(1, 9)
             if kind == 0 and len({x, u, v}) == 3:
                 squares.append(f"{x} {v} {x}^-1 {u}^-1")
             elif kind == 1 and len({x, u, v, w}) == 4:
@@ -488,6 +495,14 @@ def test_contracted_lattice_matches_dense_smith_form():
                 squares.append(f"{x} {x} {u}^-1 {v}^-1")
             elif kind == 4 and x != u:
                 squares.append(f"{x} {u} {x} {u}")
+            elif kind == 5 and len({x, u, v}) == 3:
+                squares.append(f"{x} {v}^-1 {x}^-1 {u}")
+            elif kind == 6 and len({x, u, v}) == 3:
+                squares.append(f"{x}^-1 {v} {x} {u}^-1")
+            elif kind == 7 and len({x, u, v}) == 3:
+                squares.append(f"{x} {v} {x}^-1 {u}")
+            elif kind == 8 and x != v:
+                squares.append(f"{x} {v} {x}^-1 {v}")
         c = parse_spec("generators " + " ".join(gens) + "\n"
                        + "".join(f"square {s}\n" for s in squares))
         n = len(gens)
