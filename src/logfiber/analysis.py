@@ -3,9 +3,9 @@
 A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
 the weight lattice and its affine forms, the admissibility of each weight
-system and the directional links of each sign vector are built once.  The
-directional links come from the signs alone and, like `poison`, hold edge
-numbers; `sign_links` is their only cache.  A function that takes a
+system and the min corners and directional links of each sign vector are
+built once; `min_corners` and `sign_links` are their only caches, and the
+links, like `poison`, hold edge numbers.  A function that takes a
 ``source`` reads a complex or an `Analysis` of one through `Analysis.of`.
 Nothing cached here holds the `Analysis`, so a dropped one is freed
 without the cycle collector.
@@ -25,6 +25,7 @@ class Analysis:
         self.complex = c
         if link is not None:
             self.link = link  # fills the cached property
+        self._min_corners: dict[tuple, list[int]] = {}
         self._sign_links: dict[tuple, tuple[morse.DirectionalLink, morse.DirectionalLink]] = {}
         self._admissibility: dict[tuple, morse.AdmissibilityReport] = {}
 
@@ -77,16 +78,25 @@ class Analysis:
             self._admissibility[key] = morse.check_admissible(self.complex, ws)
         return self._admissibility[key]
 
+    def _signs(self, ws: morse.WeightSystem) -> tuple[bool, ...]:
+        return tuple(map((0).__lt__, map(ws.__getitem__, self.complex.generators)))
+
+    def min_corners(self, ws: morse.WeightSystem) -> list[int]:
+        """`morse.min_corners` of an admissible ``ws``, run once per sign vector."""
+        key = self._signs(ws)
+        if key not in self._min_corners:
+            self._min_corners[key] = morse.min_corners(self.complex, ws)
+        return self._min_corners[key]
+
     def sign_links(self, ws: morse.WeightSystem
                    ) -> tuple[morse.DirectionalLink, morse.DirectionalLink]:
         """Ascending and descending links of an admissible weight system.
 
         Each square's min and max corners, and each direction-end's side,
-        depend only on the signs of the weights, so the links are built
-        once per sign vector, from its min corners (`morse.min_corners`)
-        and the link's end numbers, with no admissibility check."""
-        key = tuple(map((0).__lt__, map(ws.__getitem__, self.complex.generators)))
+        depend only on the signs of the weights, so `morse.sign_links` builds
+        the links once per sign vector, from `min_corners` and the link's
+        end numbers, with no admissibility check."""
+        key = self._signs(ws)
         if key not in self._sign_links:
-            mins = morse.min_corners(self.complex, ws)
-            self._sign_links[key] = morse.directional_links(self.complex, ws, mins, self.link)
+            self._sign_links[key] = morse.sign_links(self, ws)
         return self._sign_links[key]

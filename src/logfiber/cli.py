@@ -194,8 +194,7 @@ def morse_report(a: Analysis, ws: morse.WeightSystem) -> dict:
                      "rank_blocked_by": "inadmissible weight system"})
         return data
     asc, desc = a.sign_links(ws)
-    vertices, arcs, components = morse.fiber_counts(
-        a.complex, ws, morse.min_corners(a.complex, ws), (asc, desc))
+    vertices, arcs, components = morse.fiber_counts(a, ws)
     for side, name in ((asc, "asc"), (desc, "desc")):
         data[name] = {
             "vertices": len(side.vertices),
@@ -493,9 +492,11 @@ def cmd_build(args) -> int:
 
 
 def _weights(a: Analysis, args) -> morse.WeightSystem:
-    if args.weights is None:
-        return morse.unit_weights(a.complex)
-    return morse.parse_weight_spec(args.weights, a.complex)
+    """``--weights`` (unit weights without it), parsed once: it replaces the spec in ``args``."""
+    if not isinstance(args.weights, dict):
+        args.weights = (morse.unit_weights(a.complex) if args.weights is None
+                        else morse.parse_weight_spec(args.weights, a.complex))
+    return args.weights
 
 
 def _with_text(data: dict, text: Callable[[dict], str]) -> tuple[dict, Callable[[], str]]:
@@ -539,9 +540,7 @@ def _write_dot(args, a: Analysis) -> None:
     if args.highlight == "poison":
         highlight_edges = {divmod(i, 4) for i in a.poison}
     elif args.highlight in ("asc", "desc"):
-        ws = _weights(a, args)
-        morse.require_admissible(a.complex, ws, a.admissibility(ws))
-        asc, desc = a.sign_links(ws)
+        asc, desc = morse.directional_links(a, _weights(a, args))
         side = asc if args.highlight == "asc" else desc
         highlight_edges = {divmod(i, 4) for i in side.edges}
         highlight_vertices = set(side.vertices)

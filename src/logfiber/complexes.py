@@ -25,6 +25,7 @@ and never affects the mathematics.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
@@ -41,17 +42,14 @@ class Square(NamedTuple):
 
 
 class SquareComplex:
-    # ``checked``: the set of ``generators``, from a caller that has already
-    # checked the names (`parse_spec`), so they are not checked again
+    # ``checked``: the names were checked by the caller (`parse_spec`)
     def __init__(self, generators: list[str], squares: list[Square] | None = None,
-                 provenance: list[str] | None = None, *, checked: set[str] | None = None):
+                 provenance: list[str] | None = None, *, checked: bool = False):
         self.generators = generators
         self.squares = [] if squares is None else squares
         self.provenance = [] if provenance is None else provenance
-        if checked is None:
-            checked = set()
-            check_generator_names(generators, checked)
-        self._generators = checked  # what `append_square` checks against
+        if not checked:
+            check_generator_names(generators, set())
         self._boundaries = dict.fromkeys(sq.boundary for sq in self.squares)
 
     def __repr__(self) -> str:
@@ -67,15 +65,26 @@ class SquareComplex:
         )
 
     def stems(self) -> list[str]:
-        out: list[str] = []
-        for g in self.generators:
-            stem = generator_stem(g)
-            if stem not in out:
-                out.append(stem)
-        return out
+        return list(dict.fromkeys(map(generator_stem, self.generators)))
+
+    @cached_property
+    def generator_index(self) -> dict[str, int]:
+        """Generator -> its number i, its place in ``generators``."""
+        return {g: i for i, g in enumerate(self.generators)}
+
+    @cached_property
+    def letter_ends(self) -> dict[tuple[str, int], tuple[int, int]]:
+        """Letter -> (number of its arrival end, of its departure end), the one
+        numbering of direction-ends that every module reads: end 2i is ``g_i+``,
+        the arrival direction of the i-th generator, and 2i + 1 is ``g_i-``, so
+        key k, ``g_i`` then ``g_i^-1``, is the letter arriving at end k."""
+        table = {}
+        for i, g in enumerate(self.generators):
+            table[g, 1], table[g, -1] = (2 * i, 2 * i + 1), (2 * i + 1, 2 * i)
+        return table
 
     def append_square(self, boundary: Word, origin: str = "") -> Square:
-        check_boundary(boundary, self._generators)
+        check_boundary(boundary, self.generator_index)
         n = len(self.squares)
         if self._boundaries.setdefault(boundary, n) != n:  # one hash; a repeat keeps its old value
             self.provenance.append(f"duplicate square: {boundary}")
@@ -96,7 +105,7 @@ class SquareComplex:
         return "\n".join(lines) + "\n"
 
 
-def check_boundary(boundary: Word, generators: set[str]) -> None:
+def check_boundary(boundary: Word, generators: dict[str, int]) -> None:
     letters = boundary.letters
     if len(letters) != 4:
         raise InputError(f"square boundary must have length 4, got {len(letters)}: {boundary}")
@@ -133,12 +142,12 @@ def union(parent: list[int], pairs: Iterable[tuple[int, int]]) -> int:
     return joins
 
 
-def _log_shape(vertices: list[str], edges: list[tuple[str, str, str]]) -> str:
-    index = {v: i for i, v in enumerate(vertices)}
-    joins = union(list(range(len(vertices))), ((index[u], index[v]) for _, u, v in edges))
+def _log_shape(c: SquareComplex, edges: list[tuple[str, str, str]]) -> str:
+    index = c.generator_index
+    joins = union(list(range(len(index))), ((index[u], index[v]) for _, u, v in edges))
     if joins < len(edges):
         return "graph with cycles"
-    components = len(vertices) - joins
+    components = len(index) - joins
     if components == 1:
         return "tree"
     return f"forest ({components} components)"
@@ -196,9 +205,9 @@ def parse_spec(text: str) -> SquareComplex:
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
 
-    complex_ = SquareComplex(generators, provenance=provenance, checked=seen)
+    complex_ = SquareComplex(generators, provenance=provenance, checked=True)
     if log_edges:
-        complex_.provenance.append(f"log shape: {_log_shape(generators, log_edges)}")
+        complex_.provenance.append(f"log shape: {_log_shape(complex_, log_edges)}")
     # squares are checked once every generator is declared, wherever its line is
     for lineno, boundary, origin in pending:
         try:

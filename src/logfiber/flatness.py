@@ -23,16 +23,13 @@ four pairwise distinct link directions around it, so its four corners form
 a genuine length-four circuit in the link.
 
 The search places cells in disk order (taxicab distance, then x, then y)
-by backtracking over tables compiled once per search, in the manner of
-Bitner and Reingold's precomputed constraints: each cell's earlier
-neighbours and the interior vertices it completes, each tile's side labels
-and direction-ends as small ints, and the tiles that carry given labels on
-given sides, in candidate order.  The radius-r disk is a prefix of the
-radius-R cell order and the checks at a prefix cell do not depend on R, so
-one search at the largest radius finds every smaller radius's first
-witness the first time it has placed that prefix; `hyperbolicity_verdict`
-runs that one search per seed square, over the eligible squares of an
-`Analysis` of its one source.
+by backtracking over the tables `_DiskSearch` compiles once per search, in
+the manner of Bitner and Reingold's precomputed constraints.  The radius-r
+disk is a prefix of the radius-R cell order and the checks at a prefix
+cell do not depend on R, so one search at the largest radius finds every
+smaller radius's first witness the first time it has placed that prefix;
+`hyperbolicity_verdict` runs that one search per seed square, over the
+eligible squares of an `Analysis` of its one source.
 """
 
 from __future__ import annotations
@@ -91,8 +88,7 @@ def square_tiles(square) -> list[Tile]:
 
 def eligible_squares(c: SquareComplex, link: LinkGraph | None = None) -> list[int]:
     """Squares with no poison corner: the only candidates for a flat plane.
-    ``link`` is the complex's link when the caller holds it;
-    `perfbench/workloads.py` passes one positionally."""
+    ``link``: the complex's link, which `perfbench/workloads.py` passes."""
     return Analysis(c, link).eligible
 
 
@@ -156,7 +152,8 @@ class _DiskSearch:
 
     Tiles are numbered in candidate order (eligible squares ascending, the
     eight placements of each in `square_tiles` order) and carry their side
-    labels and vertex direction-ends as small ints.  Cell i's plan holds
+    labels and vertex direction-ends as the complex's end numbers
+    (`SquareComplex.letter_ends`).  Cell i's plan holds
     the earlier neighbours whose shared side it must match, as (cell,
     neighbour's side), keyed into a table of the tiles with those labels on
     those sides, in candidate order; and each interior vertex it completes
@@ -174,15 +171,12 @@ class _DiskSearch:
         self.tiles = [t for s in sorted(eligible) for t in square_tiles(c.squares[s])]
         self.seed_tile = {t.square: k for k, t in enumerate(self.tiles)
                           if t.rot == 0 and not t.refl}
-        ids: dict = {}
-        self.labels = [tuple(ids.setdefault(x, len(ids)) for x in t.sides) for t in self.tiles]
+        ends = c.letter_ends  # a label is its letter's arrival end, which only it has
+        self.labels = [tuple(ends[x][0] for x in t.sides) for t in self.tiles]
         # the ends a tile supplies at an interior vertex: slots 0 and 1 (west,
         # south) when it is the SW cell, 2 (north) at NW, 3 (east) at NE
-        self.ends = [
-            tuple(ids.setdefault(end, len(ids)) for end in (
-                arrival_end(north), arrival_end(east), departure_end(east), departure_end(south)))
-            for south, east, north, _ in (t.sides for t in self.tiles)
-        ]
+        self.ends = [(ends[north][0], ends[east][0], ends[east][1], ends[south][1])
+                     for south, east, north, _ in (t.sides for t in self.tiles)]
         self.index = {cell: i for i, cell in enumerate(self.cells)}
         self.tables: dict[tuple, dict] = {}
         self.adds: dict[tuple, list] = {}

@@ -6,9 +6,9 @@ direction; all reports use this convention.  Each square contributes four
 link edges, one per corner: the corner between consecutive boundary letters
 ``x`` then ``y`` joins the arrival direction of ``x`` to the departure
 direction of ``y``.  `LinkGraph.ends` holds each edge's ends as their places
-in its vertex list, all that `build_link` writes (vertex 2i is ``g_i+`` and
-2i+1 is ``g_i-``, ``g_i`` the i-th generator; edge 4s+k is corner k of square
-s); the checks run on them, and `LinkGraph.edges` names them on first use.
+in its vertex list, all that `build_link` writes: vertex k is end k of
+`SquareComplex.letter_ends`, and edge 4s+k is corner k of square s; the
+checks run on them, and `LinkGraph.edges` names them on first use.
 
 A corner is *poison* when its link edge lies on no circuit of length four
 (closed 4-edge walks without immediate backtracking; loop edges excluded).
@@ -128,15 +128,13 @@ class LinkGraph:
 
 
 def build_link(c: SquareComplex) -> LinkGraph:
-    """The link: the corners of `square_corners` as end numbers."""
-    ends = {}  # letter -> (number of its arrival end, of its departure end)
-    for i, g in enumerate(c.generators):
-        ends[g, 1], ends[g, -1] = (2 * i, 2 * i + 1), (2 * i + 1, 2 * i)
+    """The link: the corners of `square_corners` as the complex's end numbers."""
+    ends = c.letter_ends
     numbers = []
     for sq in c.squares:
         (p0, q0), (p1, q1), (p2, q2), (p3, q3) = map(ends.__getitem__, sq.boundary.letters)
         numbers += ((p3, q0), (p0, q1), (p1, q2), (p2, q3))
-    return LinkGraph([(g, sign) for g in c.generators for sign in ("+", "-")], numbers)
+    return LinkGraph(list(map(arrival_end, ends)), numbers)  # key k arrives at end k
 
 
 class LargenessReport(NamedTuple):

@@ -13,38 +13,27 @@ Greek letter in order of first appearance, digits kept), e.g. the square
 letters (the attached relator squares) are named γ.
 
 Rewriting a weight-zero word into the basis is peak reduction driven by
-the directional-link trees.  Direction-ends are numbered as in
-`links.LinkGraph`: 2i is ``g_i+`` and 2i+1 is ``g_i-`` for the i-th
-generator ``g_i``, and one table per context gives each letter the numbers
-of its arrival and departure ends.  The trees' vertex sets are disjoint (a
+the directional-link trees, over the end numbers of the complex's
+`SquareComplex.letter_ends`.  The trees' vertex sets are disjoint (a
 direction-end ascends for one sign of its weight and descends for the
-other), so one table holds both: each square's max-corner edge (descending
-tree) and min-corner edge (ascending tree), in both directions.  Directed
-edge ``(from, to)`` maps to the letter ``x`` entering ``from``, the other
-three letters of the square's boundary in the order whose product equals
-``x`` (the last one enters ``to``), and the square's signed basis letter;
-it is built on the first rewrite, so `analyze`, which shows the basis only,
-never builds it.
+other), so one table, `_crossings`, holds both: each square's max-corner
+edge (descending tree) and min-corner edge (ascending tree), in both
+directions.  It is built on the first rewrite, so `analyze`, which shows
+the basis only, never builds it, and rooted on the first route request
+into flat lists indexed by end number (`_tree`).
 
-Each tree is rooted once, on the first route request, into flat lists
-indexed by end number: parent, depth, DFS entry and exit, root, children,
-and the basis letters for crossing up to the parent and down from it.  The
-first hop from ``u`` toward ``v`` is ``u``'s parent, or the child whose
-entry interval holds ``v``.
-
-* Phase 1 (flattening): while the height profile leaves {0, 1}, take the
-  leftmost highest point while the top is at least 2, else the leftmost
-  lowest; splice the rest of the square of the first edge toward the other
-  side over the entering letter, in place, cancelling only at the splice's
-  two junctions.  Each step moves the extreme point one tree edge closer;
-  the profile measure strictly decreases.  A word that needs more than
-  `MAX_PEAK_STEPS` steps is refused.
+* Phase 1 (flattening, `_flatten`): while the height profile leaves
+  {0, 1}, take the leftmost highest point while the top is at least 2,
+  else the leftmost lowest; splice the rest of the square of the first
+  edge toward the other side over the entering letter, in place,
+  cancelling only at the splice's two junctions.  A word that needs more
+  than `MAX_PEAK_STEPS` steps is refused.
 
 * Phase 2 (harvesting): a flat word is a concatenation of unit peaks
-  ``x . y``; climbing the deeper of the arrival end of ``x`` and the
-  departure end of ``y`` until they meet gives the first's up letters, then
-  the second's down letters reversed.  A tree path crosses each square
-  once, so only the junctions between peaks cancel (`join_reduced`).
+  ``x . y``; the tree path from the arrival end of ``x`` to the departure
+  end of ``y`` (`_climb`) gives its basis letters.  A tree path crosses
+  each square once, so only the junctions between peaks cancel
+  (`join_reduced`).
 """
 
 from __future__ import annotations
@@ -59,7 +48,7 @@ from typing import Iterator, NamedTuple
 from .analysis import Analysis
 from .complexes import SquareComplex
 from .errors import InputError
-from .morse import WeightSystem, require_admissible, require_fibration
+from .morse import WeightSystem, directional_links, require_fibration
 from .words import Letter, Word, generator_stem, inverse_letter, join_reduced, signed_weight
 
 _GREEK = ("α", "β", "δ", "ε", "ζ", "η")
@@ -96,14 +85,14 @@ class MonodromyContext:
     def __init__(self, source: SquareComplex | Analysis, ws: WeightSystem):
         a = Analysis.of(source)
         c = a.complex
-        mins = require_admissible(c, ws, a.admissibility(ws))
+        links = directional_links(a, ws)
         bad = sorted(g for g in c.generators if abs(ws[g]) != 1)
         if bad:
             raise InputError(
                 f"monodromy needs all weights +-1 (rank-only mode otherwise); got {bad}"
             )
         # at unit weights the fiber is a one-vertex bouquet, always connected
-        require_fibration(a.sign_links(ws))
+        require_fibration(links)
         self.complex = c
         self.weights = dict(ws)
 
@@ -116,7 +105,7 @@ class MonodromyContext:
         used: set[str] = set()
         self.basis: list[BasisLoop] = []
         self._rooting: tuple[list, ...] | None = None  # by `_tree`
-        for sq, m, name in zip(c.squares, mins, names):
+        for sq, m, name in zip(c.squares, a.min_corners(ws), names):
             # disambiguate clashes deterministically by square id
             if clashes[name] > 1 or name in used:
                 name = f"{name}{sq.index}"
@@ -127,19 +116,11 @@ class MonodromyContext:
             self.basis.append(BasisLoop(sq.index, name, Word._of(rotated[1:3]), rotated))
 
     @cached_property
-    def _letter_ends(self) -> dict[Letter, tuple[int, int]]:
-        """Letter -> (number of its arrival end, of its departure end)."""
-        table = {}
-        for i, g in enumerate(self.complex.generators):
-            table[g, 1], table[g, -1] = (2 * i, 2 * i + 1), (2 * i + 1, 2 * i)
-        return table
-
-    @cached_property
     def _crossings(self) -> list[dict[int, Crossing]]:
         """Both trees (every end lies in one): end -> {neighbour end: crossing}.
         Once `require_fibration` has passed, "parallel tree edges" cannot fire: a
         repeat would be a loop or a parallel edge in one tree (they share no end)."""
-        ends = self._letter_ends
+        ends = self.complex.letter_ends
         crossings: list[dict[int, Crossing]] = [{} for _ in range(len(ends))]
         for loop in self.basis:
             e1, e2, e3, e4 = loop.rotated
@@ -169,7 +150,7 @@ class MonodromyContext:
         return rooting
 
     def _root(self) -> tuple[list, ...]:
-        crossings, ends = self._crossings, self._letter_ends
+        crossings, ends = self._crossings, self.complex.letter_ends
         n = len(crossings)
         parent, depth, entry, exit_, root = [-1] * n, [0] * n, [0] * n, [0] * n, [-1] * n
         children: list[list[int]] = [[] for _ in range(n)]
@@ -233,7 +214,19 @@ class MonodromyContext:
     # -- peak reduction ------------------------------------------------
 
     def _flatten(self, letters: list[Letter]) -> list[Letter]:
-        weights, ends = self.weights, self._letter_ends
+        """``letters``, reduced, rewritten until its heights stay in {0, 1}.
+
+        It ends.  Let e(h) = h - 1 for h >= 2, -h for h <= -1, else 0, and E
+        the step's extreme (the top while >= 2, then the bottom).  A step
+        puts a square's rest in place of the letter entering the leftmost E,
+        adding two heights strictly inside E (asserted below); cancelling
+        only removes heights.  The rest's last letter arrives one tree edge
+        nearer the end the letter leaving E departs from, and cancels that
+        letter at distance 1, removing E.  So (E is a top, e(E), the count of
+        heights E, that distance) falls lexicographically on N^4, which is
+        well-founded.  The positive e(h) alone need not fall as a multiset:
+        the splice keeps E.  `MAX_PEAK_STEPS` stays as the budget."""
+        weights, ends = self.weights, self.complex.letter_ends
         letters = list(Word._of(tuple(letters)).free_reduce())
         h = [0]
         for g, s in letters:
@@ -278,7 +271,7 @@ class MonodromyContext:
         """Express a weight-zero word in the fiber-loop basis."""
         if signed_weight(word, self.weights) != 0:
             raise InputError(f"cannot rewrite {word}: weight is nonzero")
-        letters, ends = self._flatten(list(word)), self._letter_ends
+        letters, ends = self._flatten(list(word)), self.complex.letter_ends
         return join_reduced([self._climb(ends[x][0], ends[y][1])
                              for x, y in zip(letters[::2], letters[1::2])])
 

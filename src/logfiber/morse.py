@@ -19,11 +19,11 @@ From an admissible weight system we read off:
   is connected.
 
 Min and max corners, and so both directional links, depend only on the
-signs of the weights (`min_corners`); `require_admissible` checks a weight
-system and returns its min corners, which the functions after it take.
-Every command and `kernel_rank` read a sign vector's links, and the scan
-and the verdict the lattice's affine forms, from an `Analysis` of their one
-source.  Each directional link is counted by the one integer union-find,
+signs of the weights (`min_corners`).  A function here that takes a weight
+system reads its check (`require_admissible`), its sign vector's min
+corners and links and the lattice's affine forms from an `Analysis` of its
+one source, and generator numbers from `SquareComplex.generator_index`.
+Each directional link is counted by the one integer union-find,
 `complexes.union`; `fibering_scan` and `fiber_counts` read the fiber's
 values from closed forms and count its components by that union-find only
 when a directional link is disconnected.
@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
 from .complexes import SquareComplex, union
 from .errors import InputError
-from .links import End, LinkGraph, build_link
+from .links import End
 from .words import generator_stem
 
 WeightSystem = dict[str, int]
@@ -67,6 +67,7 @@ def parse_weight_spec(spec: str, c: SquareComplex) -> WeightSystem:
     stem, exact names override."""
     stem_values: dict[str, int] = {}
     exact_values: dict[str, int] = {}
+    generators, stems = c.generator_index, set(c.stems())
     for item in spec.split(","):
         item = item.strip()
         if not item:
@@ -77,9 +78,9 @@ def parse_weight_spec(spec: str, c: SquareComplex) -> WeightSystem:
             number = int(value.strip())
         except ValueError:
             raise InputError(f"bad weight {item!r}") from None
-        if key in c.generators:
+        if key in generators:
             values = exact_values
-        elif key in c.stems():
+        elif key in stems:
             values = stem_values
         else:
             raise InputError(f"{key!r} is neither a generator nor a stem of the complex")
@@ -90,8 +91,8 @@ def parse_weight_spec(spec: str, c: SquareComplex) -> WeightSystem:
     for g in c.generators:
         if g in exact_values:
             ws[g] = exact_values[g]
-        elif generator_stem(g) in stem_values:
-            ws[g] = stem_values[generator_stem(g)]
+        elif (stem := generator_stem(g)) in stem_values:
+            ws[g] = stem_values[stem]
         else:
             raise InputError(f"no weight given for generator {g!r}")
     return ws
@@ -137,15 +138,14 @@ def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
     return AdmissibilityReport(not problems, problems)
 
 
-def require_admissible(c: SquareComplex, ws: WeightSystem,
-                       report: AdmissibilityReport | None = None) -> list[int]:
-    """The min corners (`min_corners`) of an admissible ``ws``; InputError
-    naming every problem otherwise.  ``report``: its `check_admissible`."""
-    if report is None:
-        report = check_admissible(c, ws)
+def require_admissible(source: SquareComplex | analysis.Analysis, ws: WeightSystem) -> list[int]:
+    """The min corners of an admissible ``ws``, read with its `check_admissible` report from
+    an `Analysis` of ``source``; InputError naming every problem otherwise."""
+    a = analysis.Analysis.of(source)
+    report = a.admissibility(ws)
     if not report.admissible:
         raise InputError("inadmissible weight system: " + "; ".join(report.problems))
-    return min_corners(c, ws)
+    return a.min_corners(ws)
 
 
 class DirectionalLink(NamedTuple):
@@ -156,37 +156,33 @@ class DirectionalLink(NamedTuple):
     components: int
 
 
-def directional_links(
-    c: SquareComplex,
-    ws: WeightSystem,
-    mins: list[int] | None = None,
-    link: LinkGraph | None = None,
-) -> tuple[DirectionalLink, DirectionalLink]:
-    """Ascending and descending links of the vertex.
+def directional_links(source: SquareComplex | analysis.Analysis, ws: WeightSystem
+                      ) -> tuple[DirectionalLink, DirectionalLink]:
+    """Ascending and descending links of the vertex of ``source``, a complex or its
+    `Analysis`, under ``ws``, checked by `require_admissible`: `sign_links`, kept."""
+    a = analysis.Analysis.of(source)
+    require_admissible(a, ws)
+    return a.sign_links(ws)
 
+
+def sign_links(a: analysis.Analysis, ws: WeightSystem) -> tuple[DirectionalLink, DirectionalLink]:
+    """`directional_links` of an admissible ``ws``, unchecked, from ``a``'s min
+    corners and link; `Analysis.sign_links` keeps them, one per sign vector.
     A direction-end ascends when moving into it increases the Morse height:
     (g, start) for positive weight, (g, end) for negative.  Each square
     contributes its min-corner edge number to the ascending link and its
-    max-corner one, two round, to the descending link.  ``mins``, the min
-    corners of an admissible ``ws`` (`min_corners`), skip the check, and
-    ``link`` (`links.build_link`) is not built again; `Analysis.sign_links`
-    passes both: `perfbench/tracing.py` rebinds this function.  A side holds
-    one of the link's integer ends per generator, so `complexes.union` over
-    generator numbers counts it, and it is a tree iff connected with n - 1 edges.
-    """
-    if mins is None:
-        mins = require_admissible(c, ws)
-    if link is None:
-        link = build_link(c)
-    n, ends = len(c.generators), link.ends
-    # link vertex 2i is g_i+ and 2i + 1 is g_i-, which ascends iff w_i > 0
-    ascends = [up for g in c.generators for up in (ws[g] < 0, ws[g] > 0)]
+    max-corner one, two round, to the descending link.  A side holds one of
+    the link's integer ends per generator, so `complexes.union` over the
+    ends counts it, and it is a tree iff connected with n - 1 edges."""
+    link, mins, n = a.link, a.min_corners(ws), len(a.complex.generators)
+    # the end that a letter (g, s) arrives at ascends iff s * w_g < 0
+    ascends = [s * ws[g] < 0 for g, s in a.complex.letter_ends]
     out = []
     for side, turn, up in (("ascending", 0, True), ("descending", 2, False)):
         ids = [4 * i + (m + turn) % 4 for i, m in enumerate(mins)]
-        pairs = [ends[k] for k in ids]
-        assert all(ascends[a] is ascends[b] is up for a, b in pairs), side
-        components = n - union(list(range(n)), [(a >> 1, b >> 1) for a, b in pairs])
+        pairs = list(map(link.ends.__getitem__, ids))
+        assert all(ascends[p] is ascends[q] is up for p, q in pairs), side
+        components = n - union(list(range(2 * n)), pairs)
         out.append(DirectionalLink(side, [v for v, s in zip(link.vertices, ascends) if s is up],
                                    ids, components == 1 and len(ids) == n - 1, components))
     return out[0], out[1]
@@ -209,7 +205,7 @@ def _fiber_paths(c: SquareComplex, mins: list[int]) -> list[tuple[int, int, int,
     """Per square, the generator numbers (p, q, r, t) of the letters on its
     two sides from its min corner m (``mins``, see `min_corners`) to m+2:
     letters m, m+1 and m-1, m-2."""
-    index = {g: i for i, g in enumerate(c.generators)}
+    index = c.generator_index
     paths = []
     for sq, m in zip(c.squares, mins):
         g = [index[x] for x, _ in sq.boundary.letters]
@@ -238,7 +234,7 @@ def _fiber_sides(w: list[int], paths: list[tuple[int, int, int, int]]
 
 def _letter_pairs(c: SquareComplex) -> list[tuple[int, int]]:
     """Per square, the generator numbers of its letters 0 and 1."""
-    index = {g: i for i, g in enumerate(c.generators)}
+    index = c.generator_index
     return [(index[g], index[h])
             for (g, _), (h, _), _, _ in (sq.boundary.letters for sq in c.squares)]
 
@@ -264,25 +260,25 @@ def _fiber_counts(w: list[int], pairs: list[tuple[int, int]],
                                             chain.from_iterable(_fiber_sides(w, paths)))
 
 
-def fiber_counts(c: SquareComplex, ws: WeightSystem, mins: list[int],
-                 links: tuple[DirectionalLink, DirectionalLink]) -> tuple[int, int, int]:
-    """The vertex, arc and component counts of `fiber_graph` for an
-    admissible ``ws`` with min corners ``mins`` and directional ``links``,
-    read by `_fiber_counts` without the graph, or its paths if both links are connected."""
-    paths = None if links[0].components == links[1].components == 1 else _fiber_paths(c, mins)
+def fiber_counts(a: analysis.Analysis, ws: WeightSystem) -> tuple[int, int, int]:
+    """The vertex, arc and component counts of `fiber_graph` for an admissible
+    ``ws``, read by `_fiber_counts`, from its paths only if a directional link is split."""
+    c, (asc, desc) = a.complex, a.sign_links(ws)
+    paths = (None if asc.components == desc.components == 1
+             else _fiber_paths(c, a.min_corners(ws)))
     return _fiber_counts([ws[g] for g in c.generators], _letter_pairs(c), paths)
 
 
-def fiber_graph(c: SquareComplex, ws: WeightSystem, mins: list[int] | None = None) -> FiberGraph:
-    """The preimage of the base point: one vertex per subdivision point of
-    the edges plus the vertex itself, and one arc per integer level strictly
-    between each square's min and max corner heights, listed from
-    `_fiber_sides` and counted into components by `_fiber_counts`.  A
-    square's first arc sits at level 1 + the signed weight of its letters
-    before its min corner.  ``mins``, the min corners of an admissible
-    ``ws`` (`min_corners`), skip the admissibility check."""
-    if mins is None:
-        mins = require_admissible(c, ws)
+def fiber_graph(source: SquareComplex | analysis.Analysis, ws: WeightSystem) -> FiberGraph:
+    """The preimage of the base point of ``source``, a complex or its
+    `Analysis`, under an admissible ``ws`` (`require_admissible`): one vertex
+    per subdivision point of the edges plus the vertex itself, and one arc
+    per integer level strictly between each square's min and max corner
+    heights, listed from `_fiber_sides` and counted into components by
+    `_fiber_counts`.  A square's first arc sits at level 1 + the signed
+    weight of its letters before its min corner."""
+    a = analysis.Analysis.of(source)
+    c, mins = a.complex, require_admissible(a, ws)
     w, paths = [ws[g] for g in c.generators], _fiber_paths(c, mins)
     _, _, components = _fiber_counts(w, _letter_pairs(c), paths)  # refuses before any arc
     vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
@@ -321,10 +317,9 @@ def kernel_rank(source: SquareComplex | analysis.Analysis, ws: WeightSystem) -> 
     condition, a link's before the fiber is counted (`fiber_counts`).
     """
     a = analysis.Analysis.of(source)
-    mins = require_admissible(a.complex, ws, a.admissibility(ws))
-    links = a.sign_links(ws)
+    links = directional_links(a, ws)
     require_fibration(links)
-    vertices, arcs, components = fiber_counts(a.complex, ws, mins, links)
+    vertices, arcs, components = fiber_counts(a, ws)
     require_fibration(links, components)
     return 1 - vertices + arcs
 
@@ -384,7 +379,7 @@ def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
     """Basis of the lattice of integer weight systems with zero sum on every
     square boundary (zero weights allowed here; admissibility is separate).
     Rows ``e_u - e_v`` are contracted first, as the module docstring says."""
-    index = {g: i for i, g in enumerate(c.generators)}
+    index = c.generator_index
     pairs, rows = [], []
     for sq in c.squares:
         (g0, s0), (g1, s1), (g2, s2), (g3, s3) = letters = sq.boundary.letters
@@ -399,7 +394,7 @@ def weight_lattice(c: SquareComplex) -> list[WeightSystem]:
             pairs.append(tuple(support))
         elif support:
             rows.append(support)
-    root = list(range(len(index)))
+    root = list(range(len(c.generators)))
     union(root, pairs)
     for i, p in enumerate(root):  # root[p] is final: p <= i is a root or was rooted above
         root[i] = root[p]
@@ -496,7 +491,7 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
                 if signs not in orthants:
                     asc, desc = a.sign_links(ws)
                     paths = (None if asc.components == desc.components == 1
-                             else _fiber_paths(c, min_corners(c, ws)))
+                             else _fiber_paths(c, a.min_corners(ws)))
                     signed = [f if up else -f for f, up in zip(chi_coefficient, signs)]
                     # w_g = sum_k x_k b_k[g]
                     slope = [sum(map(mul, signed, b.values())) for b in basis]

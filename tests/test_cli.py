@@ -458,6 +458,29 @@ def test_analyze_builds_directional_links_once(tmp_path, capsys, monkeypatch, na
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["analyze", "--weights", "a=-1,b=1"], ["analyze", "--weights", "a=1,b=2"],
+    ["morse", "--weights", "a=1,b=1"], ["morse", "--weights", "a=-3,b=2"],
+])
+def test_min_corners_once_per_sign_vector(capsys, monkeypatch, g2_file, argv):
+    # the morse view, its fiber counts, the monodromy basis and the verdict read
+    # each sign vector's min corners from the one `Analysis`
+    calls = count_calls(monkeypatch, "morse", "min_corners")
+    run_json(capsys, [argv[0], g2_file, *argv[1:]])
+    signs = [tuple(w > 0 for w in ws.values()) for _, ws in calls]
+    assert signs and len(signs) == len(set(signs))
+
+
+def test_analyze_parses_the_weight_spec_once(tmp_path, capsys, monkeypatch, g2_file):
+    # the bad-spec check, the morse view, the monodromy basis and the DOT highlight
+    calls = count_calls(monkeypatch, "morse", "parse_weight_spec")
+    dot = tmp_path / "g2.dot"
+    assert main(["analyze", g2_file, "--weights", "a=1,b=1", "--dot", str(dot),
+                 "--highlight", "asc"]) == 0
+    assert capsys.readouterr().out and "style=bold" in dot.read_text(encoding="utf-8")
+    assert len(calls) == 1
+
+
 def test_analyze_checks_admissibility_once(capsys, monkeypatch, g2_file):
     # the morse view and the monodromy basis read one check of the one weight system
     calls = count_calls(monkeypatch, "morse", "check_admissible")

@@ -432,7 +432,7 @@ def test_directional_links_match_union_find_over_end_tuples():
 
 def assert_counts_match_fiber_graph(a, ws):
     c = a.complex
-    vertices, arcs, components = morse.fiber_counts(c, ws, min_corners(c, ws), a.sign_links(ws))
+    vertices, arcs, components = morse.fiber_counts(a, ws)
     fiber = fiber_graph(c, ws)
     assert (vertices, arcs, vertices - arcs, components == 1, components) == (
         len(fiber.vertices), len(fiber.edges), fiber.chi, fiber.connected, fiber.components)

@@ -446,15 +446,15 @@ def test_crossing_table_is_built_by_the_first_rewrite(name, spec):
     # ends are numbered as the link numbers its vertices, letters through one table
     number = end_numbers(c)
     assert list(number) == build_link(c).vertices
-    assert ctx._letter_ends == {(g, s): (number[arrival_end((g, s))], number[departure_end((g, s))])
-                                for g in c.generators for s in (1, -1)}
+    assert c.letter_ends == {(g, s): (number[arrival_end((g, s))], number[departure_end((g, s))])
+                             for g in c.generators for s in (1, -1)}
     assert {end: set(row) for end, row in enumerate(table)} == {
         number[end]: set(map(number.__getitem__, row))
         for adj in (ref.asc_adj, ref.desc_adj) for end, row in adj.items()}
 
 
 def end_numbers(c):
-    """Direction-end -> its number in `MonodromyContext`: 2i for ``g_i+``,
+    """Direction-end -> its number in `SquareComplex.letter_ends`: 2i for ``g_i+``,
     2i+1 for ``g_i-``."""
     return {(g, sign): 2 * i + k for i, g in enumerate(c.generators)
             for k, sign in enumerate("+-")}
@@ -572,7 +572,7 @@ def rescanning_flatten(ctx, letters):
             return letters
         j = h.index(extreme)
         x, y = letters[j - 1], letters[j]
-        d_left, d_right = ctx._letter_ends[x][0], ctx._letter_ends[y][1]
+        d_left, d_right = ctx.complex.letter_ends[x][0], ctx.complex.letter_ends[y][1]
         entering, rest, _ = ctx._crossings[d_left][ctx._first_hop(d_left, d_right)]
         assert x == entering, (x, entering)
         (g1, s1), (g2, s2), _ = rest

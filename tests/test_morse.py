@@ -89,6 +89,18 @@ def test_weight_spec_parsing(g1):
             parse_weight_spec(spec, g1)
 
 
+def test_weight_spec_lists_the_stems_once(g1, monkeypatch):
+    # a spec of n items costs O(n + generators): names are looked up in the
+    # generator index, and the stems are listed once, not once per stem item
+    from logfiber.complexes import SquareComplex
+
+    calls = []
+    stems = SquareComplex.stems
+    monkeypatch.setattr(SquareComplex, "stems", lambda c: calls.append(c) or stems(c))
+    assert parse_weight_spec("a=1,b=2,a0=5", g1) == parse_weight_spec("b=2,a0=5,a=1", g1)
+    assert len(calls) == 2
+
+
 # -- directional links -------------------------------------------------
 
 
