@@ -101,21 +101,14 @@ def complex_text(c: SquareComplex) -> str:
 
 
 def link_report(a: Analysis) -> dict:
-    largeness, vertices, ends = a.largeness, a.link.vertices, a.link.ends  # in report order
-    names = list(map("".join, vertices))  # `links.format_end` of every end, in one C loop
-    poison = []
-    for i in a.poison:  # edge 4s+k is corner k of square s
-        p, q = ends[i]
-        if vertices[q] < vertices[p]:  # the order of `CornerEdge.pair`
-            p, q = q, p
-        poison.append({"square": i >> 2, "corner": i & 3, "endpoints": [names[p], names[q]]})
+    largeness, link = a.largeness, a.link
     return {
-        "vertices": len(vertices),
-        "edges": len(ends),
+        "vertices": len(link.vertices),
+        "edges": len(link.ends),
         "girth": largeness.girth,
         "is_large": largeness.is_large,
         "violations": largeness.violations,
-        "poison": poison,
+        "poison": links.poison_rows(link, a.poison),
         "convention": END_CONVENTION,
     }
 
@@ -535,17 +528,13 @@ def _analyze_view(a: Analysis, args) -> tuple[dict, Callable[[], str]]:
 def _write_dot(args, a: Analysis) -> None:
     if not getattr(args, "dot", None):
         return
-    highlight_edges: set[tuple[int, int]] = set()
-    highlight_vertices: set = set()
-    if args.highlight == "poison":
-        highlight_edges = {divmod(i, 4) for i in a.poison}
-    elif args.highlight in ("asc", "desc"):
+    vertices, edges = (), (a.poison if args.highlight == "poison" else ())
+    if args.highlight in ("asc", "desc"):
         asc, desc = morse.directional_links(a, _weights(a, args))
         side = asc if args.highlight == "asc" else desc
-        highlight_edges = {divmod(i, 4) for i in side.edges}
-        highlight_vertices = set(side.vertices)
+        vertices, edges = side.vertices, side.edges
     distinct = {sq.index for sq in a.complex.squares if sq.origin == "added"}
-    text = links.export_dot(a.link, highlight_vertices, highlight_edges, distinct)
+    text = links.export_dot(a.link, set(vertices), set(edges), distinct)
     try:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -7,8 +7,9 @@ link edges, one per corner: the corner between consecutive boundary letters
 ``x`` then ``y`` joins the arrival direction of ``x`` to the departure
 direction of ``y``.  `LinkGraph.ends` holds each edge's ends as their places
 in its vertex list, all that `build_link` writes: vertex k is end k of
-`SquareComplex.letter_ends`, and edge 4s+k is corner k of square s; the
-checks run on them, and `LinkGraph.edges` names them on first use.
+`SquareComplex.letter_ends`, and edge 4s+k is corner k of square s.  The
+checks, report rows and DOT export run on them; `LinkGraph.names` names the
+ends once per link, and `LinkGraph.edges` builds `CornerEdge`s on first read.
 
 A corner is *poison* when its link edge lies on no circuit of length four
 (closed 4-edge walks without immediate backtracking; loop edges excluded).
@@ -60,13 +61,9 @@ class CornerEdge(NamedTuple):
 
 
 def square_corners(sq: Square) -> list[CornerEdge]:
-    letters = sq.boundary.letters
-    corners = []
-    for i in range(4):
-        prev = letters[(i + 3) % 4]
-        here = letters[i]
-        corners.append(CornerEdge(sq.index, i, (arrival_end(prev), departure_end(here))))
-    return corners
+    letters = sq.boundary.letters  # corner i follows letter i - 1 (letter 3 for corner 0)
+    return [CornerEdge(sq.index, i, (arrival_end(letters[i - 1]), departure_end(letters[i])))
+            for i in range(4)]
 
 
 class LinkGraph:
@@ -79,6 +76,10 @@ class LinkGraph:
     def edges(self) -> list[CornerEdge]:  # edge 4s+k as corner k of square s
         v = self.vertices
         return [CornerEdge(i >> 2, i & 3, (v[a], v[b])) for i, (a, b) in enumerate(self.ends)]
+
+    @cached_property  # names sort as their ends do: + and - sort before any name character
+    def names(self) -> list[str]:  # `format_end` of every vertex, in number order
+        return list(map(format_end, self.vertices))
 
     @cached_property
     def near(self) -> list[dict[int, list[int]]]:
@@ -143,20 +144,20 @@ class LargenessReport(NamedTuple):
     violations: list[dict]
 
 
-def _loops(link: LinkGraph) -> list[CornerEdge]:
-    return [link.edges[i] for i, (a, b) in enumerate(link.ends) if a == b]
+def _loops(link: LinkGraph) -> list[tuple[int]]:
+    return [(i,) for i, (a, b) in enumerate(link.ends) if a == b]
 
 
-def _bigons(link: LinkGraph) -> list[tuple[CornerEdge, CornerEdge]]:
+def _bigons(link: LinkGraph) -> list[tuple[int, int]]:
     near, out = link.near, []
     for i, (a, b) in enumerate(link.ends):
         ids = near[a].get(b, ())
         if len(ids) > 1 and ids[0] == i:  # each parallel class once, by its first edge
-            out.extend((link.edges[j], link.edges[k]) for j, k in combinations(ids, 2))
+            out.extend(combinations(ids, 2))
     return out
 
 
-def _triangles(link: LinkGraph) -> tuple[list[tuple[CornerEdge, CornerEdge, CornerEdge]], bool]:
+def _triangles(link: LinkGraph) -> tuple[list[tuple[int, int, int]], bool]:
     """Triangles with edges i < j < k: edge i joins a to b, edge j joins b
     to a common neighbour c, and edge k joins c back to a; and whether the
     ends of some non-loop edge have a common neighbour (any triangle at all).
@@ -183,27 +184,24 @@ def _triangles(link: LinkGraph) -> tuple[list[tuple[CornerEdge, CornerEdge, Corn
                     # known defect: ``j < k`` keeps only the triangles whose edge on
                     # {b, c} comes before their edge on {c, a}; without it all are found
                     if i < min(j, k) and j < k:
-                        found.append((min(j, k), max(j, k)))
-        out.extend((link.edges[i], link.edges[j], link.edges[k]) for j, k in sorted(found))
+                        found.append((i, min(j, k), max(j, k)))
+        out += sorted(found)
     return out, spanned
+
+
+def _violation(link: LinkGraph, kind: str, ids: tuple[int, ...]) -> dict:
+    """The row of a loop, bigon or triangle: its corners and its ends' names, sorted."""
+    ends, names = link.ends, link.names
+    return {"kind": kind, "corners": [divmod(i, 4) for i in ids],
+            "vertices": sorted({names[v] for i in ids for v in ends[i]})}
 
 
 def largeness(link: LinkGraph) -> LargenessReport:
     """Exhaustive check of the large-link condition (girth >= 4)."""
-    violations: list[dict] = []
-    loops = _loops(link)
-    for e in loops:
-        violations.append({"kind": "loop", "corners": [(e.square, e.corner)],
-                           "vertices": [format_end(e.ends[0])]})
-    bigons = _bigons(link)
-    for e, f in bigons:
-        violations.append({"kind": "bigon", "corners": [(e.square, e.corner), (f.square, f.corner)],
-                           "vertices": [format_end(v) for v in e.pair]})
+    loops, bigons = _loops(link), _bigons(link)
     triangles, spanned = _triangles(link)
-    for tri in triangles:
-        verts = {v for e in tri for v in e.ends}
-        violations.append({"kind": "triangle", "corners": [(e.square, e.corner) for e in tri],
-                           "vertices": sorted(format_end(v) for v in verts)})
+    violations = [_violation(link, kind, ids) for kind, found in
+                  (("loop", loops), ("bigon", bigons), ("triangle", triangles)) for ids in found]
     if loops:
         girth: int | None = 1
     elif bigons:
@@ -225,11 +223,21 @@ def poison_edges(link: LinkGraph) -> list[int]:
     return [i for i, on in enumerate(link.on_four_circuit()) if not on]
 
 
+def poison_rows(link: LinkGraph, ids: list[int]) -> list[dict]:
+    """The rows of the corners numbered ``ids``, in one pass: square, corner
+    and the names of the two ends, sorted."""
+    ends, names, rows = link.ends, link.names, []
+    for i in ids:
+        p, q = ends[i]
+        p, q = names[p], names[q]
+        rows.append({"square": i >> 2, "corner": i & 3, "endpoints": [p, q] if p <= q else [q, p]})
+    return rows
+
+
 def poison_corners(c: SquareComplex, link: LinkGraph | None = None) -> list[CornerEdge]:
     """The `poison_edges` as `CornerEdge`s.  ``link`` is the complex's link
     when the caller holds it; `analyze` reads `Analysis.poison`'s numbers."""
-    if link is None:
-        link = build_link(c)
+    link = link or build_link(c)
     return [link.edges[i] for i in poison_edges(link)]
 
 
@@ -256,25 +264,26 @@ def shortest_cycle_through(link: LinkGraph, edge_index: int) -> int | None:
 def export_dot(
     link: LinkGraph,
     highlight_vertices: set[End] | frozenset[End] = frozenset(),
-    highlight_edges: set[tuple[int, int]] | frozenset[tuple[int, int]] = frozenset(),
+    highlight_edges: set[int] | frozenset[int] = frozenset(),
     distinct_squares: set[int] | frozenset[int] = frozenset(),
 ) -> str:
     """Render the link as an undirected DOT graph.
 
-    ``highlight_edges`` is a set of (square, corner) ids drawn bold;
-    ``distinct_squares`` get dashed edges (used for added squares).
+    ``highlight_edges`` holds edge numbers (4s+k: square s, corner k) drawn
+    bold; ``distinct_squares`` get dashed edges (used for added squares).
     """
+    names = link.names
     lines = ["graph link {"]
-    for v in sorted(link.vertices):
+    for v, name in sorted(zip(link.vertices, names)):
         style = ' [style=bold]' if v in highlight_vertices else ""
-        lines.append(f'  "{format_end(v)}"{style};')
-    for e in sorted(link.edges, key=lambda e: (e.square, e.corner)):
-        attrs = [f'label="s{e.square}c{e.corner}"']
-        if (e.square, e.corner) in highlight_edges:
+        lines.append(f'  "{name}"{style};')
+    for i, (a, b) in enumerate(link.ends):
+        square, corner = divmod(i, 4)
+        attrs = [f'label="s{square}c{corner}"']
+        if i in highlight_edges:
             attrs.append("style=bold")
-        elif e.square in distinct_squares:
+        elif square in distinct_squares:
             attrs.append("style=dashed")
-        a, b = e.ends
-        lines.append(f'  "{format_end(a)}" -- "{format_end(b)}" [{", ".join(attrs)}];')
+        lines.append(f'  "{names[a]}" -- "{names[b]}" [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

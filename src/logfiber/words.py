@@ -20,9 +20,9 @@ from .errors import InputError
 
 Letter = tuple[str, int]
 
-# generator names: letters followed by optional digits ("a", "a0", "β2")
-_NAME_RE = re.compile(r"[^\W\d_]+\d*\Z")
-_TOKEN_RE = re.compile(r"([^\W\d_]+\d*)(\^-1|-)?\Z")
+# generator names: letters, then the ASCII digits `generator_stem` strips ("a", "a0", "β2")
+_NAME_RE = re.compile(r"[^\W\d_]+[0-9]*\Z")
+_TOKEN_RE = re.compile(r"([^\W\d_]+[0-9]*)(\^-1|-)?\Z")
 
 
 def check_generator_name(name: str) -> str:

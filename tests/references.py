@@ -61,10 +61,10 @@ def triangles(link) -> tuple[list, bool]:
     """`links._triangles` as it was before its disjoint-neighbour prefilter:
     every non-loop edge i = (a, b) probes the larger of its ends' neighbour
     dicts with the smaller for a common neighbour c, and keeps edges j on
-    {b, c} and k on {c, a} with i < j < k.  The ``j < k`` filter is the known
-    defect that the bench report hashes were recorded with.  Also returns
-    whether any common neighbour was found."""
-    near, edges = link.near, link.edges
+    {b, c} and k on {c, a} with i < j < k, as edge-number triples.  The
+    ``j < k`` filter is the known defect that the bench report hashes were
+    recorded with.  Also returns whether any common neighbour was found."""
+    near = link.near
     out, spanned = [], False
     for i, (a, b) in enumerate(link.ends):
         if a == b:
@@ -79,7 +79,7 @@ def triangles(link) -> tuple[list, bool]:
                 for k in near[c][a]:
                     if i < min(j, k) and j < k:
                         found.append((min(j, k), max(j, k)))
-        out.extend((edges[i], edges[j], edges[k]) for j, k in sorted(found))
+        out.extend((i, j, k) for j, k in sorted(found))
     return out, spanned
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from logfiber.analysis import Analysis
-from logfiber.cli import SCHEMAS, link_report, main
+from logfiber.cli import FILE_COMMANDS, SCHEMAS, link_report, main
 from logfiber.complexes import MAX_LOT_K, SquareComplex
 from logfiber.links import format_end, poison_corners
 from logfiber.morse import MAX_FIBER_CELLS
@@ -445,6 +445,51 @@ def test_analyze_builds_no_corner_edges(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         assert capsys.readouterr().out
         assert "edges" not in made.pop().link.__dict__
+
+
+# (subcommand words, options on g2, options on the bigon LOG, its exit status there)
+COMMAND_RUNS = [
+    (["link"], [], [], 0), (["check", "large"], [], [], 0), (["check", "poison"], [], [], 0),
+    (["check", "flat"], [], [], 0), (["morse"], ["--weights", "a=1,b=1"], ["--weights", "a=1"], 0),
+    (["fiberings"], ["--bound", "2"], ["--bound", "2"], 0), (["verdict"], [], [], 0),
+    (["monodromy"], ["--conjugator", "a3"], ["--conjugator", "a3"], 1),
+    (["transition"], ["--conjugator", "a3"], ["--conjugator", "a3"], 1),
+    (["reducible-witness"], ["--conjugator", "a3"], ["--conjugator", "a3"], 1),
+    (["analyze"], [], [], 0),
+]
+
+
+def test_command_runs_cover_every_file_subcommand():
+    ran = {" ".join(words) for words, _, _, _ in COMMAND_RUNS}
+    assert ran == {command for command, _, _, view in FILE_COMMANDS if view is not None}
+
+
+@pytest.mark.parametrize("name", ["g2", "bigons"])
+def test_no_command_builds_corner_edges(tmp_path, capsys, monkeypatch, name):
+    # every report and DOT file reads the link's end numbers and its names:
+    # no command path builds `LinkGraph.edges`, the CornerEdge view
+    import logfiber.cli as cli
+    from test_text_reports import INPUTS
+
+    path = tmp_path / f"{name}.log"
+    path.write_text(INPUTS[name](), encoding="utf-8")
+    made = []
+    monkeypatch.setattr(cli, "Analysis", lambda c: made.append(Analysis(c)) or made[-1])
+    runs = [(words, g2_options if name == "g2" else options, 0 if name == "g2" else status)
+            for words, g2_options, options, status in COMMAND_RUNS]
+    runs = [(words, options + json, status) for words, options, status in runs
+            for json in ([], ["--json"])]
+    runs += [(["link"], ["--dot", str(tmp_path / "link.dot"), "--highlight", side], 0)
+             for side in ("poison", "asc")]
+    named = []
+    for words, options, status in runs:
+        assert main([*words, str(path), *options]) == status, words
+        out, err = capsys.readouterr()
+        assert out if status == 0 else err, words
+        a = made.pop()  # `verdict` on a LOG that is not large reads no link
+        if "link" in a.__dict__ and "edges" in a.link.__dict__:
+            named.append(" ".join(words + options))
+    assert named == [], named
 
 
 @pytest.mark.parametrize("name", ["g1", "g2"])

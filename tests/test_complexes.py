@@ -272,6 +272,25 @@ def test_parse_checks_each_generator_name_once(monkeypatch):
     assert checked == ["a", "b", "a", "a", "b_"]
 
 
+def test_generator_names_take_ascii_digits_only(tmp_path, capsys):
+    # `generator_stem` strips 0-9 only, so a name ending in another script's
+    # decimal digits (Arabic-Indic "٢") is refused as a name and as a letter
+    from logfiber.cli import main
+    from logfiber.words import check_generator_name, generator_stem
+
+    for name in ("a٢", "a1٢", "β٣"):
+        with pytest.raises(InputError, match=f"^line 1: invalid generator name '{name}'"):
+            parse_spec(f"generators a1 {name} b1\n")
+        with pytest.raises(InputError, match=f"^line 2: cannot parse letter '{name}'"):
+            parse_spec(f"generators a1 b1\nsquare a1 b1 {name} b1^-1\n")
+    assert generator_stem(check_generator_name("β20")) == "β"  # letters of any script
+    path = tmp_path / "digits.log"
+    path.write_text("generators a1 a٢ b1\nsquare a1 b1 a1^-1 b1^-1\n"
+                    "square a٢ b1 a٢^-1 b1^-1\n", encoding="utf-8")
+    assert main(["morse", str(path), "--weights", "a=1,b=1"]) == 1
+    assert "error: line 1: invalid generator name 'a٢'" in capsys.readouterr().err
+
+
 def test_parse_memo_keeps_letters_and_errors():
     # ``a-`` and ``a^-1`` are one letter, whether or not a generators line came first
     c = parse_spec("square a b a- b^-1\ngenerators a b\nsquare b a b- a^-1\nsquare a b a^-1 b-\n")

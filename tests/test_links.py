@@ -391,6 +391,9 @@ def test_triangles_match_the_enumeration_without_prefilter():
     for link in links:
         found, flag = _triangles(link)
         assert (found, flag) == reference_triangles(link)
+        for tri in found:  # edge numbers whose named corners close a triangle
+            degree = Counter(v for i in tri for v in link.edges[i].ends)
+            assert len(degree) == 3 and set(degree.values()) == {2}, tri
         assert flag == common_neighbour_exists(link)
         spanned[flag] += 1
     assert spanned[True] >= 100 and spanned[False] >= 100
@@ -417,18 +420,33 @@ def test_export_dot(g2):
     text = export_dot(
         link,
         highlight_vertices=set(asc.vertices),
-        highlight_edges={divmod(i, 4) for i in asc.edges},
+        highlight_edges=set(asc.edges),
         distinct_squares={6},
     )
     assert text.startswith("graph link {")
     assert text.rstrip().endswith("}")
-    assert "style=bold" in text and "style=dashed" in text
     assert text.count("--") == len(link.edges)
+    styles = {}
+    for line in text.splitlines():
+        if "--" in line:  # '  "x" -- "y" [label="s<square>c<corner>", style=...];'
+            label = line.split('label="s', 1)[1].split('"', 1)[0]
+            square, corner = map(int, label.split("c"))
+            style = line.split("style=", 1)[1].split("]", 1)[0] if "style=" in line else None
+            styles[4 * square + corner] = style
+    assert list(styles) == list(range(len(link.ends)))  # in edge-number order
+    bold = {i for i, style in styles.items() if style == "bold"}
+    dashed = {i for i, style in styles.items() if style == "dashed"}
+    assert bold == set(asc.edges)  # one per square, square 6's among them
+    assert dashed == set(range(24, 28)) - bold
+    assert len(dashed) == 3
+    bold_vertices = {line.split('"')[1] for line in text.splitlines()
+                     if "--" not in line and "style=bold" in line}
+    assert bold_vertices == {format_end(v) for v in asc.vertices}
     # deterministic
     assert text == export_dot(
         link,
         highlight_vertices=set(asc.vertices),
-        highlight_edges={divmod(i, 4) for i in asc.edges},
+        highlight_edges=set(asc.edges),
         distinct_squares={6},
     )
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from logfiber import InputError, SquareComplex, Word, parse_spec
 
-names = st.from_regex(r"[^\W\d_]{1,3}\d{0,2}", fullmatch=True)
+# valid generator names: letters of any script, then ASCII digits only
+names = st.from_regex(r"[^\W\d_]{1,3}[0-9]{0,2}", fullmatch=True)
 
 
 @st.composite
@@ -41,7 +42,7 @@ pool = st.sampled_from(["a", "b", "c", "a0"])
 letters = pool | pool.map(lambda g: g + "^-1") | pool.map(lambda g: g + "-")
 junk = (names | st.text(max_size=4)
         | st.sampled_from(["label=a", "from=b", "to=c", "label=", "=a", "a=b=c", "^-1", "-",
-                           "a^-1^-1", "1a", "a_b", "#", "# added"]))
+                           "a^-1^-1", "1a", "a_b", "a٢", "#", "# added"]))
 heads = st.sampled_from(["generators", "square", "edge", "name", "Square", ""])
 lines = (st.builds(lambda head, words: " ".join([head, *words]), heads,
                    st.lists(letters | letters | junk, max_size=6))
