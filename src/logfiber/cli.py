@@ -14,9 +14,9 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from itertools import chain, compress, repeat
 from operator import eq
-from typing import Callable
 
 from . import flatness, links, monodromy, morse
 from .analysis import Analysis
@@ -100,7 +100,7 @@ def complex_text(c: SquareComplex) -> str:
     return "\n".join(lines)
 
 
-def link_report(a: Analysis) -> dict:
+def large_report(a: Analysis) -> dict:
     largeness, link = a.largeness, a.link
     return {
         "vertices": len(link.vertices),
@@ -108,16 +108,25 @@ def link_report(a: Analysis) -> dict:
         "girth": largeness.girth,
         "is_large": largeness.is_large,
         "violations": largeness.violations,
-        "poison": links.poison_rows(link, a.poison),
-        "convention": END_CONVENTION,
     }
 
 
+def poison_report(a: Analysis) -> dict:
+    return {"poison": links.poison_rows(a.link, a.poison), "convention": END_CONVENTION}
+
+
+def link_report(a: Analysis) -> dict:
+    return {**large_report(a), **poison_report(a)}
+
+
+def _girth_text(data: dict) -> int | str:
+    return data["girth"] if data["girth"] is not None else "none (no cycles)"
+
+
 def link_text(data: dict) -> str:
-    girth = data["girth"] if data["girth"] is not None else "none (no cycles)"
     lines = [
         f"link: {data['vertices']} vertices, {data['edges']} edges,"
-        f" girth {girth}, large: {'yes' if data['is_large'] else 'no'}"
+        f" girth {_girth_text(data)}, large: {'yes' if data['is_large'] else 'no'}"
     ]
     for v in data["violations"]:
         lines.append(f"  violation: {v['kind']} at corners {v['corners']} ({', '.join(v['vertices'])})")
@@ -125,8 +134,7 @@ def link_text(data: dict) -> str:
 
 
 def large_text(data: dict) -> str:
-    girth = data["girth"] if data["girth"] is not None else "none (no cycles)"
-    return (f"link large: {'yes' if data['is_large'] else 'no'} (girth {girth},"
+    return (f"link large: {'yes' if data['is_large'] else 'no'} (girth {_girth_text(data)},"
             f" {len(data['violations'])} violations)")
 
 
@@ -496,10 +504,6 @@ def _with_text(data: dict, text: Callable[[dict], str]) -> tuple[dict, Callable[
     return data, functools.partial(text, data)
 
 
-def _keep(data: dict, keys: tuple[str, ...]) -> dict:
-    return {k: data[k] for k in keys}
-
-
 def _morse_view(a: Analysis, args) -> tuple[dict, Callable[[], str]]:
     ws = _weights(a, args)
     data = morse_report(a, ws)
@@ -573,11 +577,8 @@ FILE_COMMANDS = (
     ("link", "link of the vertex: counts, girth, poison corners", (_DOT, _HIGHLIGHT, _WEIGHTS),
      lambda a, args: _with_text(link_report(a), link_text)),
     ("check", "large / poison / flat checks", (), None),
-    ("check large", None, (), lambda a, args: _with_text(
-        _keep(link_report(a), ("vertices", "edges", "girth", "is_large", "violations")),
-        large_text)),
-    ("check poison", None, (),
-     lambda a, args: _with_text(_keep(link_report(a), ("poison", "convention")), poison_text)),
+    ("check large", None, (), lambda a, args: _with_text(large_report(a), large_text)),
+    ("check poison", None, (), lambda a, args: _with_text(poison_report(a), poison_text)),
     ("check flat", None, (_RADIUS,),
      lambda a, args: _with_text(flat_report(a, args.radius), flat_text)),
     ("morse", "weight system analysis", (("--weights", {"required": True}),), _morse_view),

@@ -25,8 +25,9 @@ and never affects the mathematics.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, NamedTuple
 
 from .errors import InputError
 from .words import LetterTable, Word, check_generator_name, check_generator_names, generator_stem
@@ -35,10 +36,7 @@ NAMED_COMPLEXES = ("lot-a", "lot-b", "g1", "gf", "g2", "torus")
 MAX_LOT_K = 100_000  # a larger LOT family is refused before anything is allocated
 
 
-class Square(NamedTuple):
-    index: int
-    boundary: Word
-    origin: str = ""
+Square = namedtuple("Square", ("index", "boundary", "origin"), defaults=("",))
 
 
 class SquareComplex:

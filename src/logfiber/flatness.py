@@ -34,21 +34,18 @@ eligible squares of an `Analysis` of its one source.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .analysis import Analysis
 from .complexes import SquareComplex
 from .errors import InputError
 from .links import CornerEdge, LinkGraph, arrival_end, departure_end, square_corners
-from .words import Letter, inverse_letter
+from .words import inverse_letter
 
 
-class Tile(NamedTuple):
-    square: int
-    rot: int
-    refl: bool
-    sides: tuple[Letter, Letter, Letter, Letter]  # canonical S, E, N, W
-    corner_at: tuple[int, int, int, int]  # square corner index at SW, SE, NE, NW
+# sides: the letters on the canonical S, E, N, W sides; corner_at: the
+# square corner index at SW, SE, NE, NW
+Tile = namedtuple("Tile", ("square", "rot", "refl", "sides", "corner_at"))
 
 
 def _base_tile(square: int, boundary) -> Tile:
@@ -121,9 +118,8 @@ def disk_cells(radius: int) -> list[tuple[int, int]]:
     return cells
 
 
-class DiskWitness(NamedTuple):
-    radius: int
-    placement: dict[tuple[int, int], tuple[int, int, bool]]  # (x, y) -> (square, rot, refl)
+# placement: (x, y) -> (square, rot, refl)
+DiskWitness = namedtuple("DiskWitness", ("radius", "placement"))
 
 
 _SIDE_OF = {(0, -1): 0, (1, 0): 1, (0, 1): 2, (-1, 0): 3}  # neighbor offset -> my side
@@ -344,12 +340,9 @@ def validate_witness(c: SquareComplex, witness: DiskWitness) -> list[str]:
     return problems
 
 
-class Verdict(NamedTuple):
-    tag: str  # NotNPC | HyperbolicCertA | HyperbolicCertB | Inconclusive
-    radius: int | None = None
-    witness: DiskWitness | None = None
-    eligible: list[int] | None = None
-    details: str = ""
+# tag: NotNPC | HyperbolicCertA | HyperbolicCertB | Inconclusive
+Verdict = namedtuple("Verdict", ("tag", "radius", "witness", "eligible", "details"),
+                     defaults=(None, None, None, ""))
 
 
 def hyperbolicity_verdict(source: SquareComplex | Analysis, max_radius: int = 3) -> Verdict:

@@ -19,9 +19,9 @@ for tiling a flat plane, which is what `flatness` builds on.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
 
 from .complexes import Square, SquareComplex
 from .words import Letter
@@ -43,16 +43,14 @@ def format_end(end: End) -> str:
     return end[0] + end[1]
 
 
-class CornerEdge(NamedTuple):
+class CornerEdge(namedtuple("CornerEdge", ("square", "corner", "ends"))):
     """One square corner as a link edge.
 
     ``ends`` is ordered (arrival of the previous letter, departure of the
     corner's letter); use `pair` when the orientation does not matter.
     """
 
-    square: int
-    corner: int
-    ends: tuple[End, End]
+    __slots__ = ()
 
     @property
     def pair(self) -> tuple[End, End]:
@@ -138,10 +136,8 @@ def build_link(c: SquareComplex) -> LinkGraph:
     return LinkGraph(list(map(arrival_end, ends)), numbers)  # key k arrives at end k
 
 
-class LargenessReport(NamedTuple):
-    is_large: bool
-    girth: int | None  # None means no cycle at all
-    violations: list[dict]
+# girth None means no cycle at all
+LargenessReport = namedtuple("LargenessReport", ("is_large", "girth", "violations"))
 
 
 def _loops(link: LinkGraph) -> list[tuple[int]]:

@@ -39,11 +39,11 @@ into flat lists indexed by end number (`_tree`).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from operator import itemgetter, or_
-from typing import Iterator, NamedTuple
 
 from .analysis import Analysis
 from .complexes import SquareComplex
@@ -61,11 +61,8 @@ MAX_PEAK_STEPS = 100_000
 Crossing = tuple[Letter, tuple[Letter, Letter, Letter], Letter]
 
 
-class BasisLoop(NamedTuple):
-    square: int
-    name: str
-    rep: Word  # e2 * e3 of the boundary rotated to start at the min corner
-    rotated: tuple[Letter, Letter, Letter, Letter]
+# rep: e2 * e3 of the boundary rotated to start at the min corner
+BasisLoop = namedtuple("BasisLoop", ("square", "name", "rep", "rotated"))
 
 
 def _conjugator_of(boundary: Word) -> str | None:
@@ -289,11 +286,10 @@ def _substitute(word: Word, images: dict[str, Word]) -> Word:
     return join_reduced(map(pieces.__getitem__, word.letters))
 
 
-class Automorphism(NamedTuple):
-    images: dict[str, Word]  # basis name -> word in basis letters
-    conjugator: Word
-    tag: str  # "monodromy" (weight +-1) or "inner" (weight 0)
-    context: MonodromyContext
+class Automorphism(namedtuple("Automorphism", ("images", "conjugator", "tag", "context"))):
+    # images: basis name -> word in basis letters;
+    # tag: "monodromy" (weight +-1) or "inner" (weight 0)
+    __slots__ = ()
 
     @property
     def basis(self) -> list[BasisLoop]:
@@ -349,17 +345,16 @@ def invert(f: Automorphism) -> Automorphism:
     return _conjugate(f.conjugator.inverse(), f.context)
 
 
-class TransitionMatrix(NamedTuple):
+class TransitionMatrix(namedtuple("TransitionMatrix",
+                                   ("order", "matrix", "irreducible", "primitive", "witness_power"))):
     """The letter-count matrix M of an automorphism's images on the rose of
     basis loops, one topological representative; ``irreducible``,
     ``primitive`` and ``witness_power`` are properties of M, not of the
-    automorphism."""
+    automorphism.  ``order`` holds the basis names in row/column order,
+    entry (i, j) of ``matrix`` counts letter i in the image of j, and
+    ``witness_power`` is the least N with M^N entrywise positive."""
 
-    order: list[str]  # basis names, row/column order
-    matrix: tuple[tuple[int, ...], ...]  # entry (i, j) = occurrences of letter i in image of j
-    irreducible: bool
-    primitive: bool
-    witness_power: int | None  # least N with M^N entrywise positive
+    __slots__ = ()
 
 
 def transition_matrix(f: Automorphism) -> TransitionMatrix:

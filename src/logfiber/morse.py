@@ -39,15 +39,15 @@ so the expanded kernel is the same canonical basis the full matrix gives.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import chain, count, islice, product
 from math import gcd
 from operator import add, mul, neg
-from typing import Iterator, NamedTuple
 
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
 from .complexes import SquareComplex, union
 from .errors import InputError
-from .links import End
 from .words import generator_stem
 
 WeightSystem = dict[str, int]
@@ -111,9 +111,7 @@ def min_corners(c: SquareComplex, ws: WeightSystem) -> list[int]:
             for (g0, s0), (g1, s1), _, _ in (sq.boundary.letters for sq in c.squares)]
 
 
-class AdmissibilityReport(NamedTuple):
-    admissible: bool
-    problems: list[str]
+AdmissibilityReport = namedtuple("AdmissibilityReport", ("admissible", "problems"))
 
 
 def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
@@ -148,12 +146,9 @@ def require_admissible(source: SquareComplex | analysis.Analysis, ws: WeightSyst
     return a.min_corners(ws)
 
 
-class DirectionalLink(NamedTuple):
-    side: str  # "ascending" or "descending"
-    vertices: list[End]
-    edges: list[int]  # link edge numbers: 4s+k is corner k of square s
-    is_tree: bool
-    components: int
+# side: "ascending" or "descending"; edges: link edge numbers, 4s+k is corner k of square s
+DirectionalLink = namedtuple("DirectionalLink",
+                             ("side", "vertices", "edges", "is_tree", "components"))
 
 
 def directional_links(source: SquareComplex | analysis.Analysis, ws: WeightSystem
@@ -190,15 +185,8 @@ def sign_links(a: analysis.Analysis, ws: WeightSystem) -> tuple[DirectionalLink,
 
 BASE_VERTEX = ("*", 0)  # the unique vertex of the complex, as a fiber vertex
 
-FiberVertex = tuple[str, int]
-
-
-class FiberGraph(NamedTuple):
-    vertices: list[FiberVertex]
-    edges: list[tuple[FiberVertex, FiberVertex, int, int]]  # (u, v, square, level)
-    chi: int
-    connected: bool
-    components: int
+# edges: (u, v, square, level)
+FiberGraph = namedtuple("FiberGraph", ("vertices", "edges", "chi", "connected", "components"))
 
 
 def _fiber_paths(c: SquareComplex, mins: list[int]) -> list[tuple[int, int, int, int]]:

@@ -13,8 +13,8 @@ accepted on input; output always uses ``^-1``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from itertools import repeat
-from typing import Iterable, Iterator
 
 from .errors import InputError
 

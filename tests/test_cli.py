@@ -634,10 +634,20 @@ def test_monodromy_builds_no_fiber_graph(capsys, monkeypatch, g2_file):
     assert calls == []
 
 
+@pytest.mark.parametrize("check, unused", [("large", ("poison_rows", "poison_edges")),
+                                           ("poison", ("largeness",))])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_check_computes_only_what_it_prints(capsys, monkeypatch, g2_file, check, unused, flags):
+    calls = [count_calls(monkeypatch, "links", name) for name in unused]
+    assert main(["check", check, g2_file, *flags]) == 0
+    assert capsys.readouterr().out
+    assert calls == [[] for _ in unused]
+
+
 @pytest.mark.parametrize("argv, reports", [
     (["link", "{g1}"], ["link_report"]),
-    (["check", "large", "{g1}"], ["link_report"]),
-    (["check", "poison", "{g1}"], ["link_report"]),
+    (["check", "large", "{g1}"], ["large_report"]),
+    (["check", "poison", "{g1}"], ["poison_report"]),
     (["check", "flat", "{g1}", "--radius", "2"], ["flat_report"]),
     (["morse", "{g1}", "--weights", "a=1,b=1"], ["morse_report"]),
     (["fiberings", "{g1}", "--bound", "1"], ["fiberings_report"]),
