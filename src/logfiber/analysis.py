@@ -2,11 +2,12 @@
 
 A command builds one `Analysis` and hands it to every report it prints, so
 the link, its largeness report, the poison corners, the eligible squares,
-the weight lattice and its affine forms, the admissibility of each weight
-system and the min corners and directional links of each sign vector are
-built once; `min_corners` and `sign_links` are their only caches, and the
-links, like `poison`, hold edge numbers.  A function that takes a
-``source`` reads a complex or an `Analysis` of one through `Analysis.of`.
+the weight lattice and its affine forms and the admissibility of each
+weight system are built once, and so is one `orthant` entry per sign
+vector: its min corners, directional links and fiber paths, which every
+Morse reader shares.  The links, like `poison`, hold edge numbers.  A
+function that takes a ``source`` reads a complex or an `Analysis` of one
+through `Analysis.of`.
 Nothing cached here holds the `Analysis`, so a dropped one is freed
 without the cycle collector.
 """
@@ -25,8 +26,7 @@ class Analysis:
         self.complex = c
         if link is not None:
             self.link = link  # fills the cached property
-        self._min_corners: dict[tuple, list[int]] = {}
-        self._sign_links: dict[tuple, tuple[morse.DirectionalLink, morse.DirectionalLink]] = {}
+        self._orthants: dict[tuple, morse.Orthant] = {}  # keyed by sign vector
         self._admissibility: dict[tuple, morse.AdmissibilityReport] = {}
 
     @classmethod
@@ -78,25 +78,11 @@ class Analysis:
             self._admissibility[key] = morse.check_admissible(self.complex, ws)
         return self._admissibility[key]
 
-    def _signs(self, ws: morse.WeightSystem) -> tuple[bool, ...]:
-        return tuple(map((0).__lt__, map(ws.__getitem__, self.complex.generators)))
-
-    def min_corners(self, ws: morse.WeightSystem) -> list[int]:
-        """`morse.min_corners` of an admissible ``ws``, run once per sign vector."""
-        key = self._signs(ws)
-        if key not in self._min_corners:
-            self._min_corners[key] = morse.min_corners(self.complex, ws)
-        return self._min_corners[key]
-
-    def sign_links(self, ws: morse.WeightSystem
-                   ) -> tuple[morse.DirectionalLink, morse.DirectionalLink]:
-        """Ascending and descending links of an admissible weight system.
-
-        Each square's min and max corners, and each direction-end's side,
-        depend only on the signs of the weights, so `morse.sign_links` builds
-        the links once per sign vector, from `min_corners` and the link's
-        end numbers, with no admissibility check."""
-        key = self._signs(ws)
-        if key not in self._sign_links:
-            self._sign_links[key] = morse.sign_links(self, ws)
-        return self._sign_links[key]
+    def orthant(self, ws: morse.WeightSystem) -> morse.Orthant:
+        """`morse.orthant` of an admissible ``ws``, unchecked: its min corners,
+        ascending and descending links and fiber paths if a link is split,
+        built once per sign vector, on which they alone depend."""
+        key = tuple(map((0).__lt__, map(ws.__getitem__, self.complex.generators)))
+        if key not in self._orthants:
+            self._orthants[key] = morse.orthant(self.complex, self.link, ws)
+        return self._orthants[key]

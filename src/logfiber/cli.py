@@ -194,7 +194,7 @@ def morse_report(a: Analysis, ws: morse.WeightSystem) -> dict:
         data.update({"asc": None, "desc": None, "fiber": None, "chi": None, "rank": None,
                      "rank_blocked_by": "inadmissible weight system"})
         return data
-    asc, desc = a.sign_links(ws)
+    _, asc, desc, _ = a.orthant(ws)
     vertices, arcs, components = morse.fiber_counts(a, ws)
     for side, name in ((asc, "asc"), (desc, "desc")):
         data[name] = {

@@ -86,7 +86,8 @@ class MonodromyContext:
         bad = sorted(g for g in c.generators if abs(ws[g]) != 1)
         if bad:
             raise InputError(
-                f"monodromy needs all weights +-1 (rank-only mode otherwise); got {bad}"
+                f"monodromy needs all weights +-1, got {bad}; the morse command reports"
+                " the kernel rank at other weights"
             )
         # at unit weights the fiber is a one-vertex bouquet, always connected
         require_fibration(links)
@@ -102,7 +103,7 @@ class MonodromyContext:
         used: set[str] = set()
         self.basis: list[BasisLoop] = []
         self._rooting: tuple[list, ...] | None = None  # by `_tree`
-        for sq, m, name in zip(c.squares, a.min_corners(ws), names):
+        for sq, m, name in zip(c.squares, a.orthant(ws)[0], names):
             # disambiguate clashes deterministically by square id
             if clashes[name] > 1 or name in used:
                 name = f"{name}{sq.index}"

@@ -18,15 +18,16 @@ From an admissible weight system we read off:
 * the kernel rank 1 - chi(fiber) when both links are trees and the fiber
   is connected.
 
-Min and max corners, and so both directional links, depend only on the
-signs of the weights (`min_corners`).  A function here that takes a weight
-system reads its check (`require_admissible`), its sign vector's min
-corners and links and the lattice's affine forms from an `Analysis` of its
-one source, and generator numbers from `SquareComplex.generator_index`.
+Min and max corners, and so both directional links and the fiber's square
+paths, depend only on the signs of the weights (`min_corners`): `orthant`
+builds them as one entry, which `Analysis.orthant` keeps per sign vector.
+A function here that takes a weight system reads its check and that entry
+(`require_admissible`) and the lattice's affine forms from an `Analysis` of
+its one source, and generator numbers from `SquareComplex.generator_index`.
 Each directional link is counted by the one integer union-find,
 `complexes.union`; `fibering_scan` and `fiber_counts` read the fiber's
-values from closed forms and count its components by that union-find only
-when a directional link is disconnected.
+values from closed forms and count its components on the entry's paths by
+that union-find only when a directional link is disconnected.
 
 The integer lattice of zero-sum weight systems is computed exactly.  A LOG
 square ``x v x^-1 u^-1`` only asks for w(u) = w(v), so every square row
@@ -48,6 +49,7 @@ from operator import add, mul, neg
 from . import analysis  # a cycle: `analysis` imports this module; read at call time only
 from .complexes import SquareComplex, union
 from .errors import InputError
+from .links import LinkGraph
 from .words import generator_stem
 
 WeightSystem = dict[str, int]
@@ -136,51 +138,56 @@ def check_admissible(c: SquareComplex, ws: WeightSystem) -> AdmissibilityReport:
     return AdmissibilityReport(not problems, problems)
 
 
-def require_admissible(source: SquareComplex | analysis.Analysis, ws: WeightSystem) -> list[int]:
-    """The min corners of an admissible ``ws``, read with its `check_admissible` report from
-    an `Analysis` of ``source``; InputError naming every problem otherwise."""
+def require_admissible(source: SquareComplex | analysis.Analysis, ws: WeightSystem) -> Orthant:
+    """The `orthant` entry of an admissible ``ws``, read with its `check_admissible` report
+    from an `Analysis` of ``source``; InputError naming every problem otherwise."""
     a = analysis.Analysis.of(source)
     report = a.admissibility(ws)
     if not report.admissible:
         raise InputError("inadmissible weight system: " + "; ".join(report.problems))
-    return a.min_corners(ws)
+    return a.orthant(ws)
 
 
 # side: "ascending" or "descending"; edges: link edge numbers, 4s+k is corner k of square s
 DirectionalLink = namedtuple("DirectionalLink",
                              ("side", "vertices", "edges", "is_tree", "components"))
+# an `orthant` entry: min corners, ascending and descending links, fiber paths or None
+Orthant = tuple[list[int], DirectionalLink, DirectionalLink, list | None]
 
 
 def directional_links(source: SquareComplex | analysis.Analysis, ws: WeightSystem
                       ) -> tuple[DirectionalLink, DirectionalLink]:
     """Ascending and descending links of the vertex of ``source``, a complex or its
-    `Analysis`, under ``ws``, checked by `require_admissible`: `sign_links`, kept."""
-    a = analysis.Analysis.of(source)
-    require_admissible(a, ws)
-    return a.sign_links(ws)
+    `Analysis`, under ``ws``: the links of its `require_admissible` entry."""
+    _, asc, desc, _ = require_admissible(source, ws)
+    return asc, desc
 
 
-def sign_links(a: analysis.Analysis, ws: WeightSystem) -> tuple[DirectionalLink, DirectionalLink]:
-    """`directional_links` of an admissible ``ws``, unchecked, from ``a``'s min
-    corners and link; `Analysis.sign_links` keeps them, one per sign vector.
+def orthant(c: SquareComplex, link: LinkGraph, ws: WeightSystem) -> Orthant:
+    """What the signs of an admissible ``ws`` decide, unchecked: its `min_corners`,
+    its ascending and descending links on ``link``, the link of ``c``, and its
+    `_fiber_paths` when a link is split (else None); `Analysis.orthant` keeps
+    one per sign vector.
     A direction-end ascends when moving into it increases the Morse height:
     (g, start) for positive weight, (g, end) for negative.  Each square
     contributes its min-corner edge number to the ascending link and its
     max-corner one, two round, to the descending link.  A side holds one of
     the link's integer ends per generator, so `complexes.union` over the
     ends counts it, and it is a tree iff connected with n - 1 edges."""
-    link, mins, n = a.link, a.min_corners(ws), len(a.complex.generators)
+    mins, n = min_corners(c, ws), len(c.generators)
     # the end that a letter (g, s) arrives at ascends iff s * w_g < 0
-    ascends = [s * ws[g] < 0 for g, s in a.complex.letter_ends]
-    out = []
+    ascends = [s * ws[g] < 0 for g, s in c.letter_ends]
+    sides = []
     for side, turn, up in (("ascending", 0, True), ("descending", 2, False)):
         ids = [4 * i + (m + turn) % 4 for i, m in enumerate(mins)]
         pairs = list(map(link.ends.__getitem__, ids))
         assert all(ascends[p] is ascends[q] is up for p, q in pairs), side
         components = n - union(list(range(2 * n)), pairs)
-        out.append(DirectionalLink(side, [v for v, s in zip(link.vertices, ascends) if s is up],
-                                   ids, components == 1 and len(ids) == n - 1, components))
-    return out[0], out[1]
+        sides.append(DirectionalLink(side, [v for v, s in zip(link.vertices, ascends) if s is up],
+                                     ids, components == 1 and len(ids) == n - 1, components))
+    asc, desc = sides
+    paths = None if asc.components == desc.components == 1 else _fiber_paths(c, mins)
+    return mins, asc, desc, paths
 
 
 BASE_VERTEX = ("*", 0)  # the unique vertex of the complex, as a fiber vertex
@@ -250,11 +257,9 @@ def _fiber_counts(w: list[int], pairs: list[tuple[int, int]],
 
 def fiber_counts(a: analysis.Analysis, ws: WeightSystem) -> tuple[int, int, int]:
     """The vertex, arc and component counts of `fiber_graph` for an admissible
-    ``ws``, read by `_fiber_counts`, from its paths only if a directional link is split."""
-    c, (asc, desc) = a.complex, a.sign_links(ws)
-    paths = (None if asc.components == desc.components == 1
-             else _fiber_paths(c, a.min_corners(ws)))
-    return _fiber_counts([ws[g] for g in c.generators], _letter_pairs(c), paths)
+    ``ws``, read by `_fiber_counts` on the paths of its `Analysis.orthant` entry."""
+    c = a.complex
+    return _fiber_counts([ws[g] for g in c.generators], _letter_pairs(c), a.orthant(ws)[3])
 
 
 def fiber_graph(source: SquareComplex | analysis.Analysis, ws: WeightSystem) -> FiberGraph:
@@ -266,8 +271,10 @@ def fiber_graph(source: SquareComplex | analysis.Analysis, ws: WeightSystem) -> 
     `_fiber_counts`.  A square's first arc sits at level 1 + the signed
     weight of its letters before its min corner."""
     a = analysis.Analysis.of(source)
-    c, mins = a.complex, require_admissible(a, ws)
-    w, paths = [ws[g] for g in c.generators], _fiber_paths(c, mins)
+    c, (mins, _, _, paths) = a.complex, require_admissible(a, ws)
+    w = [ws[g] for g in c.generators]
+    if paths is None:  # both links connected: the entry keeps no paths
+        paths = _fiber_paths(c, mins)
     _, _, components = _fiber_counts(w, _letter_pairs(c), paths)  # refuses before any arc
     vertices = [BASE_VERTEX] + [(g, i) for g in c.generators for i in range(1, abs(ws[g]))]
     edges = [(vertices[u], vertices[v], sq.index, level)
@@ -407,15 +414,16 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
     """One row per lattice vector of ``source``, a complex or its `Analysis`,
     with coordinates x in [-bound, bound] (zero-weight vectors excluded), in
     lexicographic coordinate order, holding the values `check_admissible`,
-    `directional_links` and `fiber_graph` give.  What stays fixed over the lattice, or over the weight vectors
-    w = sum_k x_k b_k of one sign vector, is worked out once:
+    `directional_links` and `fiber_graph` give.  What stays fixed over the
+    lattice, or over the weight vectors w = sum_k x_k b_k of one sign vector,
+    is worked out once:
 
     * admissibility: each pair of opposite letters must carry negated signed
       weights (together: zero boundary sum and the affine condition), a
       linear form in x; a row is admissible iff every nonzero form is zero;
-    * the directional links depend only on the signs of the weights (corner
-      heights are (0, a, a+b, b) for the signed weights a, b of letters 0
-      and 1), so they come from `Analysis.sign_links`;
+    * the directional links and fiber paths depend only on the signs of the
+      weights (corner heights are (0, a, a+b, b) for the signed weights a, b
+      of letters 0 and 1), so they come from `Analysis.orthant`;
     * chi = 1 + sum_g (|w_g| - 1) - sum_squares (|a| + |b| - 1), the vertex
       and arc count of `fiber_graph`; with |w_g| = sign(w_g) w_g it is a
       constant plus one slope per sign vector dotted with x;
@@ -423,7 +431,7 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
       map is connected (Bestvina-Brady, Morse lemma), and the fiber of
       d times a primitive map is d disjoint level sets, so it has
       gcd(weights) components; otherwise union-find counts them on the
-      square paths of `_fiber_paths`.
+      entry's square paths (`_fiber_paths`).
 
     The span is symmetric, so -x sits at the mirrored place of x, with the
     zero vector at the centre; only the vectors before it are computed.
@@ -451,7 +459,7 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
         chi_coefficient[p] -= 1
         chi_coefficient[q] -= 1
     chi_constant = 1 - len(generators) + len(c.squares)
-    # sign vector (w_g > 0) -> (asc tree, desc tree, paths if a link is split, chi slope)
+    # sign vector (w_g > 0) -> its `Analysis.orthant` entry's tree flags and paths, chi slope
     orthants: dict[tuple[bool, ...], tuple[bool, bool, list | None, list[int]]] = {}
 
     span = range(-bound, bound + 1)
@@ -477,9 +485,7 @@ def fibering_scan(source: SquareComplex | analysis.Analysis, bound: int) -> list
             else:
                 signs = tuple(map((0).__lt__, w))
                 if signs not in orthants:
-                    asc, desc = a.sign_links(ws)
-                    paths = (None if asc.components == desc.components == 1
-                             else _fiber_paths(c, a.min_corners(ws)))
+                    _, asc, desc, paths = a.orthant(ws)
                     signed = [f if up else -f for f, up in zip(chi_coefficient, signs)]
                     # w_g = sum_k x_k b_k[g]
                     slope = [sum(map(mul, signed, b.values())) for b in basis]
@@ -542,7 +548,7 @@ def infinite_fibering_verdict(source: SquareComplex | analysis.Analysis) -> dict
         representative = next((ws for ws in candidates if 0 not in ws.values()), None)
         if representative is None:
             continue
-        asc, desc = a.sign_links(representative)
+        _, asc, desc, _ = a.orthant(representative)
         if asc.is_tree and desc.is_tree:
             out["infinite_fibering"] = True
             out["orthant"] = ["+" if s > 0 else "-" for s in signs]

@@ -177,7 +177,7 @@ def test_random_complexes_match_reference():
                 mirrored["inadmissible"] += not row["admissible"]
                 mirrored["note"] += "note" in row
                 if row["admissible"]:
-                    asc, desc = a.sign_links(row["weights"])
+                    _, asc, desc, _ = a.orthant(row["weights"])
                     mirrored["split link"] += not asc.components == desc.components == 1
     # the corpus reaches every branch of the scan
     assert inadmissible >= 1000 and non_tree >= 1000 and disconnected >= 1000
@@ -235,16 +235,26 @@ def test_components_are_gcd_when_links_connected():
     assert checked >= 500
 
 
-def test_links_built_once_per_sign_vector():
+def count_orthants(monkeypatch):
+    """The sign vectors that `morse.orthant` is called on, in call order."""
+    signs = []
+    build = morse.orthant
+    monkeypatch.setattr(morse, "orthant", lambda c, link, ws: signs.append(
+        tuple(ws[g] > 0 for g in c.generators)) or build(c, link, ws))
+    return signs
+
+
+def test_links_built_once_per_sign_vector(monkeypatch):
     c = triple(4)
     a = Analysis(c)
+    calls = count_orthants(monkeypatch)
     rows = fibering_scan(a, 4)
     signs = {tuple(w > 0 for w in r["weights"].values()) for r in rows if r["admissible"]}
     assert len(rows) >= 50 * len(signs)
-    # the links are built in the scan's first half only: each sign vector of
-    # the second half is the complement of one of the first
-    built = set(a._sign_links)
-    assert built <= signs
+    # the links are built in the scan's first half only, once per sign vector:
+    # each sign vector of the second half is the complement of one of the first
+    built = set(calls)
+    assert len(built) == len(calls) and built <= signs
     assert all(s in built or tuple(not x for x in s) in built for s in signs)
     assert len(built) < len(signs)
 
@@ -271,10 +281,11 @@ def test_sign_links_build_no_morse_data(monkeypatch):
     calls = []
     check = morse.check_admissible
     monkeypatch.setattr(morse, "check_admissible", lambda *args: calls.append(args) or check(*args))
+    built = count_orthants(monkeypatch)
     a = Analysis(NAMED[1])  # g2
     assert fibering_scan(a, 3)
     assert infinite_fibering_verdict(a)["infinite_fibering"]
-    assert a._sign_links and not calls
+    assert built and not calls
 
 
 def test_min_corners_match_sorted_corner_heights():
@@ -444,11 +455,30 @@ def test_closed_form_fiber_counts_match_fiber_graph():
         a = Analysis(c)
         for row in admissible_rows(c, a):
             assert_counts_match_fiber_graph(a, row["weights"])
-            asc, desc = a.sign_links(row["weights"])
+            _, asc, desc, _ = a.orthant(row["weights"])
             split += not asc.components == desc.components == 1
     assert split >= 500  # rows counted by union-find, not by gcd
     # both links of g2 at a=-3, b=2 have two components
     a = Analysis(NAMED[1])
     ws = parse_weight_spec("a=-3,b=2", a.complex)
-    assert [side.components for side in a.sign_links(ws)] == [2, 2]
+    assert [side.components for side in directional_links(a, ws)] == [2, 2]
     assert_counts_match_fiber_graph(a, ws)
+
+
+def test_fiber_paths_laid_out_once_per_sign_vector(monkeypatch):
+    # the scan, the fiber counts and the directional links of one `Analysis`
+    # read one entry per sign vector: its min corners and, where a link is
+    # split, its fiber paths are computed once
+    a = Analysis(NAMED[1])  # g2
+    c, ws = a.complex, parse_weight_spec("a=-3,b=2", NAMED[1])
+    signs, laid_out = [], []
+    corners, lay_out = morse.min_corners, morse._fiber_paths
+    monkeypatch.setattr(morse, "min_corners", lambda c, ws: signs.append(
+        tuple(ws[g] > 0 for g in c.generators)) or corners(c, ws))
+    monkeypatch.setattr(morse, "_fiber_paths", lambda c, m: laid_out.append(m) or lay_out(c, m))
+    assert fibering_scan(a, 3)
+    morse.fiber_counts(a, ws)
+    morse.fiber_counts(a, ws)
+    assert [side.components for side in directional_links(a, ws)] == [2, 2]
+    assert laid_out.count(corners(c, ws)) == 1
+    assert signs and len(signs) == len(set(signs))

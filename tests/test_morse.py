@@ -154,7 +154,7 @@ def test_analysis_links_reuse_the_vertex_link_edges(g1, g2, mixed):
     for c in (g1, g2, mixed):
         for ws in (unit_weights(c), {g: -w for g, w in unit_weights(c).items()}):
             a = Analysis(c)
-            asc, desc = a.sign_links(ws)
+            _, asc, desc, _ = a.orthant(ws)
             # the sides number the link's edges, one per square, and build no CornerEdge
             for side, turn in ((asc, 0), (desc, 2)):
                 assert side.edges == [4 * s + (m + turn) % 4

@@ -101,7 +101,7 @@ def test_a_dropped_analysis_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         a = Analysis(c)
-        a.sign_links(ws)
+        a.orthant(ws)
         fibering_scan(a, 1)
         hyperbolicity_verdict(a, 2)
         infinite_fibering_verdict(a)
