@@ -21,11 +21,8 @@ from .complexes import SquareComplex
 
 
 class Analysis:
-    # ``link``: the complex's link when the caller built it (`flatness.eligible_squares`)
-    def __init__(self, c: SquareComplex, link: links.LinkGraph | None = None):
+    def __init__(self, c: SquareComplex):
         self.complex = c
-        if link is not None:
-            self.link = link  # fills the cached property
         self._orthants: dict[tuple, morse.Orthant] = {}  # keyed by sign vector
         self._admissibility: dict[tuple, morse.AdmissibilityReport] = {}
 

@@ -11,11 +11,15 @@ Grid conventions.  Cells are unit squares addressed by integer (x, y); the
 disk of radius R is the taxicab ball {|x| + |y| <= R} around the origin
 cell.  Each placed cell is described by four *canonical side labels*: the
 signed letter read along the south/north sides left-to-right (+x) and the
-west/east sides bottom-to-top (+y).  A placement of square s with
-``rot = r`` puts boundary letter i on side (S, E, N, W)[(i + r) % 4]
-counterclockwise (rot 0, no reflection: letter 1 south, 2 east, 3 north,
-4 west, square corner 0 at the SW cell corner).  ``refl`` mirrors across
-the vertical axis before rotating.
+west/east sides bottom-to-top (+y).  Placement (rot, refl) of a square
+puts its boundary letter i = (k - rot) mod 4 on side k of (S, E, N, W),
+or i = (rot - k) mod 4 when reflected; the letter reads inverted on N
+and W (on S and E when reflected), and square corner (i + refl) mod 4
+sits at cell corner k of (SW, SE, NE, NW).  So ``rot`` turns the square
+a quarter counterclockwise per step and ``refl`` first mirrors it across
+the vertical axis; rot 0 unreflected puts letters 0 to 3 on S, E, N, W
+and square corner 0 at SW.  `square_tiles` lists placement (rot, refl)
+at index 4 * refl + rot.
 
 Two placed cells agree when shared sides carry equal canonical labels, and
 every interior grid vertex (all four incident cells in the disk) must see
@@ -39,7 +43,7 @@ from collections import namedtuple
 from .analysis import Analysis
 from .complexes import SquareComplex
 from .errors import InputError
-from .links import CornerEdge, LinkGraph, arrival_end, departure_end, square_corners
+from .links import LinkGraph, arrival_end, departure_end, square_corners
 from .words import inverse_letter
 
 
@@ -48,45 +52,27 @@ from .words import inverse_letter
 Tile = namedtuple("Tile", ("square", "rot", "refl", "sides", "corner_at"))
 
 
-def _base_tile(square: int, boundary) -> Tile:
-    letters = boundary.letters
-    sides = (letters[0], letters[1], inverse_letter(letters[2]), inverse_letter(letters[3]))
-    return Tile(square, 0, False, sides, (0, 1, 2, 3))
-
-
-def _rot_ccw(t: Tile) -> Tile:
-    s, e, n, w = t.sides
-    sides = (inverse_letter(w), s, inverse_letter(e), n)
-    ca = t.corner_at
-    corner_at = (ca[3], ca[0], ca[1], ca[2])  # corners shift one step CCW
-    return Tile(t.square, (t.rot + 1) % 4, t.refl, sides, corner_at)
-
-
-def _reflect(t: Tile) -> Tile:
-    s, e, n, w = t.sides
-    sides = (inverse_letter(s), w, inverse_letter(n), e)
-    ca = t.corner_at
-    corner_at = (ca[1], ca[0], ca[3], ca[2])
-    return Tile(t.square, t.rot, True, sides, corner_at)
-
-
 def square_tiles(square) -> list[Tile]:
-    """All eight oriented placements of one square."""
+    """All eight oriented placements of one square, (rot, refl) at index
+    4 * refl + rot, by the closed form of the grid conventions above."""
+    letters = square.boundary.letters
+    inverses = tuple(map(inverse_letter, letters))
     tiles = []
-    for refl in (False, True):
-        t = _base_tile(square.index, square.boundary)
-        if refl:
-            t = _reflect(t)
-        for _ in range(4):
-            tiles.append(t)
-            t = _rot_ccw(t)
+    for refl, on_se, on_nw in ((False, letters, inverses), (True, inverses, letters)):
+        for rot in range(4):
+            s, e, n, w = at = [(rot - k if refl else k - rot) % 4 for k in range(4)]
+            tiles.append(Tile(square.index, rot, refl, (on_se[s], on_se[e], on_nw[n], on_nw[w]),
+                              tuple((i + refl) % 4 for i in at)))
     return tiles
 
 
 def eligible_squares(c: SquareComplex, link: LinkGraph | None = None) -> list[int]:
     """Squares with no poison corner: the only candidates for a flat plane.
     ``link``: the complex's link, which `perfbench/workloads.py` passes."""
-    return Analysis(c, link).eligible
+    a = Analysis(c)
+    if link is not None:
+        a.link = link  # fills the cached property
+    return a.eligible
 
 
 # Flat searches refuse larger radii: the radius-R disk has `disk_size(R)` cells.
@@ -290,29 +276,23 @@ def validate_witness(c: SquareComplex, witness: DiskWitness) -> list[str]:
     """Independent re-check of a disk witness: coverage, every shared edge
     matching, and a genuine length-four link circuit around every interior
     vertex.  Returns a list of problems (empty = valid)."""
-    problems: list[str] = []
     cells = disk_cells(witness.radius)
     if set(witness.placement) != set(cells):
-        problems.append("placement does not cover the disk exactly")
-        return problems
+        return ["placement does not cover the disk exactly"]
     tiles: dict[tuple[int, int], Tile] = {}
+    placed: dict[int, tuple] = {}  # square -> its placements and its corners
     for cell, (square, rot, refl) in witness.placement.items():
         if not (0 <= square < len(c.squares)):
-            problems.append(f"cell {cell}: unknown square {square}")
-            return problems
-        match = [
-            t for t in square_tiles(c.squares[square]) if t.rot == rot % 4 and t.refl == bool(refl)
-        ]
-        tiles[cell] = match[0]
+            return [f"cell {cell}: unknown square {square}"]
+        if square not in placed:
+            placed[square] = (square_tiles(c.squares[square]), square_corners(c.squares[square]))
+        tiles[cell] = placed[square][0][4 * bool(refl) + rot % 4]
+    problems: list[str] = []
     for (x, y), tile in tiles.items():
         for (dx, dy), side in _SIDE_OF.items():
             neighbor = tiles.get((x + dx, y + dy))
             if neighbor is not None and neighbor.sides[_OPPOSITE[side]] != tile.sides[side]:
                 problems.append(f"edge mismatch between {(x, y)} and {(x + dx, y + dy)}")
-    corner_lookup: dict[tuple[int, int], CornerEdge] = {}
-    for sq in c.squares:
-        for corner in square_corners(sq):
-            corner_lookup[(sq.index, corner.corner)] = corner
     vertices = {(x + dx, y + dy) for x, y in cells for dx in (0, 1) for dy in (0, 1)}
     for vx, vy in sorted(vertices):
         quads = [(vx - 1, vy - 1), (vx, vy - 1), (vx - 1, vy), (vx, vy)]
@@ -332,7 +312,7 @@ def validate_witness(c: SquareComplex, witness: DiskWitness) -> list[str]:
         ]
         for cell, position, ends in checks:
             tile = tiles[cell]
-            corner = corner_lookup[(tile.square, tile.corner_at[position])]
+            corner = placed[tile.square][1][tile.corner_at[position]]
             if set(corner.pair) != ends:
                 problems.append(
                     f"vertex {(vx, vy)}: corner of square {tile.square} does not match"

@@ -333,6 +333,11 @@ def test_dot_output(tmp_path, capsys, g2_file):
     assert "style=dashed" in text  # the added square's edges
 
 
+def test_dot_into_a_directory_cannot_be_written(tmp_path, capsys, g2_file):
+    assert main(["link", g2_file, "--dot", str(tmp_path)]) == 1
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+
 def test_dot_highlight_desc(tmp_path, capsys, g2_file):
     dot = tmp_path / "desc.dot"
     assert main(["analyze", g2_file, "--weights", "a=1,b=1", "--dot", str(dot),

@@ -55,6 +55,12 @@ def test_zero_weight_is_inadmissible(g1):
     assert any("zero weight" in p for p in report.problems)
 
 
+def test_missing_weights_are_named_per_generator(g1):
+    report = check_admissible(g1, {})
+    assert not report.admissible
+    assert report.problems == [f"no weight for generator {g}" for g in g1.generators]
+
+
 def test_nonzero_sum_reported(g1):
     ws = unit_weights(g1)
     ws["a4"] = 2  # breaks the conjugation squares ending at a4

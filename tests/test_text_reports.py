@@ -6,7 +6,10 @@ these pins hold the text stdout of every file subcommand on g2, of
 witness disk.  Every bench link is large, so the link reports of two LOGs
 that are not are pinned here too, text and ``--json``, with their DOT
 files: "bigons" has bigons and triangles (girth 2), "triangle" one
-triangle (girth 3).  Each command runs through `cli.main` in this process.
+triangle (girth 3).  `check flat --radius 5` is pinned on draw 1447 of the
+benchmark's corpus seed 2008, a radius the benchmark never runs, whose
+witness has reflected and rotated cells.  Each command runs through
+`cli.main` in this process.
 """
 
 import contextlib
@@ -32,11 +35,19 @@ edge label=a1 from=a0 to=a3
 edge label=a5 from=a2 to=a3
 edge label=a4 from=a2 to=a5
 """
+# draw 1447 of `draw_large_logs(2008, ...)` in `perfbench/workloads.py`, without its name
+# line: girth 4, and 28 of the 61 cells of its radius-5 witness are reflected
+DRAW_1447_LOG = """generators a0 a1 a2 a3 a4
+edge label=a4 from=a3 to=a0
+edge label=a0 from=a3 to=a2
+edge label=a0 from=a2 to=a3
+edge label=a1 from=a4 to=a3
+"""
 
 # input name -> the text of its file
 INPUTS = {"g2": lambda: build_named("g2").render(), "torus": lambda: build_named("torus").render(),
           "lot64": lambda: build_lot_family(64).render(), "bigons": lambda: BIGONS_LOG,
-          "triangle": lambda: TRIANGLE_LOG}
+          "triangle": lambda: TRIANGLE_LOG, "draw1447": lambda: DRAW_1447_LOG}
 
 # (subcommand words, input, options, sha256 of stdout)
 PINS = [
@@ -92,6 +103,10 @@ PINS = [
      "5231652e14a3f55dbff7c1bcbe209ef1f8d015c5663617575b5fb30f59ab5166"),
     (["check", "flat"], "triangle", ["--json"],
      "1f3ee428fe0074dc02f459ae63d7e9c8018f48fd629008930f87498dd08dede3"),
+    (["check", "flat"], "draw1447", ["--radius", "5"],
+     "cea3faf6f215aed07bd04291a2dfe5c88b1763e770d6b5384583777bd1ba18ac"),
+    (["check", "flat"], "draw1447", ["--radius", "5", "--json"],
+     "44b8b12a15040242d3dc30fad6cc691f76eadbf0dc5b80757008f37961f68c02"),
 ]
 
 # (input, `link --dot` options, sha256 of the DOT file); the g2 pins are CI's
